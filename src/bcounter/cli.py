@@ -29,7 +29,7 @@ from .crdt import Polarity
 from .sim.config import ConfigInvalid, SimConfig, Strategy, load_config
 from .sim.harness import run
 from .sim.metrics import csv_lines
-from .sim.scenarios import expand, scenario_names
+from .sim.scenarios import expand, replace_duration, scenario_names
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -140,9 +140,7 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.duration is not None:
-        cfg.duration_ms = args.duration
-        if cfg.run_until_depleted:
-            cfg.max_duration_ms = max(cfg.max_duration_ms, args.duration)
+        cfg = replace_duration(cfg, args.duration)
     if args.strategy is not None:
         cfg.strategy = Strategy(args.strategy)
     if getattr(args, "clients", None) is not None and isinstance(args.clients, int):

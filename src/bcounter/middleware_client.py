@@ -30,6 +30,7 @@ from .transfer import (
     handle_request,
     make_request,
     rebalance_tick,
+    rights_elsewhere,
     sync_candidates,
     visible_rights,
 )
@@ -131,11 +132,7 @@ class ClientMiddleware:
             except NotEnoughRights:
                 deficit = delta - state.local_rights(self.dc)
                 if flag == "local":
-                    hint = any(
-                        visible_rights(state, j) >= deficit
-                        for j in range(self.n_dcs)
-                        if j != self.dc
-                    )
+                    hint = rights_elsewhere(state, self.dc, deficit)
                     return ("retry" if hint else "failed"), "rights", used_sync
                 acquired, requested = yield from self._acquire_sync(key, state, deficit)
                 used_sync = used_sync or requested

@@ -20,9 +20,10 @@ is told to retry, and the cache is refreshed from the store. A crashed owner
 loses its cache and its in-flight write; the durable base in the store is
 what the next owner starts from, and unacknowledged clients time out.
 
-In no-batching mode the owner instead processes one operation per conditional
-write, FIFO, which serves as the baseline the batching design is measured
-against.
+Without batching the same writer serves as the baseline the batching design
+is measured against: work is admitted only while the working copy equals the
+durable base, so each conditional write carries one waiter, and everything
+arriving meanwhile waits, FIFO, until that write lands.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .transfer import (
     handle_request,
     make_request,
     rebalance_tick,
+    rights_elsewhere,
     sync_candidates,
     visible_rights,
 )
@@ -130,7 +132,6 @@ class _Pipeline:
         "base_version",
         "working",
         "batch",
-        "queue",
         "arrivals",
         "writer_running",
         "acquire_queue",
@@ -145,8 +146,7 @@ class _Pipeline:
         self.base_version: int | None = None
         self.working: BoundedCounter | None = None
         self.batch: list = []  # waiters riding the next conditional write
-        self.queue: list = []  # no-batching FIFO of pending work items
-        self.arrivals: list = []  # anything that arrived while LOADING
+        self.arrivals: list = []  # work parked until the pipeline can admit it
         self.writer_running = False
         self.acquire_queue: list[_OpItem] = []
         self.acquiring = False
@@ -214,39 +214,37 @@ class Node:
         if self.cluster.route(key) is not self:
             item.reply(OwnerReply("stale", "stale"))
             return
-        p = self._pipeline(key)
-        if p.state != _Pipeline.WARM:
-            p.arrivals.append(("op", item))
-            self._ensure_loaded(p)
-            return
-        self._admit_op(p, item)
+        self._admit(self._pipeline(key), "op", item)
 
     def handle_merge(self, key: str, incoming: BoundedCounter) -> None:
         if self.dead:
             return
-        p = self._pipeline(key)
-        if p.state != _Pipeline.WARM:
-            p.arrivals.append(("merge", incoming))
-            self._ensure_loaded(p)
-            return
-        self._admit_merge(p, incoming)
+        self._admit(self._pipeline(key), "merge", incoming)
 
     def handle_transfer(
         self, key: str, req: TransferRequest, respond: Callable[[TransferResponse], None] | None
     ) -> None:
         if self.dead:
             return
-        p = self._pipeline(key)
-        if p.state != _Pipeline.WARM:
-            p.arrivals.append(("transfer", (req, respond)))
-            self._ensure_loaded(p)
-            return
-        self._admit_transfer(p, req, respond)
+        self._admit(self._pipeline(key), "transfer", (req, respond))
 
-    def _ensure_loaded(self, p: _Pipeline) -> None:
-        if p.state == _Pipeline.COLD:
-            p.state = _Pipeline.LOADING
-            self.spawn(self._load(p))
+    def _admit(self, p: _Pipeline, tag: str, payload) -> None:
+        """The one admission gate. Work waits in ``arrivals`` while the cache
+        is not warm, and, without batching, while the working copy holds work
+        that is not yet durable: one waiter per conditional write."""
+        if p.state != _Pipeline.WARM or (
+            not self.cluster.batching and p.working is not p.base_state
+        ):
+            p.arrivals.append((tag, payload))
+            if p.state == _Pipeline.COLD:
+                p.state = _Pipeline.LOADING
+                self.spawn(self._load(p))
+        elif tag == "op":
+            self._admit_op(p, payload)
+        elif tag == "merge":
+            self._admit_merge(p, payload)
+        else:
+            self._admit_transfer(p, *payload)
 
     def _load(self, p: _Pipeline):
         yield self.net.intra_delay()
@@ -266,17 +264,11 @@ class Node:
         self._drain_arrivals(p)
 
     def _drain_arrivals(self, p: _Pipeline) -> None:
-        pending, p.arrivals = p.arrivals, []
-        for tag, payload in pending:
-            if tag == "op":
-                self._admit_op(p, payload)
-            elif tag == "merge":
-                self._admit_merge(p, payload)
-            else:
-                req, respond = payload
-                self._admit_transfer(p, req, respond)
+        parked, p.arrivals = p.arrivals, []
+        for tag, payload in parked:
+            self._admit(p, tag, payload)
 
-    # -- batching pipeline ------------------------------------------------------
+    # -- write pipeline ---------------------------------------------------------
 
     def _expired(self, item: _OpItem) -> bool:
         return (
@@ -287,36 +279,22 @@ class Node:
     def _admit_op(self, p: _Pipeline, item: _OpItem) -> None:
         if self._expired(item):
             return  # the client timed out; never apply such an op
-        if not self.cluster.batching:
-            p.queue.append(("op", item))
-            self._ensure_writer(p)
-            return
         try:
             new_working = self._apply(p.working, item)
         except NotEnoughRights:
-            self._rights_denied(p, item, p.working)
+            self._rights_denied(p, item)
             return
         p.working = new_working
-        p.batch.append(_OpWaiter(item))
-        self._ensure_writer(p)
+        self._enqueue(p, _OpWaiter(item))
 
     def _admit_merge(self, p: _Pipeline, incoming: BoundedCounter) -> None:
-        if not self.cluster.batching:
-            p.queue.append(("merge", incoming))
-            self._ensure_writer(p)
-            return
         merged = p.working.merge(incoming)
         if merged == p.working:
             return
         p.working = merged
-        p.batch.append(_MergeWaiter())
-        self._ensure_writer(p)
+        self._enqueue(p, _MergeWaiter())
 
     def _admit_transfer(self, p, req: TransferRequest, respond) -> None:
-        if not self.cluster.batching:
-            p.queue.append(("transfer", (req, respond)))
-            self._ensure_writer(p)
-            return
         new_working, resp = handle_request(p.working, req)
         if resp.status is not TransferStatus.GRANTED:
             if respond is not None:
@@ -324,40 +302,38 @@ class Node:
             return
         p.working = new_working
         if respond is not None:
-            p.batch.append(_GrantWaiter(resp.granted, respond))
+            self._enqueue(p, _GrantWaiter(resp.granted, respond))
         else:
-            p.batch.append(_MergeWaiter())  # async grant: durability only
-        self._ensure_writer(p)
+            self._enqueue(p, _MergeWaiter())  # async grant: durability only
 
     def _apply(self, state: BoundedCounter, item: _OpItem) -> BoundedCounter:
         if item.kind == "inc":
             return state.increment(self.dc, item.delta)
         return state.decrement(self.dc, item.delta)
 
-    def _rights_denied(self, p: _Pipeline, item: _OpItem, view: BoundedCounter) -> None:
-        deficit = item.delta - view.local_rights(self.dc)
+    def _rights_denied(self, p: _Pipeline, item: _OpItem) -> None:
         if item.flag == "local" or item.retried:
-            hint = any(
-                visible_rights(view, j) >= deficit for j in range(view.n) if j != self.dc
-            )
-            status = "retry" if (item.flag == "local" and hint) else "failed"
-            item.reply(OwnerReply(status, "rights", item.used_sync))
+            deficit = item.delta - p.working.local_rights(self.dc)
+            hint = item.flag == "local" and rights_elsewhere(p.working, self.dc, deficit)
+            item.reply(OwnerReply("retry" if hint else "failed", "rights", item.used_sync))
             return
         p.acquire_queue.append(item)
         if not p.acquiring:
             p.acquiring = True
             self.spawn(self._acquire_loop(p))
 
-    def _ensure_writer(self, p: _Pipeline) -> None:
-        if p.writer_running:
-            return
-        p.writer_running = True
-        gen = self._write_loop(p) if self.cluster.batching else self._serial_loop(p)
-        self._writer_proc[p.key] = self.spawn(gen)
+    def _enqueue(self, p: _Pipeline, waiter) -> None:
+        p.batch.append(waiter)
+        if not p.writer_running:
+            p.writer_running = True
+            self._writer_proc[p.key] = self.spawn(self._write_loop(p))
 
     def _write_loop(self, p: _Pipeline):
-        """Batching writer: one in-flight conditional write, waiters ride it."""
-        while p.batch or p.working != p.base_state:
+        """The pipeline's only writer: one conditional write in flight at a
+        time, carrying the working copy and every waiter admitted since the
+        last write. After a landed write, work parked by the admission gate is
+        admitted; after a conflict, the cache is reloaded from the store."""
+        while p.batch or p.working is not p.base_state:
             waiters, p.batch = p.batch, []
             snapshot = p.working
             if any(w.counts_as_op for w in waiters):
@@ -375,101 +351,29 @@ class Node:
                     w.on_conflict()
                 p.batch = []
                 p.state = _Pipeline.LOADING
-                yield self.net.intra_delay()
-                rec = yield self.store.get(p.key)
-                yield self.net.intra_delay()
-                p.base_state = BoundedCounter.decode(rec.siblings[0])
-                p.base_version = rec.version
-                p.working = p.base_state
-                p.state = _Pipeline.WARM
-                self._drain_arrivals(p)
+                yield from self._load(p)
                 continue
             p.base_version = res
             p.base_state = snapshot
             p.dirty = True
             for w in waiters:
                 w.on_ok(snapshot)
+            self._drain_arrivals(p)
         p.writer_running = False
-
-    def _serial_loop(self, p: _Pipeline):
-        """No-batching writer: strict FIFO, one operation per conditional write."""
-        while p.queue:
-            tag, payload = p.queue.pop(0)
-            if tag == "op":
-                item: _OpItem = payload
-                if self._expired(item):
-                    continue  # shed un-applied; the client timed out
-                try:
-                    new_state = self._apply(p.base_state, item)
-                except NotEnoughRights:
-                    self._rights_denied(p, item, p.base_state)
-                    continue
-                self.metrics.op_write()
-                ok = yield from self._serial_write(p, new_state)
-                item.reply(
-                    OwnerReply("ok" if ok else "retry", "ok" if ok else "conflict", item.used_sync)
-                )
-            elif tag == "merge":
-                merged = p.base_state.merge(payload)
-                if merged != p.base_state:
-                    yield from self._serial_write(p, merged)
-            else:
-                req, respond = payload
-                new_state, resp = handle_request(p.base_state, req)
-                if resp.status is not TransferStatus.GRANTED:
-                    if respond is not None:
-                        respond(resp)
-                    continue
-                ok = yield from self._serial_write(p, new_state)
-                if respond is not None:
-                    if ok:
-                        respond(
-                            TransferResponse(
-                                TransferStatus.GRANTED, resp.granted, p.base_state.encode()
-                            )
-                        )
-                    else:
-                        respond(TransferResponse(TransferStatus.DENIED))
-        p.writer_running = False
-        p.working = p.base_state
-
-    def _serial_write(self, p: _Pipeline, new_state: BoundedCounter):
-        yield self.net.intra_delay()
-        res = yield self.store.put_conditional(
-            p.key, new_state.encode(), p.base_version, aborter=self._writer_proc[p.key]
-        )
-        yield self.net.intra_delay()
-        if res is CONFLICT:
-            yield self.net.intra_delay()
-            rec = yield self.store.get(p.key)
-            yield self.net.intra_delay()
-            p.base_state = BoundedCounter.decode(rec.siblings[0])
-            p.base_version = rec.version
-            p.working = p.base_state
-            return False
-        p.base_version = res
-        p.base_state = new_state
-        p.working = new_state
-        p.dirty = True
-        return True
 
     # -- synchronous rights acquisition -----------------------------------------
-
-    def _view(self, p: _Pipeline) -> BoundedCounter:
-        return p.working if self.cluster.batching else p.base_state
 
     def _acquire_loop(self, p: _Pipeline):
         while p.acquire_queue:
             item = p.acquire_queue.pop(0)
-            view = self._view(p)
-            deficit = item.delta - view.local_rights(self.dc)
+            deficit = item.delta - p.working.local_rights(self.dc)
             obtained = True
             if deficit > 0:
                 obtained, requested = yield from self._acquire_sync(p, deficit)
                 item.used_sync = item.used_sync or requested
             item.retried = True
             if obtained:
-                self._admit_op(p, item)  # may still fail; then replies failed
+                self._admit(p, "op", item)  # may still fail; then replies failed
             else:
                 item.reply(OwnerReply("failed", "rights", item.used_sync))
         p.acquiring = False
@@ -481,8 +385,8 @@ class Node:
         remaining = deficit
         requested = False
         asked: set[int] = set()
-        view = self._view(p)
         while remaining > 0:
+            view = p.working
             candidates = [j for j in sync_candidates(view, self.dc) if j not in asked]
             if not candidates:
                 return False, requested
@@ -502,10 +406,8 @@ class Node:
             resp = yield (reply, 2 * self.net.rtt(self.dc, target))
             self._pending.pop(req_id, None)
             if resp is TIMEOUT or resp.status is not TransferStatus.GRANTED:
-                view = self._view(p)
                 continue
-            self.handle_merge(p.key, BoundedCounter.decode(resp.state))
-            view = self._view(p)
+            self._admit(p, "merge", BoundedCounter.decode(resp.state))
             remaining -= resp.granted
         return True, requested
 
@@ -548,7 +450,7 @@ class Node:
                 p = self.pipelines[key]
                 if p.state != _Pipeline.WARM:
                     continue
-                view = self._view(p)
+                view = p.working
                 threshold = self.cluster.threshold_for(key)
                 for req in rebalance_tick(view, self.dc, threshold):
                     self.metrics.transfer_request(

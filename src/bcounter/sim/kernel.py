@@ -19,19 +19,19 @@ import heapq
 from typing import Any, Callable, Generator
 
 
-class _TimeoutType:
-    _instance = None
+class Sentinel:
+    """A named marker value, compared with ``is``; each is created once."""
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "TIMEOUT"
+        return self._name
 
 
-TIMEOUT = _TimeoutType()
+TIMEOUT = Sentinel("TIMEOUT")
 
 
 class Future:

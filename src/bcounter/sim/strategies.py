@@ -41,6 +41,12 @@ def _polarity(spec: CounterSpec) -> Polarity:
     return Polarity.LOWER if spec.polarity == "lower" else Polarity.UPPER
 
 
+def _would_violate(spec: CounterSpec, value: int, kind: str, delta: int) -> bool:
+    if spec.polarity == "lower":
+        return kind == "dec" and value - delta < spec.bound
+    return kind == "inc" and value + delta > spec.bound
+
+
 def _threshold(cfg: SimConfig, spec: CounterSpec) -> int:
     if cfg.rebalance_threshold is not None:
         return cfg.rebalance_threshold
@@ -96,6 +102,9 @@ class TallyCounter:
 class Driver:
     """Shared plumbing; subclasses implement the design specifics."""
 
+    # the replicated state each DC's store holds; its siblings merge on read
+    state_cls: type
+
     def __init__(
         self,
         cfg: SimConfig,
@@ -120,11 +129,22 @@ class Driver:
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         raise NotImplementedError
 
+    def _merged_at(self, dc: int, key: str):
+        rec = self.stores[dc].peek(key)
+        if rec is None:
+            return None
+        states = [self.state_cls.decode(s) for s in rec.siblings]
+        return reduce(lambda a, b: a.merge(b), states)
+
     def converged(self) -> bool:
-        raise NotImplementedError
+        for key in self.specs:
+            states = [self._merged_at(dc, key) for dc in range(self.cfg.n_dcs)]
+            if any(s is None for s in states) or any(s != states[0] for s in states[1:]):
+                return False
+        return True
 
     def converged_values(self) -> dict[str, int]:
-        raise NotImplementedError
+        return {key: self._merged_at(0, key).value() for key in self.specs}
 
     # server-node fault hooks; only the server design has nodes
     def crash_node(self, dc: int, node: int) -> None:
@@ -139,6 +159,8 @@ class Driver:
 
 class WeakDriver(Driver):
     """Tally counter over weak puts, bound checked against the read value."""
+
+    state_cls = TallyCounter
 
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
@@ -159,18 +181,13 @@ class WeakDriver(Driver):
         tallies = [TallyCounter.decode(s) for s in rec.siblings]
         return reduce(lambda a, b: a.merge(b), tallies), rec.version
 
-    def _would_violate(self, spec: CounterSpec, value: int, kind: str, delta: int) -> bool:
-        if spec.polarity == "lower":
-            return kind == "dec" and value - delta < spec.bound
-        return kind == "inc" and value + delta > spec.bound
-
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         got = yield from self._read_merged(dc, key)
         if got is None:
             return "failed", "notfound", False
         tally, version = got
         spec = self.specs[key]
-        if self._would_violate(spec, tally.value(), kind, delta):
+        if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
         new_tally = tally.apply(actor, kind, delta)
         yield self.net.intra_delay()
@@ -209,23 +226,6 @@ class WeakDriver(Driver):
         yield self.stores[dc].put(key, merged.encode(), context=version)
         yield self.net.intra_delay()
 
-    def _merged_at(self, dc: int, key: str) -> TallyCounter | None:
-        rec = self.stores[dc].peek(key)
-        if rec is None:
-            return None
-        tallies = [TallyCounter.decode(s) for s in rec.siblings]
-        return reduce(lambda a, b: a.merge(b), tallies)
-
-    def converged(self) -> bool:
-        for key in self.specs:
-            states = [self._merged_at(dc, key) for dc in range(self.cfg.n_dcs)]
-            if any(s is None for s in states) or any(s != states[0] for s in states[1:]):
-                return False
-        return True
-
-    def converged_values(self) -> dict[str, int]:
-        return {key: self._merged_at(0, key).value() for key in self.specs}
-
 
 class StrongDriver(Driver):
     """One linearizable copy on the home DC; everyone else pays a round trip."""
@@ -235,11 +235,6 @@ class StrongDriver(Driver):
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
         self.stores[self.HOME].seed(spec.key, str(spec.initial).encode(), Consistency.STRONG)
-
-    def _would_violate(self, spec: CounterSpec, value: int, kind: str, delta: int) -> bool:
-        if spec.polarity == "lower":
-            return kind == "dec" and value - delta < spec.bound
-        return kind == "inc" and value + delta > spec.bound
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         if dc != self.HOME:
@@ -260,7 +255,7 @@ class StrongDriver(Driver):
             if rec is None:
                 return "failed", "notfound", False
             value = int(rec.siblings[0])
-            if self._would_violate(spec, value, kind, delta):
+            if _would_violate(spec, value, kind, delta):
                 return "failed", "bound", False
             new_value = value + delta if kind == "inc" else value - delta
             yield self.net.intra_delay()
@@ -282,7 +277,9 @@ class StrongDriver(Driver):
 
 
 class _BoundedDriver(Driver):
-    """Shared seeding and convergence checks for the two middleware designs."""
+    """Shared seeding for the two middleware designs."""
+
+    state_cls = BoundedCounter
 
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
@@ -294,23 +291,6 @@ class _BoundedDriver(Driver):
         # DC 0 plus one fully delivered synchronization round
         for store in self.stores:
             store.seed(spec.key, blob, Consistency.STRONG)
-
-    def _merged_at(self, dc: int, key: str) -> BoundedCounter | None:
-        rec = self.stores[dc].peek(key)
-        if rec is None:
-            return None
-        states = [BoundedCounter.decode(s) for s in rec.siblings]
-        return reduce(lambda a, b: a.merge(b), states)
-
-    def converged(self) -> bool:
-        for key in self.specs:
-            states = [self._merged_at(dc, key) for dc in range(self.cfg.n_dcs)]
-            if any(s is None for s in states) or any(s != states[0] for s in states[1:]):
-                return False
-        return True
-
-    def converged_values(self) -> dict[str, int]:
-        return {key: self._merged_at(0, key).value() for key in self.specs}
 
 
 class ClientDriver(_BoundedDriver):

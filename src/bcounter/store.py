@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sim.kernel import Future, Process, Simulator
+from .sim.kernel import Future, Process, Sentinel, Simulator
 
 
 class Consistency(Enum):
@@ -38,32 +38,8 @@ class Consistency(Enum):
     STRONG = "strong"
 
 
-class _AbsentType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ABSENT"
-
-
-class _ConflictType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CONFLICT"
-
-
-ABSENT = _AbsentType()  # expected-version token for "key does not exist yet"
-CONFLICT = _ConflictType()  # conditional-write outcome when the version moved
+ABSENT = Sentinel("ABSENT")  # expected-version token for "key does not exist yet"
+CONFLICT = Sentinel("CONFLICT")  # conditional-write outcome when the version moved
 
 
 class WrongMode(Exception):

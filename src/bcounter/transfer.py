@@ -60,6 +60,15 @@ def visible_rights(state: BoundedCounter, replica: int) -> int:
     return state.local_rights(replica)
 
 
+def rights_elsewhere(state: BoundedCounter, me: int, deficit: int) -> bool:
+    """Whether another replica visibly holds at least ``deficit`` rights.
+
+    The retry hint for an operation that may not block on acquisition: when
+    it holds, rebalancing may bring the rights here and a retry can succeed.
+    """
+    return any(visible_rights(state, j) >= deficit for j in range(state.n) if j != me)
+
+
 def make_request(
     state: BoundedCounter, grantor: int, requester: int, amount: int, mode: TransferMode
 ) -> TransferRequest:

@@ -243,3 +243,26 @@ def test_propagation_converges_across_dcs():
     while sim.now < deadline and durable_value(stores[1]) != 95:
         sim.run(until=sim.now + 50.0)
     assert durable_value(stores[1]) == 95
+
+
+def test_grant_landing_during_conflict_reload_is_not_lost():
+    # DC 1 holds no rights, so its dec waits on a sync grant from DC 0. An
+    # outside write makes DC 1's next conditional write conflict; a grant that
+    # lands while the owner reloads must not ride the discarded working copy
+    for tenth in range(700, 901):
+        t = tenth / 10
+        sim, net, stores, metrics, clusters = wire(n_dcs=2, n_nodes=1, initial=10)
+        futs = {"dec": submit(sim, clusters[1])}
+        sim.run(until=t)
+        futs["inc"] = submit(sim, clusters[1], kind="inc")
+        rec = stores[1].peek("k")
+        stores[1].put_conditional("k", rec.siblings[0], rec.version)
+        drain(sim, list(futs.values()))
+        acked = sum(
+            (1 if kind == "inc" else -1)
+            for kind, f in futs.items()
+            if f.done and f.value.status == "ok"
+        )
+        state = BoundedCounter.decode(stores[1].peek("k").siblings[0])
+        durable = state.rights.get((1, 1), 0) - state.used.get(1, 0)
+        assert durable == acked, (t, {kind: f.value for kind, f in futs.items()})

@@ -13,6 +13,7 @@ from bcounter.transfer import (
     handle_request,
     make_request,
     rebalance_tick,
+    rights_elsewhere,
     sync_candidates,
     visible_rights,
 )
@@ -187,6 +188,14 @@ class TestSyncCandidates:
 def test_visible_rights_is_local_view():
     state = counter_with({(1, 1): 8}, used={1: 3})
     assert visible_rights(state, 1) == 5
+
+
+def test_rights_elsewhere_needs_one_other_replica_covering_the_deficit():
+    state = counter_with({(0, 0): 9, (1, 1): 4, (2, 2): 4})
+    assert rights_elsewhere(state, 1, 4)
+    assert not rights_elsewhere(state, 0, 5)  # 4 + 4 elsewhere, but split
+    assert rights_elsewhere(state, 1, 9)  # replica 0 alone covers it
+    assert not rights_elsewhere(state, 0, 9)  # own rights never count
 
 
 @pytest.mark.parametrize(
