@@ -13,9 +13,16 @@ budget. At every reachable state the checker verifies:
   join does, so acting on the local view is always safe;
 * join insensitivity: folding the views in opposite orders agrees.
 
-Worlds are deduplicated on the canonical byte encoding of all views plus the
-remaining budgets, with Pareto subsumption: re-reaching a configuration with
-component-wise fewer moves left cannot uncover anything new.
+Exploration interns replica views (the collapse compression of explicit-state
+checkers; Holzmann, "State Compression in SPIN", 1997). A view's canonical
+byte encoding maps to a small integer id, assigned when the view is first
+seen, and a world is the tuple of its views' ids. Each distinct (view,
+update) step, pair merge, bound check and local-rights vector is computed
+once with the counter's own code and then looked up, so a transition costs a
+few dictionary lookups and no encoding. Worlds are deduplicated on that id
+tuple plus the remaining budgets, with Pareto subsumption: re-reaching a
+configuration with component-wise fewer moves left cannot uncover anything
+new.
 
 Transfer amounts default to 1: rights arithmetic is linear, so unit
 transfers already exercise every precondition boundary.
@@ -33,6 +40,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from operator import ge
 
 from .crdt import BoundedCounter, NotEnoughRights, Polarity
 
@@ -68,9 +76,12 @@ class ExploreSpec:
     def validate(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one replica")
-        for name in ("incs", "decs", "transfers", "max_merges"):
-            if getattr(self, name) < 0:
+        for name in ("incs", "decs", "transfers", "max_merges", "max_updates", "max_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.max_states < 1:
+            raise ValueError("max_states must be >= 1")
         if not self.deltas or any(d < 1 for d in self.deltas):
             raise ValueError("deltas must be positive")
         if not self.transfer_amounts or any(a < 1 for a in self.transfer_amounts):
@@ -189,35 +200,42 @@ def _unchecked_decrement(state: BoundedCounter, i: int, delta: int) -> BoundedCo
     return dataclasses.replace(state, used=used)
 
 
+def _update(view: BoundedCounter, action: Action, spec: ExploreSpec) -> BoundedCounter | None:
+    """Replica ``action[1]``'s view after an inc, dec or transfer, or None when refused."""
+    kind = action[0]
+    try:
+        if kind == "inc":
+            _, i, d = action
+            return view.increment(i, d)
+        if kind == "dec":
+            _, i, d = action
+            if spec.unchecked_decrement:
+                return _unchecked_decrement(view, i, d)
+            return view.decrement(i, d)
+        if kind == "transfer":
+            _, i, j, a = action
+            return view.transfer(i, j, a)
+    except NotEnoughRights:
+        return None
+    raise InvalidStep(f"unknown action {action!r}")
+
+
 def apply_action(
     world: tuple[BoundedCounter, ...], action: Action, spec: ExploreSpec
 ) -> tuple[BoundedCounter, ...] | None:
     """New world, or None when the action is not enabled in this world."""
-    kind = action[0]
+    if action[0] == "merge":
+        _, i, j = action
+        new = world[i].merge(world[j])
+        if new == world[i]:
+            return None  # no-op merge; skip to keep the frontier tight
+    else:
+        i = action[1]
+        new = _update(world[i], action, spec)
+        if new is None:
+            return None
     out = list(world)
-    try:
-        if kind == "inc":
-            _, i, d = action
-            out[i] = world[i].increment(i, d)
-        elif kind == "dec":
-            _, i, d = action
-            if spec.unchecked_decrement:
-                out[i] = _unchecked_decrement(world[i], i, d)
-            else:
-                out[i] = world[i].decrement(i, d)
-        elif kind == "transfer":
-            _, i, j, a = action
-            out[i] = world[i].transfer(i, j, a)
-        elif kind == "merge":
-            _, i, j = action
-            merged = world[i].merge(world[j])
-            if merged == world[i]:
-                return None  # no-op merge; skip to keep the frontier tight
-            out[i] = merged
-        else:
-            raise InvalidStep(f"unknown action {action!r}")
-    except NotEnoughRights:
-        return None
+    out[i] = new
     return tuple(out)
 
 
@@ -280,6 +298,7 @@ def _moves(spec: ExploreSpec, budget: tuple[int, ...]):
 def explore(spec: ExploreSpec) -> Verified | Counterexample:
     """Breadth-first search over every reachable world within the budgets."""
     spec.validate()
+    n = spec.n
     world0 = initial_world(spec)
 
     def make_trace(steps, world):
@@ -289,30 +308,86 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
     if bad is not None:
         return Counterexample(bad, make_trace((), world0), tuple(v.value() for v in world0))
 
-    def world_key(world):
-        return b"\x00".join(s.encode() for s in world)
+    # interned views, indexed by id; worlds below are tuples of ids
+    views: list[BoundedCounter] = []
+    ids: dict[bytes, int] = {}  # canonical encoding -> id
+    within: list[bool] = []  # id -> the view satisfies the bound
+    rights: list[tuple[int, ...]] = []  # id -> every replica's local rights
+    merged: dict[tuple[int, int], int] = {}  # (a, b) -> id of views[a].merge(views[b])
+    updated: dict[tuple[int, Action], int | None] = {}  # (id, update) -> id or None
+
+    def intern(view: BoundedCounter) -> int:
+        key = view.encode()
+        vid = ids.get(key)
+        if vid is None:
+            vid = ids[key] = len(views)
+            views.append(view)
+            within.append(_within_bound(view))
+            rights.append(tuple(view.local_rights(i) for i in range(n)))
+        return vid
+
+    def merge(a: int, b: int) -> int:
+        vid = merged.get((a, b))
+        if vid is None:
+            vid = merged[(a, b)] = intern(views[a].merge(views[b]))
+        return vid
+
+    def step(world, action):
+        """apply_action on a world of ids; a merge that leaves the id unchanged is a no-op."""
+        i = action[1]
+        if action[0] == "merge":
+            vid = merge(world[i], world[action[2]])
+            if vid == world[i]:
+                return None
+        else:
+            key = (world[i], action)
+            if key in updated:
+                vid = updated[key]
+            else:
+                new = _update(views[world[i]], action, spec)
+                vid = updated[key] = None if new is None else intern(new)
+            if vid is None:
+                return None
+        return world[:i] + (vid,) + world[i + 1 :]
+
+    def holds(world) -> bool:
+        """Whether check_invariants(concrete(world)) is None, from the cached parts."""
+        for i, v in enumerate(world):
+            if not within[v] or rights[v][i] < 0:
+                return False
+        join = reduce(merge, world)
+        if not within[join]:
+            return False
+        joined = rights[join]
+        if any(rights[v][i] > joined[i] for i, v in enumerate(world)):
+            return False
+        return reduce(merge, reversed(world)) == join
+
+    def concrete(world) -> tuple[BoundedCounter, ...]:
+        return tuple(views[v] for v in world)
 
     # per world: Pareto frontier of budget vectors already explored
-    seen: dict[bytes, list[tuple[int, ...]]] = {}
+    seen: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def subsumed(key, budget) -> bool:
         for old in seen.get(key, ()):
-            if all(o >= b for o, b in zip(old, budget)):
+            if all(map(ge, old, budget)):
                 return True
         return False
 
     def remember(key, budget) -> None:
         frontier = seen.setdefault(key, [])
-        frontier[:] = [
-            old for old in frontier if not all(b >= o for b, o in zip(budget, old))
-        ]
+        frontier[:] = [old for old in frontier if not all(map(ge, budget, old))]
         frontier.append(budget)
 
+    # few distinct budget vectors recur across many worlds
+    moves_of: dict[tuple[int, ...], list] = {}
+
     budget0 = _initial_budget(spec)
-    k0 = world_key(world0)
-    remember(k0, budget0)
+    w0 = tuple(intern(v) for v in world0)
+    remember(w0, budget0)
     # ancestry as shared cons cells: node trace = (action, parent_cons)
-    queue = deque([(world0, budget0, None)])
+    queue = deque([(w0, budget0, None)])
     states = 1
     transitions = 0
     deepest = None  # (depth, cons, world) probe candidate
@@ -325,45 +400,48 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
         steps.reverse()
         return steps
 
-    depth0 = budget0[3 * spec.n + 2]
+    depth0 = budget0[3 * n + 2]
     while queue:
         world, budget, cons = queue.popleft()
-        for action, nbudget in _moves(spec, budget):
-            nxt = apply_action(world, action, spec)
+        moves = moves_of.get(budget)
+        if moves is None:
+            moves = moves_of[budget] = list(_moves(spec, budget))
+        for action, nbudget in moves:
+            nxt = step(world, action)
             if nxt is None:
                 continue
             transitions += 1
-            key = world_key(nxt)
-            if subsumed(key, nbudget):
+            if subsumed(nxt, nbudget):
                 continue
-            remember(key, nbudget)
+            remember(nxt, nbudget)
             states += 1
             if states > spec.max_states:
                 raise BudgetTooLarge(
                     f"more than {spec.max_states} states; shrink the budgets"
                 )
             ncons = (action, cons)
-            bad = check_invariants(nxt)
-            if bad is not None:
+            if not holds(nxt):
+                full = concrete(nxt)
                 return Counterexample(
-                    bad,
-                    make_trace(rebuild(ncons), nxt),
-                    tuple(v.value() for v in nxt),
+                    check_invariants(full),
+                    make_trace(rebuild(ncons), full),
+                    tuple(v.value() for v in full),
                 )
-            depth_used = depth0 - nbudget[3 * spec.n + 2]
+            depth_used = depth0 - nbudget[3 * n + 2]
             if deepest is None or depth_used > deepest[0]:
                 deepest = (depth_used, ncons, nxt)
             queue.append((nxt, nbudget, ncons))
     if deepest is None:
         probe = make_trace((), world0)
     else:
-        probe = make_trace(rebuild(deepest[1]), deepest[2])
+        probe = make_trace(rebuild(deepest[1]), concrete(deepest[2]))
     return Verified(states, transitions, probe)
 
 
 def replay(trace: Trace) -> tuple[BoundedCounter, ...]:
     """Re-run a trace from its initial world; raises InvalidStep if it cannot."""
     spec = trace.spec
+    spec.validate()
     world = initial_world(spec)
     budget = _initial_budget(spec)
     for action in trace.steps:

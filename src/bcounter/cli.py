@@ -2,7 +2,8 @@
 
 Every command prints its fully resolved parameters (including the seed)
 before doing any work, and all outputs are reproducible byte-for-byte from
-the command line plus config plus seed.
+the command line plus config plus seed. Wall-clock figures, which are not,
+go to stderr only.
 
 Exit codes: 0 success / Verified; 1 Counterexample or divergent replay;
 2 usage or configuration error.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .checker import (
@@ -106,11 +108,15 @@ def _cmd_check(args) -> int:
         f"transfers={spec.transfers} merges={spec.max_merges} "
         f"updates={spec.max_updates} depth={spec.max_depth}"
     )
+    started = time.perf_counter()
     try:
         result = explore(spec)
     except (BudgetTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    wall = time.perf_counter() - started
+    rate = f" states_per_s={result.states / wall:.0f}" if isinstance(result, Verified) else ""
+    print(f"check: wall_s={wall:.3f}{rate}", file=sys.stderr)
     if isinstance(result, Verified):
         print(f"Verified: states={result.states} transitions={result.transitions}")
         if args.trace_out:
@@ -208,7 +214,7 @@ def _cmd_replay(args) -> int:
     )
     try:
         world = replay(trace)
-    except InvalidStep as exc:
+    except (InvalidStep, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     got = world_hash(world)

@@ -2,10 +2,14 @@
 
 The small instances here have independently countable state spaces; the
 frozen counts act as regression oracles for the Pareto pruning.
+``reference_explore`` keeps the explorer without view interning as a
+differential oracle.
 """
 
+import dataclasses
 import itertools
 import json
+from collections import deque
 
 import pytest
 
@@ -16,6 +20,8 @@ from bcounter.checker import (
     InvalidStep,
     Trace,
     Verified,
+    _initial_budget,
+    _moves,
     apply_action,
     check_invariants,
     explore,
@@ -23,7 +29,7 @@ from bcounter.checker import (
     replay,
     world_hash,
 )
-from bcounter.crdt import Polarity
+from bcounter.crdt import BoundedCounter, Polarity
 
 
 def test_single_replica_no_actions_is_trivially_verified():
@@ -139,6 +145,26 @@ def test_spec_validation():
         ExploreSpec(decs=-1).validate()
     with pytest.raises(ValueError):
         ExploreSpec(deltas=()).validate()
+    ExploreSpec(max_updates=0, max_depth=0, max_states=1).validate()
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_updates": -1}, {"max_depth": -1}, {"max_states": 0}]
+)
+def test_spec_validation_rejects_vacuous_caps(bad):
+    # a negative cap would explore nothing and report a vacuous Verified
+    spec = ExploreSpec(n=2, initial=2, decs=2, **bad)
+    with pytest.raises(ValueError):
+        spec.validate()
+    with pytest.raises(ValueError):
+        explore(spec)
+
+
+def test_replay_validates_the_trace_spec():
+    probe = explore(ExploreSpec(n=2, initial=2, decs=1)).probe
+    edited = Trace(dataclasses.replace(probe.spec, max_depth=-1), probe.steps, probe.state_hash)
+    with pytest.raises(ValueError):
+        replay(edited)
 
 
 def test_exhaustive_against_brute_force_enumeration():
@@ -210,3 +236,156 @@ def test_transfer_moves_rights_between_replicas():
     assert moved[0].local_rights(0) == world[0].local_rights(0) - 2
     merged = apply_action(moved, ("merge", 1, 0), spec)
     assert merged[1].local_rights(1) == world[1].local_rights(1) + 2
+
+
+def reference_explore(spec):
+    """The explorer without view interning, kept as a differential oracle.
+
+    Worlds are tuples of full views, deduplicated on their joined canonical
+    encodings, and every new state is checked with check_invariants.
+    """
+    spec.validate()
+    world0 = initial_world(spec)
+
+    def make_trace(steps, world):
+        return Trace(spec, tuple(steps), world_hash(world))
+
+    bad = check_invariants(world0)
+    if bad is not None:
+        return Counterexample(bad, make_trace((), world0), tuple(v.value() for v in world0))
+
+    def world_key(world):
+        return b"\x00".join(s.encode() for s in world)
+
+    seen = {}
+
+    def subsumed(key, budget):
+        return any(all(o >= b for o, b in zip(old, budget)) for old in seen.get(key, ()))
+
+    def remember(key, budget):
+        frontier = seen.setdefault(key, [])
+        frontier[:] = [old for old in frontier if not all(b >= o for b, o in zip(budget, old))]
+        frontier.append(budget)
+
+    def rebuild(cons):
+        steps = []
+        while cons is not None:
+            action, cons = cons
+            steps.append(action)
+        return steps[::-1]
+
+    budget0 = _initial_budget(spec)
+    remember(world_key(world0), budget0)
+    queue = deque([(world0, budget0, None)])
+    states, transitions, deepest = 1, 0, None
+    depth0 = budget0[3 * spec.n + 2]
+    while queue:
+        world, budget, cons = queue.popleft()
+        for action, nbudget in _moves(spec, budget):
+            nxt = apply_action(world, action, spec)
+            if nxt is None:
+                continue
+            transitions += 1
+            key = world_key(nxt)
+            if subsumed(key, nbudget):
+                continue
+            remember(key, nbudget)
+            states += 1
+            ncons = (action, cons)
+            bad = check_invariants(nxt)
+            if bad is not None:
+                return Counterexample(
+                    bad, make_trace(rebuild(ncons), nxt), tuple(v.value() for v in nxt)
+                )
+            depth_used = depth0 - nbudget[3 * spec.n + 2]
+            if deepest is None or depth_used > deepest[0]:
+                deepest = (depth_used, ncons, nxt)
+            queue.append((nxt, nbudget, ncons))
+    if deepest is None:
+        return Verified(states, transitions, make_trace((), world0))
+    return Verified(states, transitions, make_trace(rebuild(deepest[1]), deepest[2]))
+
+
+def _differential_grid():
+    for n, polarity, unchecked in itertools.product((1, 2, 3), Polarity, (False, True)):
+        lower = polarity is Polarity.LOWER
+        spec = ExploreSpec(
+            n=n,
+            polarity=polarity,
+            bound=0 if lower else 6,
+            initial=3,
+            incs=1,
+            decs=2 if n == 1 else 1,
+            transfers=1 if n > 1 else 0,
+            max_merges=3 if n < 3 else 2,
+            max_updates=None if n < 3 else 3,
+            max_depth=None if n == 1 else 5,
+            deltas=(1, 2),
+            transfer_amounts=(1, 2),
+            unchecked_decrement=unchecked,
+        )
+        label = f"n{n}-{polarity.value}" + ("-unchecked" if unchecked else "")
+        yield pytest.param(spec, id=label)
+
+
+@pytest.mark.parametrize("spec", _differential_grid())
+def test_interned_explore_matches_reference(spec):
+    got, want = explore(spec), reference_explore(spec)
+    assert type(got) is type(want)
+    if isinstance(want, Verified):
+        assert (got.states, got.transitions) == (want.states, want.transitions)
+        assert got.probe == want.probe
+    else:
+        assert got.invariant == want.invariant
+        assert got.trace == want.trace
+        assert got.values == want.values
+
+
+def test_frozen_three_replica_instance():
+    # the benchmark's check-n3 spec; counts and probe hash pinned before
+    # views were interned
+    spec = ExploreSpec(
+        n=3, initial=5, incs=1, decs=1, transfers=1, max_merges=5, max_updates=5
+    )
+    result = explore(spec)
+    assert isinstance(result, Verified)
+    assert result.states == 68_590
+    assert result.transitions == 343_424
+    assert result.probe.state_hash == (
+        "c3835c7ea053d3a318acba601821ddeed55ac5e357822fbb2467fa97091ec2e8"
+    )
+
+
+_lattice_merge = BoundedCounter.merge
+
+
+def _merge_summing_used(self, other):
+    # double-counts consumption both sides already saw
+    used = {k: self.used.get(k, 0) + other.used.get(k, 0) for k in {*self.used, *other.used}}
+    return dataclasses.replace(_lattice_merge(self, other), used=used)
+
+
+def _merge_keeping_own_used(self, other):
+    # drops the other side's consumption, so the join depends on fold order
+    return dataclasses.replace(_lattice_merge(self, other), used=dict(self.used))
+
+
+@pytest.mark.parametrize(
+    "planted, initial, invariant",
+    [
+        (_merge_summing_used, 1, "the join of all views breaks the bound"),
+        (_merge_summing_used, 2, "replica 0 overestimates its rights"),
+        (_merge_keeping_own_used, 2, "join depends on fold order"),
+    ],
+)
+def test_interned_join_checks_match_reference_on_planted_merge(
+    monkeypatch, planted, initial, invariant
+):
+    # a correct merge never breaks the join-level invariants, so plant a
+    # broken one to compare the cached join checks with check_invariants
+    monkeypatch.setattr(BoundedCounter, "merge", planted)
+    spec = ExploreSpec(n=3, initial=initial, decs=1, transfers=1, max_merges=3, max_depth=4)
+    got, want = explore(spec), reference_explore(spec)
+    assert isinstance(got, Counterexample)
+    assert got.invariant == want.invariant == invariant
+    assert (got.trace, got.values) == (want.trace, want.values)

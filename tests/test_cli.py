@@ -32,6 +32,26 @@ def test_check_bad_usage_exits_two(capsys):
     assert main([]) == 2
 
 
+def test_check_negative_cap_exits_two(capsys):
+    # a negative cap explored nothing and used to print a vacuous Verified
+    code = main(["check", "--replicas", "2", "--initial", "2", "--decs", "2",
+                 "--depth", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Verified" not in captured.out
+    assert "max_depth" in captured.err
+
+
+def test_check_reports_wall_time_on_stderr_only(capsys):
+    flags = ["check", "--replicas", "2", "--initial", "2", "--decs", "2"]
+    assert main(flags) == 0
+    first = capsys.readouterr()
+    assert "wall_s=" in first.err and "states_per_s=" in first.err
+    assert "wall_s" not in first.out
+    assert main(flags) == 0
+    assert capsys.readouterr().out == first.out
+
+
 def test_check_state_budget_exceeded_exits_two(capsys):
     code = main(["check", "--replicas", "3", "--initial", "50", "--decs", "6",
                  "--transfers", "3", "--max-states", "50"])
@@ -52,6 +72,18 @@ def test_check_trace_roundtrip_through_replay(tmp_path, capsys):
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
     assert main(["replay", str(bad)]) == 1
+
+
+def test_replay_rejects_edited_spec(tmp_path, capsys):
+    trace = tmp_path / "probe.json"
+    assert main(["check", "--replicas", "2", "--initial", "3", "--decs", "1",
+                 "--trace-out", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    doc["spec"]["max_updates"] = -1
+    trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 2
+    assert "max_updates" in capsys.readouterr().err
 
 
 def test_replay_unreadable_exits_two(tmp_path):
