@@ -366,7 +366,7 @@ class Node:
     def _acquire_loop(self, p: _Pipeline):
         while p.acquire_queue:
             item = p.acquire_queue.pop(0)
-            deficit = item.delta - p.working.local_rights(self.dc)
+            deficit = item.delta - self._rights_after_parked(p)
             obtained = True
             if deficit > 0:
                 obtained, requested = yield from self._acquire_sync(p, deficit)
@@ -377,6 +377,21 @@ class Node:
             else:
                 item.reply(OwnerReply("failed", "rights", item.used_sync))
         p.acquiring = False
+
+    def _rights_after_parked(self, p: _Pipeline) -> int:
+        """Local rights once the ops and transfers parked in ``arrivals`` are
+        admitted. An op re-admitted now is admitted after them, FIFO, so the
+        rights they take are not there for it."""
+        view = p.working
+        for tag, payload in p.arrivals:
+            if tag == "op":
+                try:
+                    view = self._apply(view, payload)
+                except NotEnoughRights:
+                    pass  # it goes to acquire rights of its own
+            elif tag == "transfer":
+                view = handle_request(view, payload[0])[0]
+        return view.local_rights(self.dc)
 
     def _acquire_sync(self, p: _Pipeline, deficit: int):
         """Pull at least ``deficit`` rights; asks for a threshold-sized chunk

@@ -54,7 +54,12 @@ def _threshold(cfg: SimConfig, spec: CounterSpec) -> int:
 
 
 class TallyCounter:
-    """Grow-only per-actor tallies; value = sum(incs) - sum(decs)."""
+    """Grow-only per-actor tallies; value = sum(incs) - sum(decs).
+
+    Instances are never mutated: ``apply`` and ``merge`` return new objects,
+    so one decoded or merged tally may be shared, as the weak driver's fold
+    cache does.
+    """
 
     __slots__ = ("incs", "decs")
 
@@ -72,15 +77,9 @@ class TallyCounter:
         return TallyCounter(incs, decs)
 
     def merge(self, other: "TallyCounter") -> "TallyCounter":
-        incs = dict(self.incs)
-        for k, v in other.incs.items():
-            if v > incs.get(k, 0):
-                incs[k] = v
-        decs = dict(self.decs)
-        for k, v in other.decs.items():
-            if v > decs.get(k, 0):
-                decs[k] = v
-        return TallyCounter(incs, decs)
+        return TallyCounter(
+            _entrywise_max(self.incs, other.incs), _entrywise_max(self.decs, other.decs)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,6 +96,15 @@ class TallyCounter:
     def decode(cls, blob: bytes) -> "TallyCounter":
         doc = json.loads(blob)
         return cls(dict(doc["i"]), dict(doc["d"]))
+
+
+def _entrywise_max(mine: dict[str, int], theirs: dict[str, int]) -> dict[str, int]:
+    out = dict(mine)
+    for actor, n in theirs.items():
+        # tallies are >= 0, so an actor only ``theirs`` has is always kept
+        if n > out.get(actor, -1):
+            out[actor] = n
+    return out
 
 
 class Driver:
@@ -162,6 +170,12 @@ class WeakDriver(Driver):
 
     state_cls = TallyCounter
 
+    def __init__(self, cfg, sim, net, stores, metrics):
+        super().__init__(cfg, sim, net, stores, metrics)
+        # per (dc, key): the sibling tuple last folded, each of its siblings
+        # decoded, and their merge; one entry per key per DC
+        self._folds: dict[tuple[int, str], tuple[tuple[bytes, ...], dict, TallyCounter]] = {}
+
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
         blob = TallyCounter(incs={"_init": spec.initial}).encode()
@@ -178,8 +192,19 @@ class WeakDriver(Driver):
         yield self.net.intra_delay()
         if rec is None:
             return None
-        tallies = [TallyCounter.decode(s) for s in rec.siblings]
-        return reduce(lambda a, b: a.merge(b), tallies), rec.version
+        return self._fold(dc, key, rec.siblings), rec.version
+
+    def _fold(self, dc: int, key: str, siblings: tuple[bytes, ...]) -> TallyCounter:
+        """The merge of ``siblings``. An unchanged sibling tuple reuses the
+        last merge; a changed one decodes only siblings the last one lacked."""
+        last = self._folds.get((dc, key))
+        if last is not None and last[0] == siblings:
+            return last[2]
+        seen = last[1] if last is not None else {}
+        tallies = {blob: seen.get(blob) or TallyCounter.decode(blob) for blob in siblings}
+        merged = reduce(TallyCounter.merge, tallies.values())
+        self._folds[(dc, key)] = (siblings, tallies, merged)
+        return merged
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         got = yield from self._read_merged(dc, key)

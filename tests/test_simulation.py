@@ -2,7 +2,12 @@
 depletion, partitions, and crashes. Desk-scale versions of the larger
 benchmark sweeps."""
 
+import random
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcounter.sim.config import (
     CounterSpec,
@@ -11,8 +16,9 @@ from bcounter.sim.config import (
     SimConfig,
     Strategy,
 )
-from bcounter.sim.harness import run
+from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
+from bcounter.sim.strategies import TallyCounter
 
 BOUNDED = [Strategy.BCCLT, Strategy.BCSRV, Strategy.BCSRV_NOBATCH, Strategy.STRONG]
 
@@ -132,6 +138,68 @@ def test_multiple_counters_tracked_independently():
     assert set(report.observer_values) == {"a", "b"}
     assert report.converged is True
     assert report.converged_values == report.observer_values
+
+
+def reference_merge(a: TallyCounter, b: TallyCounter) -> TallyCounter:
+    def entrywise_max(x, y):
+        return {actor: max(x.get(actor, 0), y.get(actor, 0)) for actor in x.keys() | y.keys()}
+
+    return TallyCounter(entrywise_max(a.incs, b.incs), entrywise_max(a.decs, b.decs))
+
+
+# a few actors, so the two sides share some and hold others alone; 0 included
+_tallies = st.dictionaries(st.sampled_from("abcde"), st.integers(0, 4), max_size=5)
+tally_counters = st.builds(TallyCounter, _tallies, _tallies)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tally_counters, tally_counters, tally_counters)
+def test_tally_merge_is_the_per_actor_max(a, b, c):
+    assert a.merge(b) == reference_merge(a, b)
+    assert a.merge(b) == b.merge(a)
+    assert a.merge(b).merge(c) == a.merge(b.merge(c))
+    assert a.merge(a) == a
+    assert a.merge(b).encode() == b.merge(a).encode()
+    assert a.merge(TallyCounter()) == a
+
+
+def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
+    driver = Run(small(Strategy.WEAK)).driver
+    rng = random.Random(7)
+
+    def blob():
+        actors = [f"c{i}" for i in range(12)]
+        return TallyCounter(
+            {a: rng.randint(0, 9) for a in rng.sample(actors, 8)},
+            {a: rng.randint(0, 9) for a in rng.sample(actors, 8)},
+        ).encode()
+
+    A, B, C, D, E, F, G = (blob() for _ in range(7))
+    steps = {
+        (0, "a"): [(A,), (A,), (A, B), (A, B, C), (C, D), (C, D), (E,), (A, B), (C, D)],
+        (1, "a"): [(B,), (B, F), (G,), (B, F), (B, F, G), (F,)],
+        (0, "b"): [(G,), (G, A), (A,), (A, G), (G, A)],
+        (1, "b"): [(C, D, E), (D, E), (E, F), (C, D, E), (C,)],
+    }
+    decoded = []
+    decode = TallyCounter.decode
+    monkeypatch.setattr(
+        TallyCounter, "decode", classmethod(lambda cls, b: decoded.append(b) or decode(b))
+    )
+    last = {}
+    for i in range(max(len(s) for s in steps.values())):
+        for (dc, key), seq in steps.items():
+            if i >= len(seq):
+                continue
+            siblings = seq[i]
+            decoded.clear()
+            got = driver._fold(dc, key, siblings)
+            fresh = reduce(TallyCounter.merge, map(decode, siblings))
+            assert got == fresh
+            assert got.encode() == fresh.encode()
+            # only siblings absent from this (dc, key)'s last tuple are decoded
+            assert decoded == [s for s in siblings if s not in last.get((dc, key), ())]
+            last[(dc, key)] = siblings
 
 
 def test_store_counters_reported():
