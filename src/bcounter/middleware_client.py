@@ -7,11 +7,16 @@ retried on conflict. Cross-DC replication is a periodic push of locally
 modified counters to every other DC, merged in at the receiver through the
 same conditional-write loop. Rights movement uses the transfer policy: a
 background rebalancer tops up this replica when it runs low, and operations
-flagged GLOBAL may synchronously pull rights before giving up.
+flagged GLOBAL may synchronously pull rights before giving up. That pull is
+``transfer.acquire``, the loop the owner nodes run too; here its view is the
+state the operation read plus the grants merged so far, and each grant is
+written to the local store before the next request.
 
-A transfer grant is only ever answered after the grantor's own conditional
-write of the granted state succeeded, so every granted right is durable at
-the grantor before the requester can spend it.
+A synchronous request carries the requester's reply callback, which the
+grantor calls across the network. A grant is only ever answered after the
+grantor's own conditional write of the granted state succeeded, so every
+granted right is durable at the grantor before the requester can spend it. A
+reply that arrives after the requester stopped waiting is dropped.
 """
 
 from __future__ import annotations
@@ -19,19 +24,17 @@ from __future__ import annotations
 from functools import reduce
 
 from .crdt import BoundedCounter, NotEnoughRights, Polarity
-from .sim.kernel import TIMEOUT, Future, Simulator
+from .sim.kernel import Future, Simulator
 from .sim.net import Network
 from .store import ABSENT, CONFLICT, DCStore
 from .transfer import (
-    TransferMode,
     TransferRequest,
     TransferResponse,
     TransferStatus,
+    acquire,
     handle_request,
-    make_request,
     rebalance_tick,
     rights_elsewhere,
-    sync_candidates,
     visible_rights,
 )
 
@@ -72,8 +75,6 @@ class ClientMiddleware:
         self.peers: list["ClientMiddleware"] = []  # index = dc id, set by wiring
         self._registered: dict[str, _Registered] = {}
         self._dirty: set[str] = set()
-        self._pending: dict[int, Future] = {}
-        self._next_req_id = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -152,55 +153,39 @@ class ClientMiddleware:
             return state.increment(self.dc, delta)
         return state.decrement(self.dc, delta)
 
-    # -- synchronous rights acquisition ----------------------------------------
+    # -- transfer requests ---------------------------------------------------
 
     def _acquire_sync(self, key: str, state: BoundedCounter, deficit: int):
-        """Pull rights until the deficit is covered; merges each grant locally.
+        """Pull rights until the deficit is covered. The view is the state read
+        plus the grants merged so far; each grant is written to the store."""
 
-        Asks for a threshold-sized chunk so one round trip covers a burst of
-        deficient operations rather than a single one.
-        """
-        chunk = max(deficit, self._registered[key].threshold)
-        remaining = deficit
-        requested = False
-        asked: set[int] = set()
-        while remaining > 0:
-            candidates = [j for j in sync_candidates(state, self.dc) if j not in asked]
-            if not candidates:
-                return False, requested
-            target = candidates[0]
-            asked.add(target)
-            req = make_request(state, target, self.dc, max(remaining, chunk), TransferMode.SYNC)
-            requested = True
-            self.metrics.transfer_request(
-                self.sim.now, self.dc, target, "sync", visible_rights(state, target)
-            )
+        def ask(req: TransferRequest, view: BoundedCounter):
             reply = Future(self.sim)
-            req_id = self._next_req_id
-            self._next_req_id += 1
-            self._pending[req_id] = reply
-            peer = self.peers[target]
-            self.net.send(
-                self.dc,
-                target,
-                lambda peer=peer, req=req, req_id=req_id: peer.on_transfer_request(
-                    key, req, self.dc, req_id
-                ),
-            )
-            resp = yield (reply, 2 * self.net.rtt(self.dc, target))
-            self._pending.pop(req_id, None)
-            if resp is TIMEOUT or resp.status is not TransferStatus.GRANTED:
-                continue
+            self._send_request(key, req, view, reply.resolve)
+            return reply, 2 * self.net.rtt(self.dc, req.grantor)
+
+        def merge(resp: TransferResponse):
+            nonlocal state
             granted = BoundedCounter.decode(resp.state)
             yield from self._merge_into_store(key, granted)
             state = state.merge(granted)
-            remaining -= resp.granted
-        return True, requested
 
-    def on_transfer_request(self, key: str, req: TransferRequest, reply_dc: int, req_id: int):
-        self.sim.spawn(self._serve_transfer(key, req, reply_dc, req_id))
+        threshold = self._registered[key].threshold
+        return (yield from acquire(lambda: state, self.dc, deficit, threshold, ask, merge))
 
-    def _serve_transfer(self, key: str, req: TransferRequest, reply_dc: int, req_id: int):
+    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
+        """Send a transfer request built from ``view``. A SYNC request carries
+        ``reply``, the requester's callback for the grantor's answer."""
+        self.metrics.transfer_request(
+            self.sim.now, self.dc, req.grantor, req.mode.value, visible_rights(view, req.grantor)
+        )
+        peer = self.peers[req.grantor]
+        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
+
+    def on_transfer_request(self, key: str, req: TransferRequest, reply):
+        self.sim.spawn(self._serve_transfer(key, req, reply))
+
+    def _serve_transfer(self, key: str, req: TransferRequest, reply):
         """Grantor side; a GRANTED reply is sent only once the grant is durable."""
         for _ in range(self.retry_limit):
             got = yield from self._fetch(key)
@@ -209,29 +194,21 @@ class ClientMiddleware:
             state, version = got
             new_state, resp = handle_request(state, req)
             if resp.status is not TransferStatus.GRANTED:
-                self._respond(req, reply_dc, req_id, resp)
+                self._respond(req, reply, resp)
                 return
             res = yield from self._cond_write(key, new_state.encode(), version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
-            self._respond(req, reply_dc, req_id, resp)
+            self._respond(req, reply, resp)
             return
-        self._respond(req, reply_dc, req_id, TransferResponse(TransferStatus.DENIED))
+        self._respond(req, reply, TransferResponse(TransferStatus.DENIED))
 
-    def _respond(self, req: TransferRequest, reply_dc: int, req_id: int, resp) -> None:
-        if req.mode is not TransferMode.SYNC:
+    def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
+        if reply is None:
             return  # background grants travel with the next sync push
         self.metrics.transfer_response()
-        target = self.peers[reply_dc]
-        self.net.send(
-            self.dc, reply_dc, lambda: target.on_transfer_response(req_id, resp)
-        )
-
-    def on_transfer_response(self, req_id: int, resp) -> None:
-        f = self._pending.get(req_id)
-        if f is not None:
-            f.resolve(resp)
+        self.net.send(self.dc, req.requester, lambda: reply(resp))
 
     # -- cross-DC state synchronization --------------------------------------
 
@@ -249,16 +226,11 @@ class ClientMiddleware:
                 if got is None:
                     continue
                 blob = got[0].encode()
-                for other in range(self.n_dcs):
-                    if other == self.dc:
-                        continue
-                    self.metrics.sync_msg()
-                    peer = self.peers[other]
-                    self.net.send(
-                        self.dc,
-                        other,
-                        lambda peer=peer, key=key, blob=blob: peer.on_sync_state(key, blob),
-                    )
+                peers = self.peers
+                sent = self.net.broadcast(
+                    self.dc, lambda dst, key=key, blob=blob: peers[dst].on_sync_state(key, blob)
+                )
+                self.metrics.sync_msg(sent)
 
     def on_sync_state(self, key: str, blob: bytes) -> None:
         self.sim.spawn(self._merge_into_store(key, BoundedCounter.decode(blob)))
@@ -290,18 +262,4 @@ class ClientMiddleware:
                     continue
                 state = got[0]
                 for req in rebalance_tick(state, self.dc, info.threshold):
-                    self.metrics.transfer_request(
-                        self.sim.now,
-                        self.dc,
-                        req.grantor,
-                        "async",
-                        visible_rights(state, req.grantor),
-                    )
-                    peer = self.peers[req.grantor]
-                    self.net.send(
-                        self.dc,
-                        req.grantor,
-                        lambda peer=peer, key=key, req=req: peer.on_transfer_request(
-                            key, req, self.dc, -1
-                        ),
-                    )
+                    self._send_request(key, req, state)

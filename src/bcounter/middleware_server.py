@@ -20,6 +20,13 @@ is told to retry, and the cache is refreshed from the store. A crashed owner
 loses its cache and its in-flight write; the durable base in the store is
 what the next owner starts from, and unacknowledged clients time out.
 
+An op that lacks rights joins the pipeline's acquisition queue, and the
+owner pulls rights with ``transfer.acquire``, the loop the client library
+runs too: each request is built from the working copy as it is when sent,
+carries the owner's reply callback, and each grant is admitted like a
+propagated state. Rights this owner grants are answered only once the write
+carrying the grant is durable.
+
 Without batching the same writer serves as the baseline the batching design
 is measured against: work is admitted only while the working copy equals the
 durable base, so each conditional write carries one waiter, and everything
@@ -33,19 +40,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .crdt import BoundedCounter, NotEnoughRights
-from .sim.kernel import TIMEOUT, Future, Process, Simulator
+from .sim.kernel import Future, Process, Simulator
 from .sim.net import Network
 from .store import CONFLICT, DCStore
 from .transfer import (
-    TransferMode,
     TransferRequest,
     TransferResponse,
     TransferStatus,
+    acquire,
     handle_request,
-    make_request,
     rebalance_tick,
     rights_elsewhere,
-    sync_candidates,
     visible_rights,
 )
 
@@ -162,7 +167,6 @@ class Node:
         self.dead = False
         self.pipelines: dict[str, _Pipeline] = {}
         self._procs: list[Process] = []
-        self._pending: dict[int, Future] = {}
         self._writer_proc: dict[str, Process] = {}
 
     # shorthand accessors into the cluster's shared machinery
@@ -394,42 +398,29 @@ class Node:
         return view.local_rights(self.dc)
 
     def _acquire_sync(self, p: _Pipeline, deficit: int):
-        """Pull at least ``deficit`` rights; asks for a threshold-sized chunk
-        so one round trip covers a burst of deficient operations, not one."""
-        chunk = max(deficit, self.cluster.threshold_for(p.key))
-        remaining = deficit
-        requested = False
-        asked: set[int] = set()
-        while remaining > 0:
-            view = p.working
-            candidates = [j for j in sync_candidates(view, self.dc) if j not in asked]
-            if not candidates:
-                return False, requested
-            target = candidates[0]
-            asked.add(target)
-            req = make_request(
-                view, target, self.dc, max(remaining, chunk), TransferMode.SYNC
-            )
-            requested = True
-            self.metrics.transfer_request(
-                self.sim.now, self.dc, target, "sync", visible_rights(view, target)
-            )
-            reply = Future(self.sim)
-            req_id = self.cluster.next_req_id()
-            self._pending[req_id] = reply
-            self.cluster.send_transfer_request(p.key, req, target, self.idx, req_id)
-            resp = yield (reply, 2 * self.net.rtt(self.dc, target))
-            self._pending.pop(req_id, None)
-            if resp is TIMEOUT or resp.status is not TransferStatus.GRANTED:
-                continue
-            self._admit(p, "merge", BoundedCounter.decode(resp.state))
-            remaining -= resp.granted
-        return True, requested
+        """Pull at least ``deficit`` rights. The view is the working copy,
+        re-read before every request; each grant is admitted as a merge."""
 
-    def on_transfer_response(self, req_id: int, resp: TransferResponse) -> None:
-        f = self._pending.get(req_id)
-        if f is not None:
-            f.resolve(resp)
+        def ask(req: TransferRequest, view: BoundedCounter):
+            reply = Future(self.sim)
+            self._send_request(p.key, req, view, reply.resolve)
+            return reply, 2 * self.net.rtt(self.dc, req.grantor)
+
+        def merge(resp: TransferResponse):
+            self._admit(p, "merge", BoundedCounter.decode(resp.state))
+            yield from ()
+
+        threshold = self.cluster.threshold_for(p.key)
+        return (yield from acquire(lambda: p.working, self.dc, deficit, threshold, ask, merge))
+
+    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
+        """Send a transfer request built from ``view``. A SYNC request carries
+        ``reply``, the requester's callback for the grantor's answer."""
+        self.metrics.transfer_request(
+            self.sim.now, self.dc, req.grantor, req.mode.value, visible_rights(view, req.grantor)
+        )
+        peer = self.cluster.peers[req.grantor]
+        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
 
     # -- periodic loops -----------------------------------------------------------
 
@@ -452,11 +443,11 @@ class Node:
                     continue
                 p.dirty = False
                 blob = p.base_state.encode()  # only durable state ever leaves
-                for other in range(self.net.n_dcs):
-                    if other == self.dc:
-                        continue
-                    self.metrics.sync_msg()
-                    self.cluster.send_propagate(key, blob, other)
+                peers = self.cluster.peers
+                sent = self.net.broadcast(
+                    self.dc, lambda dst, key=key, blob=blob: peers[dst].on_propagate(key, blob)
+                )
+                self.metrics.sync_msg(sent)
 
     def _rebalance_loop(self):
         while True:
@@ -468,14 +459,7 @@ class Node:
                 view = p.working
                 threshold = self.cluster.threshold_for(key)
                 for req in rebalance_tick(view, self.dc, threshold):
-                    self.metrics.transfer_request(
-                        self.sim.now,
-                        self.dc,
-                        req.grantor,
-                        "async",
-                        visible_rights(view, req.grantor),
-                    )
-                    self.cluster.send_transfer_request(key, req, req.grantor, self.idx, -1)
+                    self._send_request(key, req, view)
 
 
 class ServerCluster:
@@ -506,7 +490,6 @@ class ServerCluster:
         self._alive: list[int] = list(range(n_nodes))
         self.peers: list["ServerCluster"] = []  # index = dc id, set by wiring
         self._thresholds: dict[str, int] = {}
-        self._req_seq = 0
 
     # -- wiring --------------------------------------------------------------
 
@@ -519,10 +502,6 @@ class ServerCluster:
     def start(self) -> None:
         for node in self.nodes:
             node.start()
-
-    def next_req_id(self) -> int:
-        self._req_seq += 1
-        return self._req_seq
 
     # -- routing ----------------------------------------------------------------
 
@@ -563,38 +542,12 @@ class ServerCluster:
     def on_propagate(self, key: str, blob: bytes) -> None:
         self.route(key).handle_merge(key, BoundedCounter.decode(blob))
 
-    def on_transfer_request(
-        self, key: str, req: TransferRequest, reply_dc: int, reply_node: int, req_id: int
-    ) -> None:
+    def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
         respond = None
-        if req.mode is TransferMode.SYNC:
-            peer = self.peers[reply_dc]
+        if reply is not None:
 
-            def respond(resp, peer=peer, reply_node=reply_node, req_id=req_id):
+            def respond(resp):
                 self.metrics.transfer_response()
-                self.net.send(
-                    self.dc,
-                    reply_dc,
-                    lambda: peer.on_transfer_response(reply_node, req_id, resp),
-                )
+                self.net.send(self.dc, req.requester, lambda: reply(resp))
 
         self.route(key).handle_transfer(key, req, respond)
-
-    def on_transfer_response(self, node_idx: int, req_id: int, resp) -> None:
-        node = self.nodes[node_idx]
-        if not node.dead:
-            node.on_transfer_response(req_id, resp)
-
-    def send_transfer_request(
-        self, key: str, req: TransferRequest, target_dc: int, from_node: int, req_id: int
-    ) -> None:
-        peer = self.peers[target_dc]
-        self.net.send(
-            self.dc,
-            target_dc,
-            lambda: peer.on_transfer_request(key, req, self.dc, from_node, req_id),
-        )
-
-    def send_propagate(self, key: str, blob: bytes, target_dc: int) -> None:
-        peer = self.peers[target_dc]
-        self.net.send(self.dc, target_dc, lambda: peer.on_propagate(key, blob))

@@ -253,8 +253,8 @@ class Metrics:
     def op_write(self) -> None:
         self.counts["op_writes"] += 1
 
-    def sync_msg(self) -> None:
-        self.counts["sync_msgs"] += 1
+    def sync_msg(self, n: int) -> None:
+        self.counts["sync_msgs"] += n
 
     def transfer_request(
         self, t: float, requester_dc: int, grantor_dc: int, mode: str, target_visible: int

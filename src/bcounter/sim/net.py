@@ -110,3 +110,11 @@ class Network:
             deliver()
 
         self.sim.schedule(d, arrive)
+
+    def broadcast(self, src: int, deliver: Callable[[int], None]) -> int:
+        """Send to every other DC in DC id order, running ``deliver(dst)`` at
+        each destination; returns the number of messages sent."""
+        for dst in range(self.n_dcs):
+            if dst != src:
+                self.send(src, dst, lambda dst=dst: deliver(dst))
+        return self.n_dcs - 1

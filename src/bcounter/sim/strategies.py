@@ -228,13 +228,10 @@ class WeakDriver(Driver):
                 if got is None:
                     continue
                 blob = got[0].encode()
-                for other in range(self.cfg.n_dcs):
-                    if other == dc:
-                        continue
-                    self.metrics.sync_msg()
-                    self.net.send(
-                        dc, other, lambda o=other, k=key, b=blob: self._on_sync(o, k, b)
-                    )
+                sent = self.net.broadcast(
+                    dc, lambda other, key=key, blob=blob: self._on_sync(other, key, blob)
+                )
+                self.metrics.sync_msg(sent)
 
     def _on_sync(self, dc: int, key: str, blob: bytes) -> None:
         self.sim.spawn(self._merge_in(dc, key, TallyCounter.decode(blob)))

@@ -14,14 +14,17 @@ witness, the requester's current view of how many rights the grantor has
 already sent it; the grantor ignores any request whose witness is behind its
 own record, so replayed requests grant nothing twice.
 
-Everything here is a pure function of a counter state. Sending the requests,
-timeouts, and merging granted states back in are the caller's concern.
+Everything here except :func:`acquire` is a pure function of a counter
+state. ``acquire`` is the requester's side of on-demand acquisition, shared by
+both middlewares: a generator that runs the request/grant loop, with sending,
+waiting and merging granted states back in left to its callbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Generator
 
 from .crdt import BoundedCounter
 
@@ -141,6 +144,46 @@ def handle_request(
     new_state = state.transfer(req.grantor, req.requester, grant)
     payload = new_state.encode() if req.mode is TransferMode.SYNC else None
     return new_state, TransferResponse(TransferStatus.GRANTED, grant, payload)
+
+
+def acquire(
+    view: Callable[[], BoundedCounter],
+    me: int,
+    deficit: int,
+    threshold: int,
+    ask: Callable[[TransferRequest, BoundedCounter], object],
+    merge: Callable[[TransferResponse], Generator],
+):
+    """Pull at least ``deficit`` rights to ``me``; returns (acquired, requested).
+
+    Before each request the candidates are ranked from ``view()`` as it is
+    then, best first, leaving out any already asked, so each is asked at most
+    once; the request is built from that same state. It asks for a
+    threshold-sized chunk, so one round trip covers a burst of deficient
+    operations rather than a single one. ``ask(req, state)`` sends the request
+    and returns what to wait on; the caller resumes this generator with the
+    reply. Anything but a GRANTED reply, a timeout included, is a refusal.
+    Each grant is handed to ``merge``, a generator run to completion before
+    the next request.
+    """
+    chunk = max(deficit, threshold)
+    remaining = deficit
+    requested = False
+    asked: set[int] = set()
+    while remaining > 0:
+        state = view()
+        candidates = [j for j in sync_candidates(state, me) if j not in asked]
+        if not candidates:
+            return False, requested
+        target = candidates[0]
+        asked.add(target)
+        requested = True
+        resp = yield ask(make_request(state, target, me, chunk, TransferMode.SYNC), state)
+        if not isinstance(resp, TransferResponse) or resp.status is not TransferStatus.GRANTED:
+            continue
+        yield from merge(resp)
+        remaining -= resp.granted
+    return True, requested
 
 
 def default_threshold(initial_slack: int, n: int) -> int:

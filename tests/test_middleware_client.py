@@ -13,7 +13,7 @@ from bcounter.store import Consistency, DCStore
 RTTS = {(0, 1): 80.0, (0, 2): 96.0, (1, 2): 160.0}
 
 
-def wire(n_dcs=3, threshold=1, initial=12, seed=0):
+def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None):
     sim = Simulator()
     net = Network(sim, n_dcs, RTTS, intra_ms=0.2, jitter_frac=0.0,
                   rng=random.Random(seed))
@@ -28,7 +28,8 @@ def wire(n_dcs=3, threshold=1, initial=12, seed=0):
         mw.peers = mws
         mw.register("k", Polarity.LOWER, 0, threshold)
     # create at DC 0, then hand every other DC a fully synced copy
-    state = BoundedCounter.new(Polarity.LOWER, 0, n_dcs, 0, initial)
+    if state is None:
+        state = BoundedCounter.new(Polarity.LOWER, 0, n_dcs, 0, initial)
     for store in stores:
         store.seed("k", state.encode(), Consistency.STRONG)
     for mw in mws:
@@ -123,22 +124,77 @@ def test_acquired_chunk_covers_following_ops():
 def test_grant_is_durable_before_response_arrives():
     sim, net, stores, metrics, mws = wire(initial=12)
     grantor_rights_at_reply = []
-    original = mws[1].on_transfer_response
+    original = mws[0].on_transfer_request
 
-    def spy(req_id, resp):
-        rec = stores[0].peek("k")
-        merged = None
-        for blob in rec.siblings:
-            st = BoundedCounter.decode(blob)
-            merged = st if merged is None else merged.merge(st)
-        grantor_rights_at_reply.append(merged.local_rights(0))
-        original(req_id, resp)
+    def spy_on_reply(key, req, reply):
+        # the reply callback runs at the requester when the response arrives
+        def spy(resp):
+            rec = stores[0].peek("k")
+            merged = None
+            for blob in rec.siblings:
+                st = BoundedCounter.decode(blob)
+                merged = st if merged is None else merged.merge(st)
+            grantor_rights_at_reply.append(merged.local_rights(0))
+            reply(resp)
 
-    mws[1].on_transfer_response = spy
+        original(key, req, spy if reply is not None else None)
+
+    mws[0].on_transfer_request = spy_on_reply
     res = run_op(sim, mws[1].update("k", "dec", 1))
     assert res == ("ok", "ok", True)
     assert grantor_rights_at_reply, "no transfer response observed"
     assert grantor_rights_at_reply[0] < 12
+
+
+def merged_at(store, key="k"):
+    rec = store.peek(key)
+    states = [BoundedCounter.decode(blob) for blob in rec.siblings]
+    merged = states[0]
+    for st in states[1:]:
+        merged = merged.merge(st)
+    return merged
+
+
+def test_late_grant_is_dropped_and_arrives_by_sync():
+    # DC 0 holds 8 rights and DC 2 holds 4; DC 1 asks DC 0 first. DC 0's write
+    # of the grant outlasts DC 1's 2xRTT wait, so its reply comes too late
+    split = BoundedCounter.new(Polarity.LOWER, 0, 3, 0, 12).transfer(0, 2, 4)
+    sim, net, stores, metrics, mws = wire(state=split)
+    stores[0].write_ms = 200.0
+    arrived, replied = {}, {}
+    original = mws[0].on_transfer_request
+
+    def spy_on_reply(key, req, reply):
+        arrived[req.requester] = sim.now
+
+        def spy(resp):
+            replied[req.requester] = (sim.now, resp)
+            reply(resp)
+
+        original(key, req, spy if reply is not None else None)
+
+    mws[0].on_transfer_request = spy_on_reply
+    res = run_op(sim, mws[1].update("k", "dec", 1))
+    assert res == ("ok", "ok", True)  # it moved on to DC 2
+    assert metrics.counts["transfer_requests"] == 2
+
+    def settle():
+        yield 1_000.0
+
+    run_op(sim, settle())
+    sent_at = arrived[1] - net.rtt(1, 0) / 2
+    late_at, late = replied[1]
+    assert late.status.value == "granted"
+    assert late_at - sent_at > 2 * net.rtt(1, 0)
+    # both grants reached DC 1, each once: the late one by the sync push
+    states = [merged_at(store) for store in stores]
+    assert states[1].rights[(0, 1)] == late.granted == 1
+    assert states[1].rights[(2, 1)] == 1
+    assert states[1].local_rights(1) == 1
+    # converged, and no replica's rights cross the bound
+    assert states[0] == states[1] == states[2]
+    assert states[0].value() == 11
+    assert sum(states[0].local_rights(i) for i in range(3)) == 11
 
 
 def test_sync_loop_propagates_updates():

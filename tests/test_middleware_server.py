@@ -214,13 +214,17 @@ def test_reconfigure_race_applies_each_ok_exactly_once():
 def test_sync_transfer_grant_durable_before_reply():
     sim, net, stores, metrics, clusters = wire(n_dcs=2, initial=100)
     seen = []
-    original = clusters[1].on_transfer_response
+    original = clusters[0].on_transfer_request
 
-    def spy(node_idx, req_id, resp):
-        seen.append(durable_value(stores[0]))
-        original(node_idx, req_id, resp)
+    def spy_on_reply(key, req, reply):
+        # the reply callback runs at the requester when the response arrives
+        def spy(resp):
+            seen.append(durable_value(stores[0]))
+            reply(resp)
 
-    clusters[1].on_transfer_response = spy
+        original(key, req, spy if reply is not None else None)
+
+    clusters[0].on_transfer_request = spy_on_reply
     (r,) = drain(sim, [submit(sim, clusters[1])])
     assert r.status == "ok"
     assert r.used_sync
@@ -231,6 +235,50 @@ def test_sync_transfer_grant_durable_before_reply():
         st = BoundedCounter.decode(blob)
         merged = st if merged is None else merged.merge(st)
     assert merged.local_rights(0) < 100  # the deduction was already durable
+
+
+def test_late_grant_is_dropped_and_arrives_by_sync():
+    # DC 0's write of the grant outlasts DC 1's 2xRTT wait, so its reply comes
+    # after the requester gave up on DC 0, its only candidate
+    sim, net, stores, metrics, clusters = wire(n_dcs=2, initial=100)
+    stores[0].write_ms = 200.0
+    sent, replied = [], []
+    original = clusters[0].on_transfer_request
+
+    def spy_on_reply(key, req, reply):
+        sent.append(sim.now - net.rtt(1, 0) / 2)
+
+        def spy(resp):
+            replied.append((sim.now, resp))
+            reply(resp)
+
+        original(key, req, spy if reply is not None else None)
+
+    clusters[0].on_transfer_request = spy_on_reply
+    (r,) = drain(sim, [submit(sim, clusters[1])])
+    assert (r.status, r.reason, r.used_sync) == ("failed", "rights", True)
+    sim.run(until=sim.now + 1_000.0)
+    (late_at, late), = replied
+    assert late.status.value == "granted"
+    assert late_at - sent[0] > 2 * net.rtt(1, 0)
+    # the grant reaches DC 1 once, by propagation, and pays for the next op
+    (r,) = drain(sim, [submit(sim, clusters[1])])
+    assert (r.status, r.used_sync) == ("ok", False)
+    assert metrics.counts["transfer_requests"] == 1
+    sim.run(until=sim.now + 1_000.0)
+    states = []
+    for store in stores:
+        rec = store.peek("k")
+        merged = None
+        for blob in rec.siblings:
+            st = BoundedCounter.decode(blob)
+            merged = st if merged is None else merged.merge(st)
+        states.append(merged)
+    assert states[0] == states[1]
+    assert states[1].rights[(0, 1)] == late.granted == 5
+    assert states[1].local_rights(1) == 4
+    assert states[0].value() == 99
+    assert states[0].local_rights(0) + states[0].local_rights(1) == 99
 
 
 def test_propagation_converges_across_dcs():

@@ -16,6 +16,8 @@ from bcounter.sim.config import (
     SimConfig,
     Strategy,
 )
+from bcounter.middleware_client import ClientMiddleware
+from bcounter.middleware_server import Node
 from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.strategies import TallyCounter
@@ -124,6 +126,38 @@ def test_crash_fault_preserves_correctness():
     metrics, report = run(cfg)
     assert report.violations == 0
     assert report.ok > 0
+    assert report.converged is True
+    assert report.converged_values == report.observer_values
+
+
+@pytest.mark.parametrize("strategy", [Strategy.BCCLT, Strategy.BCSRV], ids=lambda s: s.value)
+def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch):
+    # DC 0 starts with every right, and its writes outlast any requester's
+    # 2xRTT wait: its synchronous grants reach the requester after it moved on
+    waits = []
+
+    def timed(send):
+        def send_request(self, key, req, view, reply=None):
+            if reply is None:
+                return send(self, key, req, view)
+            sent_at, wait = self.sim.now, 2 * self.net.rtt(self.dc, req.grantor)
+
+            def timed_reply(resp):
+                waits.append((self.sim.now - sent_at > wait, resp.status.value))
+                reply(resp)
+
+            return send(self, key, req, view, timed_reply)
+
+        return send_request
+
+    for cls in (ClientMiddleware, Node):
+        monkeypatch.setattr(cls, "_send_request", timed(cls._send_request))
+    cfg = small(strategy, clients_per_dc=4, inc_fraction=0.2, think_ms=20.0,
+                write_ms=[250.0, 5.0, 5.0],
+                counters=[CounterSpec("k", bound=0, initial=60)])
+    metrics, report = run(cfg)
+    assert (True, "granted") in waits
+    assert report.violations == 0
     assert report.converged is True
     assert report.converged_values == report.observer_values
 

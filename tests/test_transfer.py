@@ -5,10 +5,13 @@ import random
 import pytest
 
 from bcounter import BoundedCounter, Polarity
+from bcounter.sim.kernel import TIMEOUT
 from bcounter.transfer import (
     TransferMode,
     TransferRequest,
+    TransferResponse,
     TransferStatus,
+    acquire,
     default_threshold,
     handle_request,
     make_request,
@@ -183,6 +186,115 @@ class TestSyncCandidates:
     def test_self_excluded(self):
         state = counter_with({(0, 0): 50, (1, 1): 1})
         assert 0 not in sync_candidates(state, 0)
+
+
+DENIED = TransferResponse(TransferStatus.DENIED)
+IGNORED = TransferResponse(TransferStatus.IGNORED)
+
+
+def granted(n):
+    return TransferResponse(TransferStatus.GRANTED, n)
+
+
+class Script:
+    """Scripted callbacks for ``acquire`` at replica 0; no simulator, no network.
+
+    Each request is answered with the next scripted reply; ``between`` may
+    change the view before the reply is delivered.
+    """
+
+    def __init__(self, state, replies, between=None):
+        self.state = state
+        self.replies = list(replies)
+        self.between = between
+        self.asked = []  # (request, the view it was built from)
+        self.merged = []
+
+    def view(self):
+        return self.state
+
+    def ask(self, req, state):
+        self.asked.append((req, state))
+        return "reply"
+
+    def merge(self, resp):
+        self.merged.append(resp)
+        yield "merging"  # acquire passes the merge's own waits through
+
+    def run(self, deficit, threshold):
+        gen = acquire(self.view, 0, deficit, threshold, self.ask, self.merge)
+        try:
+            waited = next(gen)
+            while True:
+                if waited == "reply":
+                    reply = self.replies.pop(0)
+                    if self.between is not None:
+                        self.between(self)
+                    waited = gen.send(reply)
+                else:
+                    assert waited == "merging"
+                    waited = gen.send(None)
+        except StopIteration as stop:
+            return stop.value
+
+
+class TestAcquire:
+    RICH = {(1, 1): 5, (2, 2): 9, (3, 3): 7}
+
+    def test_refusals_move_on_best_first_until_candidates_run_out(self):
+        script = Script(counter_with(self.RICH, n=4), [DENIED, IGNORED, TIMEOUT])
+        assert script.run(deficit=2, threshold=6) == (False, True)
+        assert [req.grantor for req, _ in script.asked] == [2, 3, 1]
+        assert script.merged == []
+        assert script.replies == []
+
+    def test_every_request_asks_for_the_chunk(self):
+        for deficit, threshold in [(2, 6), (6, 2), (3, 3)]:
+            script = Script(counter_with(self.RICH, n=4), [DENIED, DENIED, DENIED])
+            script.run(deficit, threshold)
+            amounts = {req.amount for req, _ in script.asked}
+            assert amounts == {max(deficit, threshold)}
+            assert all(req.mode is TransferMode.SYNC for req, _ in script.asked)
+            assert all(req.requester == 0 for req, _ in script.asked)
+
+    def test_two_partial_grants_cover_the_deficit(self):
+        script = Script(counter_with(self.RICH, n=4), [granted(3), DENIED, granted(2)])
+        assert script.run(deficit=5, threshold=1) == (True, True)
+        assert [req.grantor for req, _ in script.asked] == [2, 3, 1]
+        assert script.merged == [granted(3), granted(2)]
+
+    def test_stops_once_covered(self):
+        script = Script(counter_with(self.RICH, n=4), [granted(4)])
+        assert script.run(deficit=4, threshold=1) == (True, True)
+        assert len(script.asked) == 1
+        assert script.merged == [granted(4)]
+
+    def test_nothing_asked_without_candidates(self):
+        script = Script(counter_with({(0, 0): 1}), [])
+        assert script.run(deficit=3, threshold=1) == (False, False)
+        assert script.asked == []
+
+    def test_each_request_is_built_from_the_view_when_sent(self):
+        # between replies the view learns that replicas 1 and then 3 already
+        # sent rights to replica 0; the first change also re-ranks 1 above 3
+        later = [
+            counter_with({**self.RICH, (1, 1): 12, (1, 0): 1}, n=4),
+            counter_with({**self.RICH, (1, 1): 12, (1, 0): 1, (3, 0): 2}, n=4),
+        ]
+        first = counter_with(self.RICH, n=4)
+        views = [first, *later]
+
+        def between(script):
+            if later:
+                script.state = later.pop(0)
+
+        script = Script(first, [DENIED, TIMEOUT, granted(1)], between)
+        assert script.run(deficit=1, threshold=1) == (True, True)
+        assert [req.grantor for req, _ in script.asked] == [2, 1, 3]
+        for (req, state), view in zip(script.asked, views):
+            assert state is view
+            assert req.witness == view.rights.get((req.grantor, 0), 0)
+        assert [req.witness for req, _ in script.asked] == [0, 1, 2]
 
 
 def test_visible_rights_is_local_view():
