@@ -11,7 +11,6 @@ from .crdt import (
     NotEnoughRights,
     Overflow,
     Polarity,
-    RangeCounter,
     SelfTransfer,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "NotEnoughRights",
     "Overflow",
     "Polarity",
-    "RangeCounter",
     "SelfTransfer",
 ]
 

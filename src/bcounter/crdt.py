@@ -17,8 +17,16 @@ Entries only ever grow, so states form a join semilattice under entry-wise
 maximum: ``merge`` is the least upper bound and replicas converge.
 
 Counters are plain immutable values. Every update returns a new counter and
-never mutates its input; serializing updates to one logical counter is the
-caller's job.
+never mutates its input, and no code writes to a counter's ``rights`` or
+``used`` maps after construction; serializing updates to one logical counter
+is the caller's job.
+
+That contract lets one decoded state be shared. A :class:`StateTable`, one
+per simulated run, maps canonical bytes to their decoded counter and each
+(bytes, update) to the bytes of the next state, so the middlewares decode
+each stored version and compute each update once however many clients read
+it. The codec's fixed layout is precompiled into ``struct.Struct`` objects
+for the misses.
 """
 
 from __future__ import annotations
@@ -31,6 +39,15 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 _MAGIC = b"BCT1"
+
+# entries a StateTable memo holds before it is cleared wholesale
+TABLE_LIMIT = 1024
+# header (magic, polarity, bound, n, rights count), one rights entry
+# (i, j, v), the used count, one used entry (i, v)
+_HEAD = struct.Struct(">4sBqII")
+_RIGHT = struct.Struct(">IIq")
+_COUNT = struct.Struct(">I")
+_USED = struct.Struct(">Iq")
 
 
 class Polarity(Enum):
@@ -234,46 +251,52 @@ class BoundedCounter:
         pairs sorted by i. Zero entries are never encoded.
         """
         pol = 0 if self.polarity is Polarity.LOWER else 1
-        parts = [_MAGIC, struct.pack(">BqI", pol, self.bound, self.n)]
         r_items = sorted(self.rights.items())
-        parts.append(struct.pack(">I", len(r_items)))
-        for (i, j), v in r_items:
-            parts.append(struct.pack(">IIq", i, j, v))
         u_items = sorted(self.used.items())
-        parts.append(struct.pack(">I", len(u_items)))
-        for i, v in u_items:
-            parts.append(struct.pack(">Iq", i, v))
+        parts = [_HEAD.pack(_MAGIC, pol, self.bound, self.n, len(r_items))]
+        parts += [_RIGHT.pack(i, j, v) for (i, j), v in r_items]
+        parts.append(_COUNT.pack(len(u_items)))
+        parts += [_USED.pack(i, v) for i, v in u_items]
         return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes) -> "BoundedCounter":
         """Inverse of :meth:`encode`; rejects anything non-canonical."""
-        r = _Reader(data)
-        if r.take(4) != _MAGIC:
+        size = len(data)
+        if size < _HEAD.size:
+            raise MalformedEncoding("truncated")
+        magic, pol, bound, n, r_count = _HEAD.unpack_from(data)
+        if magic != _MAGIC:
             raise MalformedEncoding("bad magic")
-        pol, bound, n = r.unpack(">BqI")
         if pol not in (0, 1):
             raise MalformedEncoding(f"bad polarity byte {pol}")
         if n < 1:
             raise MalformedEncoding("replica set size must be >= 1")
+        r_end = _HEAD.size + r_count * _RIGHT.size
+        if size < r_end + _COUNT.size:
+            raise MalformedEncoding("truncated")
+        (u_count,) = _COUNT.unpack_from(data, r_end)
+        u_start = r_end + _COUNT.size
+        end = u_start + u_count * _USED.size
+        if size < end:
+            raise MalformedEncoding("truncated")
+        if size > end:
+            raise MalformedEncoding("trailing bytes after counter state")
+        view = memoryview(data)
         rights: dict[tuple[int, int], int] = {}
-        prev: tuple[int, int] | None = None
-        (r_count,) = r.unpack(">I")
-        for _ in range(r_count):
-            i, j, v = r.unpack(">IIq")
+        prev = (-1, -1)
+        for i, j, v in _RIGHT.iter_unpack(view[_HEAD.size : r_end]):
             if i >= n or j >= n:
                 raise MalformedEncoding(f"rights entry ({i},{j}) outside replica set")
             if v < 1:
                 raise MalformedEncoding(f"non-positive rights entry {v}")
-            if prev is not None and (i, j) <= prev:
+            if (i, j) <= prev:
                 raise MalformedEncoding("rights entries not strictly sorted")
             prev = (i, j)
-            rights[(i, j)] = v
+            rights[prev] = v
         used: dict[int, int] = {}
         last = -1
-        (u_count,) = r.unpack(">I")
-        for _ in range(u_count):
-            i, v = r.unpack(">Iq")
+        for i, v in _USED.iter_unpack(view[u_start:]):
             if i >= n:
                 raise MalformedEncoding(f"used entry {i} outside replica set")
             if v < 1:
@@ -282,8 +305,6 @@ class BoundedCounter:
                 raise MalformedEncoding("used entries not strictly sorted")
             last = i
             used[i] = v
-        if not r.done():
-            raise MalformedEncoding("trailing bytes after counter state")
         polarity = Polarity.LOWER if pol == 0 else Polarity.UPPER
         return cls(polarity=polarity, bound=bound, n=n, rights=rights, used=used)
 
@@ -334,84 +355,50 @@ class BoundedCounter:
             )
 
 
-class _Reader:
-    """Strict cursor over an encoded counter."""
+class StateTable:
+    """Per-run memo of the codec over canonical encodings.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    Under contention many clients read the same stored version and compute
+    the same update, so each distinct blob is decoded once and each distinct
+    (blob, update) stepped once. A memo that reaches ``TABLE_LIMIT`` entries
+    is cleared wholesale: memory stays bounded, and since a miss recomputes
+    exactly what a hit returns, clearing never changes a result.
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise MalformedEncoding("truncated")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
-@dataclass(frozen=True, eq=True)
-class RangeCounter:
-    """Counter held between two bounds by pairing a lower and an upper counter.
-
-    Both components are updated together or not at all, so their values stay
-    identical after every successful update.
+    Decoded states are shared by every caller that reads the same bytes,
+    which is safe only because counters are never mutated (see the module
+    docstring). The step memo stores bytes or an int, never a state.
     """
 
-    lower: BoundedCounter
-    upper: BoundedCounter
+    __slots__ = ("_states", "_steps")
 
-    @classmethod
-    def new(
-        cls,
-        low: int,
-        high: int,
-        n: int,
-        creator: int,
-        initial: int | None = None,
-    ) -> "RangeCounter":
-        if low > high:
-            raise InvalidBound(f"lower bound {low} above upper bound {high}")
-        if initial is None:
-            initial = low
-        return cls(
-            lower=BoundedCounter.new(Polarity.LOWER, low, n, creator, initial),
-            upper=BoundedCounter.new(Polarity.UPPER, high, n, creator, initial),
-        )
+    def __init__(self):
+        self._states: dict[bytes, BoundedCounter] = {}
+        self._steps: dict[tuple[bytes, str, int, int], bytes | int] = {}
 
-    def value(self) -> int:
-        return self.lower.value()
+    def decode(self, blob: bytes) -> BoundedCounter:
+        """The counter ``blob`` encodes; one shared object per blob between
+        clearings."""
+        state = self._states.get(blob)
+        if state is None:
+            if len(self._states) >= TABLE_LIMIT:
+                self._states.clear()
+            state = self._states[blob] = BoundedCounter.decode(blob)
+        return state
 
-    def increment(self, i: int, delta: int) -> "RangeCounter":
-        # The upper side consumes rights and is the one that can fail.
-        upper = self.upper.increment(i, delta)
-        return RangeCounter(lower=self.lower.increment(i, delta), upper=upper)
-
-    def decrement(self, i: int, delta: int) -> "RangeCounter":
-        lower = self.lower.decrement(i, delta)
-        return RangeCounter(lower=lower, upper=self.upper.decrement(i, delta))
-
-    def decrement_rights(self, i: int) -> int:
-        return self.lower.local_rights(i)
-
-    def increment_rights(self, i: int) -> int:
-        return self.upper.local_rights(i)
-
-    def transfer_decrement_rights(self, src: int, dst: int, delta: int) -> "RangeCounter":
-        return RangeCounter(lower=self.lower.transfer(src, dst, delta), upper=self.upper)
-
-    def transfer_increment_rights(self, src: int, dst: int, delta: int) -> "RangeCounter":
-        return RangeCounter(lower=self.lower, upper=self.upper.transfer(src, dst, delta))
-
-    def merge(self, other: "RangeCounter") -> "RangeCounter":
-        return RangeCounter(
-            lower=self.lower.merge(other.lower), upper=self.upper.merge(other.upper)
-        )
-
-    def leq(self, other: "RangeCounter") -> bool:
-        return self.lower.leq(other.lower) and self.upper.leq(other.upper)
+    def step(self, blob: bytes, kind: str, i: int, delta: int) -> bytes | int:
+        """Apply ``kind`` ("inc" or "dec") by ``delta`` at replica ``i`` to
+        the state ``blob`` encodes. Returns the encoded next state, or, when
+        the update raises :class:`NotEnoughRights`, the rights ``i`` holds."""
+        key = (blob, kind, i, delta)
+        out = self._steps.get(key)
+        if out is None:
+            state = self.decode(blob)
+            try:
+                nxt = state.increment(i, delta) if kind == "inc" else state.decrement(i, delta)
+                out = nxt.encode()
+            except NotEnoughRights:
+                out = state.local_rights(i)
+            if len(self._steps) >= TABLE_LIMIT:
+                self._steps.clear()
+            self._steps[key] = out
+        return out

@@ -1,13 +1,18 @@
 """Client-library middleware for bounded counters.
 
 One instance serves one data center. Counters live in that DC's store as
-strong keys holding the canonical counter encoding; every update is a read,
-a CRDT update applied at this DC's replica id, and a conditional write,
-retried on conflict. Cross-DC replication is a periodic push of locally
-modified counters to every other DC, merged in at the receiver through the
-same conditional-write loop. Rights movement uses the transfer policy: a
-background rebalancer tops up this replica when it runs low, and operations
-flagged GLOBAL may synchronously pull rights before giving up. That pull is
+strong keys holding the canonical counter encoding, one sibling each; every
+update is a read, a CRDT update applied at this DC's replica id, and a
+conditional write, retried on conflict. Reads decode and updates step
+through a ``StateTable`` shared by every middleware of a run: clients that
+read the same stored bytes share one decoded state and one computed next
+state, and a blob that is read is sent on as it is, never re-encoded.
+
+Cross-DC replication is a periodic push of locally modified counters to
+every other DC, merged in at the receiver through the same conditional-write
+loop. Rights movement uses the transfer policy: a background rebalancer tops
+up this replica when it runs low, and operations flagged GLOBAL may
+synchronously pull rights before giving up. That pull is
 ``transfer.acquire``, the loop the owner nodes run too; here its view is the
 state the operation read plus the grants merged so far, and each grant is
 written to the local store before the next request.
@@ -21,9 +26,7 @@ reply that arrives after the requester stopped waiting is dropped.
 
 from __future__ import annotations
 
-from functools import reduce
-
-from .crdt import BoundedCounter, NotEnoughRights, Polarity
+from .crdt import BoundedCounter, Polarity, StateTable
 from .sim.kernel import Future, Simulator
 from .sim.net import Network
 from .store import ABSENT, CONFLICT, DCStore
@@ -35,7 +38,6 @@ from .transfer import (
     handle_request,
     rebalance_tick,
     rights_elsewhere,
-    visible_rights,
 )
 
 
@@ -62,6 +64,7 @@ class ClientMiddleware:
         retry_limit: int = 16,
         sync_period_ms: float = 50.0,
         rebalance_period_ms: float = 100.0,
+        table: StateTable | None = None,
     ):
         self.sim = sim
         self.net = net
@@ -72,6 +75,7 @@ class ClientMiddleware:
         self.retry_limit = retry_limit
         self.sync_period_ms = sync_period_ms
         self.rebalance_period_ms = rebalance_period_ms
+        self.table = StateTable() if table is None else table
         self.peers: list["ClientMiddleware"] = []  # index = dc id, set by wiring
         self._registered: dict[str, _Registered] = {}
         self._dirty: set[str] = set()
@@ -88,14 +92,15 @@ class ClientMiddleware:
     # -- store access ---------------------------------------------------------
 
     def _fetch(self, key: str):
-        """Read and decode the locally stored counter; merges any siblings."""
+        """Read the locally stored counter: (state, version, blob), or None.
+        A strong key holds exactly one sibling, decoded through the table."""
         yield self.net.intra_delay()
         rec = yield self.store.get(key)
         yield self.net.intra_delay()
         if rec is None:
             return None
-        states = [BoundedCounter.decode(s) for s in rec.siblings]
-        return reduce(lambda a, b: a.merge(b), states), rec.version
+        blob = rec.siblings[0]
+        return self.table.decode(blob), rec.version, blob
 
     def _cond_write(self, key: str, blob: bytes, expected):
         yield self.net.intra_delay()
@@ -127,11 +132,10 @@ class ClientMiddleware:
             got = yield from self._fetch(key)
             if got is None:
                 return "failed", "notfound", used_sync
-            state, version = got
-            try:
-                new_state = self._apply(state, kind, delta)
-            except NotEnoughRights:
-                deficit = delta - state.local_rights(self.dc)
+            state, version, blob = got
+            new_blob = self.table.step(blob, kind, self.dc, delta)
+            if type(new_blob) is int:  # not enough rights; these are held here
+                deficit = delta - new_blob
                 if flag == "local":
                     hint = rights_elsewhere(state, self.dc, deficit)
                     return ("retry" if hint else "failed"), "rights", used_sync
@@ -141,17 +145,12 @@ class ClientMiddleware:
                     return "failed", "rights", used_sync
                 continue  # fresh read sees the merged-in rights
             self.metrics.op_write()
-            res = yield from self._cond_write(key, new_state.encode(), version)
+            res = yield from self._cond_write(key, new_blob, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
             return "ok", "ok", used_sync
         return "failed", "retries", used_sync
-
-    def _apply(self, state: BoundedCounter, kind: str, delta: int) -> BoundedCounter:
-        if kind == "inc":
-            return state.increment(self.dc, delta)
-        return state.decrement(self.dc, delta)
 
     # -- transfer requests ---------------------------------------------------
 
@@ -166,7 +165,7 @@ class ClientMiddleware:
 
         def merge(resp: TransferResponse):
             nonlocal state
-            granted = BoundedCounter.decode(resp.state)
+            granted = self.table.decode(resp.state)
             yield from self._merge_into_store(key, granted)
             state = state.merge(granted)
 
@@ -177,7 +176,7 @@ class ClientMiddleware:
         """Send a transfer request built from ``view``. A SYNC request carries
         ``reply``, the requester's callback for the grantor's answer."""
         self.metrics.transfer_request(
-            self.sim.now, self.dc, req.grantor, req.mode.value, visible_rights(view, req.grantor)
+            self.sim.now, self.dc, req.grantor, req.mode.value, view.local_rights(req.grantor)
         )
         peer = self.peers[req.grantor]
         self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
@@ -191,12 +190,14 @@ class ClientMiddleware:
             got = yield from self._fetch(key)
             if got is None:
                 return
-            state, version = got
+            state, version, _ = got
             new_state, resp = handle_request(state, req)
             if resp.status is not TransferStatus.GRANTED:
                 self._respond(req, reply, resp)
                 return
-            res = yield from self._cond_write(key, new_state.encode(), version)
+            # a SYNC grant already carries the encoded new state
+            blob = resp.state if resp.state is not None else new_state.encode()
+            res = yield from self._cond_write(key, blob, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -225,7 +226,7 @@ class ClientMiddleware:
                 got = yield from self._fetch(key)
                 if got is None:
                     continue
-                blob = got[0].encode()
+                blob = got[2]
                 peers = self.peers
                 sent = self.net.broadcast(
                     self.dc, lambda dst, key=key, blob=blob: peers[dst].on_sync_state(key, blob)
@@ -233,7 +234,7 @@ class ClientMiddleware:
                 self.metrics.sync_msg(sent)
 
     def on_sync_state(self, key: str, blob: bytes) -> None:
-        self.sim.spawn(self._merge_into_store(key, BoundedCounter.decode(blob)))
+        self.sim.spawn(self._merge_into_store(key, self.table.decode(blob)))
 
     def _merge_into_store(self, key: str, incoming: BoundedCounter):
         """Fold a remote state into the local durable copy."""
@@ -241,7 +242,7 @@ class ClientMiddleware:
             got = yield from self._fetch(key)
             if got is None:
                 return False
-            state, version = got
+            state, version, _ = got
             merged = state.merge(incoming)
             if merged == state:
                 return True

@@ -39,7 +39,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
-from .crdt import BoundedCounter, NotEnoughRights
+from .crdt import BoundedCounter, NotEnoughRights, StateTable
 from .sim.kernel import Future, Process, Simulator
 from .sim.net import Network
 from .store import CONFLICT, DCStore
@@ -51,7 +51,6 @@ from .transfer import (
     handle_request,
     rebalance_tick,
     rights_elsewhere,
-    visible_rights,
 )
 
 # a full (non-dirty-only) propagation round every this many ticks, so state
@@ -261,7 +260,7 @@ class Node:
                     payload.reply(OwnerReply("failed", "notfound"))
             p.arrivals = []
             return
-        p.base_state = BoundedCounter.decode(rec.siblings[0])
+        p.base_state = self.cluster.table.decode(rec.siblings[0])
         p.base_version = rec.version
         p.working = p.base_state
         p.state = _Pipeline.WARM
@@ -407,7 +406,7 @@ class Node:
             return reply, 2 * self.net.rtt(self.dc, req.grantor)
 
         def merge(resp: TransferResponse):
-            self._admit(p, "merge", BoundedCounter.decode(resp.state))
+            self._admit(p, "merge", self.cluster.table.decode(resp.state))
             yield from ()
 
         threshold = self.cluster.threshold_for(p.key)
@@ -417,7 +416,7 @@ class Node:
         """Send a transfer request built from ``view``. A SYNC request carries
         ``reply``, the requester's callback for the grantor's answer."""
         self.metrics.transfer_request(
-            self.sim.now, self.dc, req.grantor, req.mode.value, visible_rights(view, req.grantor)
+            self.sim.now, self.dc, req.grantor, req.mode.value, view.local_rights(req.grantor)
         )
         peer = self.cluster.peers[req.grantor]
         self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
@@ -476,6 +475,7 @@ class ServerCluster:
         batching: bool = True,
         sync_period_ms: float = 50.0,
         rebalance_period_ms: float = 100.0,
+        table: StateTable | None = None,
     ):
         self.sim = sim
         self.net = net
@@ -485,6 +485,7 @@ class ServerCluster:
         self.batching = batching
         self.sync_period_ms = sync_period_ms
         self.rebalance_period_ms = rebalance_period_ms
+        self.table = StateTable() if table is None else table
         self.epoch = 0
         self.nodes: list[Node] = [Node(self, i) for i in range(n_nodes)]
         self._alive: list[int] = list(range(n_nodes))
@@ -540,7 +541,7 @@ class ServerCluster:
         self.route(key).handle_op(key, _OpItem(kind, delta, flag, reply, deadline_ms))
 
     def on_propagate(self, key: str, blob: bytes) -> None:
-        self.route(key).handle_merge(key, BoundedCounter.decode(blob))
+        self.route(key).handle_merge(key, self.table.decode(blob))
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
         respond = None

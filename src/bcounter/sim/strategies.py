@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 
-from ..crdt import BoundedCounter, Polarity
+from ..crdt import BoundedCounter, Polarity, StateTable
 from ..middleware_client import ClientMiddleware
 from ..middleware_server import ServerCluster
 from ..store import CONFLICT, Consistency, DCStore
@@ -110,9 +110,6 @@ def _entrywise_max(mine: dict[str, int], theirs: dict[str, int]) -> dict[str, in
 class Driver:
     """Shared plumbing; subclasses implement the design specifics."""
 
-    # the replicated state each DC's store holds; its siblings merge on read
-    state_cls: type
-
     def __init__(
         self,
         cfg: SimConfig,
@@ -138,11 +135,8 @@ class Driver:
         raise NotImplementedError
 
     def _merged_at(self, dc: int, key: str):
-        rec = self.stores[dc].peek(key)
-        if rec is None:
-            return None
-        states = [self.state_cls.decode(s) for s in rec.siblings]
-        return reduce(lambda a, b: a.merge(b), states)
+        """The durable state at ``dc``, siblings merged; None if absent."""
+        raise NotImplementedError
 
     def converged(self) -> bool:
         for key in self.specs:
@@ -167,8 +161,6 @@ class Driver:
 
 class WeakDriver(Driver):
     """Tally counter over weak puts, bound checked against the read value."""
-
-    state_cls = TallyCounter
 
     def __init__(self, cfg, sim, net, stores, metrics):
         super().__init__(cfg, sim, net, stores, metrics)
@@ -205,6 +197,12 @@ class WeakDriver(Driver):
         merged = reduce(TallyCounter.merge, tallies.values())
         self._folds[(dc, key)] = (siblings, tallies, merged)
         return merged
+
+    def _merged_at(self, dc: int, key: str):
+        rec = self.stores[dc].peek(key)
+        if rec is None:
+            return None
+        return reduce(TallyCounter.merge, map(TallyCounter.decode, rec.siblings))
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         got = yield from self._read_merged(dc, key)
@@ -299,9 +297,12 @@ class StrongDriver(Driver):
 
 
 class _BoundedDriver(Driver):
-    """Shared seeding for the two middleware designs."""
+    """Shared seeding and state table for the two middleware designs."""
 
-    state_cls = BoundedCounter
+    def __init__(self, cfg, sim, net, stores, metrics):
+        super().__init__(cfg, sim, net, stores, metrics)
+        # the run's one table: every middleware decodes and steps through it
+        self.table = StateTable()
 
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
@@ -313,6 +314,11 @@ class _BoundedDriver(Driver):
         # DC 0 plus one fully delivered synchronization round
         for store in self.stores:
             store.seed(spec.key, blob, Consistency.STRONG)
+
+    def _merged_at(self, dc: int, key: str):
+        rec = self.stores[dc].peek(key)
+        # a strong key holds exactly one sibling
+        return None if rec is None else self.table.decode(rec.siblings[0])
 
 
 class ClientDriver(_BoundedDriver):
@@ -331,6 +337,7 @@ class ClientDriver(_BoundedDriver):
                 retry_limit=cfg.retry_limit,
                 sync_period_ms=cfg.sync_period_ms,
                 rebalance_period_ms=cfg.rebalance_period_ms,
+                table=self.table,
             )
             for dc in range(cfg.n_dcs)
         ]
@@ -368,6 +375,7 @@ class ServerDriver(_BoundedDriver):
                 batching=batching,
                 sync_period_ms=cfg.sync_period_ms,
                 rebalance_period_ms=cfg.rebalance_period_ms,
+                table=self.table,
             )
             for dc in range(cfg.n_dcs)
         ]

@@ -58,18 +58,13 @@ class TransferResponse:
     state: bytes | None = None  # grantor's new state, attached to SYNC grants
 
 
-def visible_rights(state: BoundedCounter, replica: int) -> int:
-    """Rights replica appears to hold, judged from this state."""
-    return state.local_rights(replica)
-
-
 def rights_elsewhere(state: BoundedCounter, me: int, deficit: int) -> bool:
     """Whether another replica visibly holds at least ``deficit`` rights.
 
     The retry hint for an operation that may not block on acquisition: when
     it holds, rebalancing may bring the rights here and a retry can succeed.
     """
-    return any(visible_rights(state, j) >= deficit for j in range(state.n) if j != me)
+    return any(state.local_rights(j) >= deficit for j in range(state.n) if j != me)
 
 
 def make_request(
@@ -98,7 +93,7 @@ def rebalance_tick(
     for j in range(state.n):
         if j == me:
             continue
-        theirs = visible_rights(state, j)
+        theirs = state.local_rights(j)
         want = (theirs - mine) // 2
         if want > 0:
             requests.append(make_request(state, j, me, want, TransferMode.ASYNC))
@@ -112,9 +107,9 @@ def sync_candidates(state: BoundedCounter, me: int) -> list[int]:
     exhausted are excluded entirely.
     """
     ranked = [
-        (visible_rights(state, j), j)
+        (state.local_rights(j), j)
         for j in range(state.n)
-        if j != me and visible_rights(state, j) > 0
+        if j != me and state.local_rights(j) > 0
     ]
     ranked.sort(key=lambda t: (-t[0], t[1]))
     return [j for _, j in ranked]

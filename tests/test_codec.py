@@ -144,3 +144,23 @@ class TestRejection:
                 BoundedCounter.decode(blob)
             except MalformedEncoding:
                 pass
+
+
+def test_prefixes_and_byte_flips_reject_or_round_trip():
+    # every proper prefix and every single-byte flip of a valid encoding is
+    # either rejected as malformed (never a struct.error) or is itself the
+    # canonical encoding of the state it decodes to
+    rng = random.Random(11)
+    blobs = [random_counter(rng).encode() for _ in range(40)]
+    blobs.append(BoundedCounter.new(Polarity.UPPER, -3, 2, creator=1).encode())
+    for blob in blobs:
+        variants = [blob[:cut] for cut in range(len(blob))]
+        for pos in range(len(blob)):
+            for flip in (0x01, 0x80, 0xFF):
+                variants.append(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        for data in variants:
+            try:
+                state = BoundedCounter.decode(data)
+            except MalformedEncoding:
+                continue
+            assert state.encode() == data

@@ -15,7 +15,6 @@ from bcounter import (
     NotEnoughRights,
     Overflow,
     Polarity,
-    RangeCounter,
     SelfTransfer,
 )
 
@@ -429,37 +428,3 @@ def test_merge_never_lowers_local_rights_of_others(data):
         # my own estimate is conservative: the join can only reveal more
         # consumption by others, never take away what I already counted
         assert m.local_rights(i) <= max(a.local_rights(i), b.local_rights(i))
-
-
-class TestRangeCounter:
-    def test_two_sided(self):
-        rc = RangeCounter.new(0, 10, 2, creator=0, initial=5)
-        assert rc.value() == 5
-        assert rc.decrement_rights(0) == 5
-        assert rc.increment_rights(0) == 5
-        rc = rc.increment(0, 5)
-        assert rc.value() == 10
-        with pytest.raises(NotEnoughRights):
-            rc.increment(0, 1)
-        rc = rc.decrement(0, 10)
-        assert rc.value() == 0
-        with pytest.raises(NotEnoughRights):
-            rc.decrement(0, 1)
-
-    def test_failed_update_leaves_sides_consistent(self):
-        rc = RangeCounter.new(0, 3, 2, creator=0, initial=3)
-        with pytest.raises(NotEnoughRights):
-            rc.increment(0, 1)
-        assert rc.lower.value() == rc.upper.value() == 3
-
-    def test_sides_merge_independently(self):
-        a = RangeCounter.new(0, 10, 2, creator=0, initial=5)
-        b = a.decrement(0, 2)
-        c = a.transfer_increment_rights(0, 1, 3)
-        m = b.merge(c)
-        assert m.value() == 3
-        assert m.increment_rights(1) == 3
-
-    def test_bad_bounds(self):
-        with pytest.raises(InvalidBound):
-            RangeCounter.new(5, 4, 1, creator=0)

@@ -18,7 +18,6 @@ from bcounter.transfer import (
     rebalance_tick,
     rights_elsewhere,
     sync_candidates,
-    visible_rights,
 )
 
 
@@ -295,11 +294,6 @@ class TestAcquire:
             assert state is view
             assert req.witness == view.rights.get((req.grantor, 0), 0)
         assert [req.witness for req, _ in script.asked] == [0, 1, 2]
-
-
-def test_visible_rights_is_local_view():
-    state = counter_with({(1, 1): 8}, used={1: 3})
-    assert visible_rights(state, 1) == 5
 
 
 def test_rights_elsewhere_needs_one_other_replica_covering_the_deficit():
