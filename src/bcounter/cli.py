@@ -29,7 +29,7 @@ from .checker import (
 )
 from .crdt import Polarity
 from .sim.config import ConfigInvalid, SimConfig, Strategy, load_config
-from .sim.harness import run
+from .sim.harness import Run, run
 from .sim.metrics import csv_lines
 from .sim.scenarios import expand, replace_duration, scenario_names
 
@@ -155,6 +155,20 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return cfg
 
 
+def _simulate(cfg: SimConfig):
+    """One simulation; its wall-clock cost goes to stderr, like check's."""
+    sim_run = Run(cfg)
+    started = time.perf_counter()
+    result = sim_run.execute()
+    wall = time.perf_counter() - started
+    events = sim_run.sim.events
+    print(
+        f"sim: wall_s={wall:.3f} events={events} events_per_s={events / max(wall, 1e-9):.0f}",
+        file=sys.stderr,
+    )
+    return result
+
+
 def _cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -163,7 +177,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"# config: {cfg.describe()}")
-    metrics, report = run(cfg)
+    metrics, report = _simulate(cfg)
     _emit(csv_lines(cfg.describe(), metrics, report), args.out)
     return 0
 
@@ -194,7 +208,7 @@ def _cmd_bench(args) -> int:
     for point in points:
         print(f"# sweep: {point.name}")
         print(f"# config: {point.config.describe()}")
-        metrics, report = run(point.config)
+        metrics, report = _simulate(point.config)
         lines = [f"# sweep: {point.name}"] + csv_lines(
             point.config.describe(), metrics, report
         )

@@ -35,6 +35,7 @@ arriving meanwhile waits, FIFO, until that write lands.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable
@@ -61,6 +62,10 @@ FULL_RESYNC_TICKS = 10
 # timed-out client can be sure its operation did not land after the fact
 DEADLINE_MARGIN_MS = 20.0
 
+# (key, epoch) pairs whose owner hash is remembered; the hash depends on
+# nothing else, so the memo cannot change routing
+ROUTE_CACHE = 4096
+
 
 @dataclass(frozen=True)
 class OwnerReply:
@@ -69,6 +74,7 @@ class OwnerReply:
     used_sync: bool = False
 
 
+@functools.lru_cache(maxsize=ROUTE_CACHE)
 def _route_hash(key: str, epoch: int) -> int:
     digest = hashlib.md5(f"{key}:{epoch}".encode()).digest()
     return int.from_bytes(digest[:8], "big")

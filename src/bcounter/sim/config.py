@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .net import DEFAULT_RTTS, symmetric_rtts
@@ -106,6 +107,18 @@ class SimConfig:
         if self.n_dcs < 1:
             raise ConfigInvalid("n_dcs must be >= 1")
         table = self.rtt_table()
+        # NaN compares false with everything, so it would pass every range
+        # check below; every time (each field named *_ms) must be finite
+        times = [(f"rtt {a}->{b}", v) for (a, b), v in table.items()]
+        for f in fields(self):
+            if f.name.endswith("_ms"):
+                v = getattr(self, f.name)
+                times += [(f.name, x) for x in (v if isinstance(v, list) else [v])]
+        for fault in (*self.partitions, *self.crashes):
+            times += [("fault start_ms", fault.start_ms), ("fault end_ms", fault.end_ms)]
+        for name, v in times:
+            if not math.isfinite(v):
+                raise ConfigInvalid(f"{name} must be finite, got {v!r}")
         for a in range(self.n_dcs):
             for b in range(self.n_dcs):
                 if a == b:

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
-A single-threaded event loop over a time-ordered heap. Concurrent activities
-are generator processes that yield what they are waiting for:
+A single-threaded event loop. Concurrent activities are generator processes
+that yield what they are waiting for:
 
 * a number: sleep that many simulated milliseconds,
 * a :class:`Future`: park until someone resolves it, receive its value,
@@ -11,12 +11,29 @@ are generator processes that yield what they are waiting for:
 Ties in simulated time are broken by scheduling order, so a run is fully
 deterministic. Killing a process models a crash: it is never resumed, not
 even by futures it was already waiting on.
+
+Each event is one queue entry and allocates no closure. An entry names its
+target, a :class:`Process` to resume with a value or a callable to call, so a
+process is resumed directly. Entries due later than ``now`` sit on a heap of
+``(time, seq, target, value)``. Entries due at ``now`` go to a FIFO of
+``(target, value)``, which runs after the heap's entries at ``now`` and
+before time advances: every entry made at ``now`` is younger than every heap
+entry due at ``now``, so this is exactly ``(time, seq)`` order. That covers a
+resolved future's waiters, a spawn, a zero sleep and a positive delay that
+float rounding absorbs (``now + delay == now``). A future keeps its waiting
+processes, not callbacks; a ``(Future, timeout)`` wait is one record that is
+both among the future's waiters and on the heap, and whichever runs first
+resumes the process.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import deque
 from typing import Any, Callable, Generator
+
+_INF = float("inf")
 
 
 class Sentinel:
@@ -37,38 +54,31 @@ TIMEOUT = Sentinel("TIMEOUT")
 class Future:
     """One-shot value container processes can wait on."""
 
-    __slots__ = ("_sim", "done", "value", "_callbacks")
+    __slots__ = ("_ready", "done", "value", "_waiters")
 
     def __init__(self, sim: "Simulator"):
-        self._sim = sim
+        self._ready = sim._ready
         self.done = False
         self.value: Any = None
-        self._callbacks: list[Callable[[Any], None]] = []
+        self._waiters: list = []  # Process or _TimedWait, in the order they waited
 
     def resolve(self, value: Any = None) -> None:
         if self.done:
             return
         self.done = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            self._sim.call_soon(lambda cb=cb: cb(value))
-
-    def add_callback(self, cb: Callable[[Any], None]) -> None:
-        if self.done:
-            self._sim.call_soon(lambda: cb(self.value))
-        else:
-            self._callbacks.append(cb)
+        for waiter in self._waiters:
+            self._ready.append((waiter, value))
 
 
 class Process:
-    """A spawned generator; ``kill()`` models a crash (no further steps)."""
+    """A spawned generator, driven only through its ``send`` method;
+    ``kill()`` models a crash (no further steps)."""
 
-    __slots__ = ("_sim", "_gen", "alive", "done")
+    __slots__ = ("_send", "alive", "done")
 
     def __init__(self, sim: "Simulator", gen: Generator):
-        self._sim = sim
-        self._gen = gen
+        self._send = gen.send
         self.alive = True
         self.done = Future(sim)
 
@@ -76,79 +86,142 @@ class Process:
         self.alive = False
 
 
+class _TimedWait:
+    """One ``(Future, timeout)`` wait; the first of its two entries to run
+    resumes the process and the other finds it fired."""
+
+    __slots__ = ("proc", "fired")
+
+    def __init__(self, proc: Process):
+        self.proc = proc
+        self.fired = False
+
+
 class Simulator:
     """Event loop; all times are simulated milliseconds."""
 
     def __init__(self):
         self.now = 0.0
-        self._seq = 0
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self.events = 0  # entries dispatched so far
+        self._heap: list[tuple[float, int, Any, Any]] = []  # due after now
+        self._ready: deque[tuple[Any, Any]] = deque()  # due at now
+        self._seq = itertools.count(1).__next__
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn))
-
-    def call_soon(self, fn: Callable[[], None]) -> None:
-        self.schedule(0.0, fn)
+        self._push(delay, fn, None)
 
     def spawn(self, gen: Generator) -> Process:
         p = Process(self, gen)
-        self.call_soon(lambda: self._step(p, None))
+        self._ready.append((p, None))
         return p
 
     def run(self, until: float | None = None) -> None:
         """Drain events; with ``until``, stop before events past that time."""
-        while self._queue:
-            t, _, fn = self._queue[0]
-            if until is not None and t > until:
-                break
-            heapq.heappop(self._queue)
-            self.now = t
-            fn()
+        limit = _INF if until is None else until
+        now = self.now
+        if now > limit:
+            return
+        heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        ready = self._ready
+        next_ready = ready.popleft
+        make_ready = ready.append
+        seq = self._seq
+        # names the loop tests once per event, bound locally
+        timed_wait, process, future_type, number, integer = _TimedWait, Process, Future, float, int
+        events = 0
+        try:
+            while True:
+                if ready:
+                    target, value = next_ready()
+                elif heap:
+                    t = heap[0][0]
+                    if t > limit:
+                        break
+                    _, _, target, value = heappop(heap)
+                    self.now = now = t
+                    # the rest due at t run first among everything made at t
+                    while heap and heap[0][0] == t:
+                        _, _, tied, tied_value = heappop(heap)
+                        make_ready((tied, tied_value))
+                else:
+                    break
+                events += 1
+                kind = target.__class__
+                if kind is timed_wait:
+                    if target.fired:
+                        continue
+                    target.fired = True
+                    target = target.proc
+                elif kind is not process:
+                    target()
+                    continue
+                if not target.alive:
+                    continue
+                try:
+                    yielded = target._send(value)
+                except StopIteration as stop:
+                    target.alive = False
+                    target.done.resolve(stop.value)
+                    continue
+                kind = yielded.__class__
+                if kind is number or kind is integer:
+                    if not yielded >= 0:
+                        raise ValueError(f"delay must be >= 0, got {yielded!r}")
+                    t = now + yielded
+                    if t == now:
+                        make_ready((target, None))
+                    else:
+                        heappush(heap, (t, seq(), target, None))
+                elif kind is future_type:
+                    if yielded.done:
+                        make_ready((target, yielded.value))
+                    else:
+                        yielded._waiters.append(target)
+                else:
+                    self._wait(target, yielded)
+        finally:
+            self.events += events
         if until is not None and until > self.now:
             self.now = until
 
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._heap) + len(self._ready)
 
-    # -- process stepping -------------------------------------------------
+    # -- queueing -----------------------------------------------------------
 
-    def _step(self, p: Process, value: Any) -> None:
-        if not p.alive:
-            return
-        try:
-            yielded = p._gen.send(value)
-        except StopIteration as stop:
-            p.alive = False
-            p.done.resolve(stop.value)
-            return
-        self._wait(p, yielded)
+    def _push(self, delay: float, target: Any, value: Any) -> None:
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        now = self.now
+        t = now + delay
+        if t == now:
+            self._ready.append((target, value))
+        else:
+            heapq.heappush(self._heap, (t, self._seq(), target, value))
+
+    def _await(self, future: Future, waiter: Any) -> None:
+        if future.done:
+            self._ready.append((waiter, future.value))
+        else:
+            future._waiters.append(waiter)
 
     def _wait(self, p: Process, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            self.schedule(yielded, lambda: self._step(p, None))
+        """The yields ``run`` does not handle inline: ``(Future, timeout)``
+        pairs, and subclasses of the number and Future types."""
+        if isinstance(yielded, tuple):
+            if len(yielded) == 2:
+                future, timeout = yielded
+                if isinstance(future, Future) and isinstance(timeout, (int, float)):
+                    waiter = _TimedWait(p)
+                    self._await(future, waiter)
+                    self._push(timeout, waiter, TIMEOUT)
+                    return
+        elif isinstance(yielded, (int, float)):
+            self._push(yielded, p, None)
             return
-        if isinstance(yielded, Future):
-            yielded.add_callback(lambda v: self._step(p, v))
+        elif isinstance(yielded, Future):
+            self._await(yielded, p)
             return
-        if isinstance(yielded, tuple) and len(yielded) == 2:
-            future, timeout = yielded
-            if isinstance(future, Future) and isinstance(timeout, (int, float)):
-                fired = [False]
-
-                def on_value(v):
-                    if not fired[0]:
-                        fired[0] = True
-                        self._step(p, v)
-
-                def on_timeout():
-                    if not fired[0]:
-                        fired[0] = True
-                        self._step(p, TIMEOUT)
-
-                future.add_callback(on_value)
-                self.schedule(timeout, on_timeout)
-                return
         raise TypeError(f"process yielded unsupported value: {yielded!r}")

@@ -56,13 +56,22 @@ class Network:
 
     # -- latency samples ----------------------------------------------------
 
+    # Both draw base * rng.uniform(1 - j, 1 + j), written out as the same
+    # float expression uniform evaluates, so the samples are bit-identical.
+
     def _jittered(self, base: float) -> float:
-        if self.jitter_frac <= 0:
+        j = self.jitter_frac
+        if j <= 0:
             return base
-        return base * self.rng.uniform(1 - self.jitter_frac, 1 + self.jitter_frac)
+        lo = 1 - j
+        return base * (lo + (1 + j - lo) * self.rng.random())
 
     def intra_delay(self) -> float:
-        return self._jittered(self.intra_ms)
+        j = self.jitter_frac
+        if j <= 0:
+            return self.intra_ms
+        lo = 1 - j
+        return self.intra_ms * (lo + (1 + j - lo) * self.rng.random())
 
     def delay(self, src: int, dst: int) -> float:
         if src == dst:

@@ -142,6 +142,32 @@ def test_simulate_same_seed_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_and_bench_report_kernel_rate_on_stderr_only(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "strategy": "bcsrv",
+        "clients_per_dc": 2,
+        "duration_ms": 1000,
+        "counters": [{"key": "k", "initial": 300}],
+        "seed": 3,
+    }))
+    assert main(["simulate", str(cfg)]) == 0
+    first = capsys.readouterr()
+    (line,) = [x for x in first.err.splitlines() if x.startswith("sim: ")]
+    fields = dict(kv.split("=") for kv in line.split()[1:])
+    assert set(fields) == {"wall_s", "events", "events_per_s"}
+    assert int(fields["events"]) > 0
+    assert "wall_s" not in first.out and "events" not in first.out
+    assert main(["simulate", str(cfg)]) == 0
+    assert capsys.readouterr().out == first.out
+    assert main(["bench", "single-counter", "--strategy", "bcsrv", "--clients", "2,3",
+                 "--duration", "500", "--out", str(tmp_path / "results")]) == 0
+    bench = capsys.readouterr()
+    assert sum(x.startswith("sim: wall_s=") for x in bench.err.splitlines()) == 2
+    for csv in (tmp_path / "results").iterdir():
+        assert "wall_s" not in csv.read_text()
+
+
 def test_simulate_malformed_config_exits_two_with_line(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{\n "strategy": "weak",\n}\n')

@@ -47,6 +47,38 @@ def test_validation_rejects(kw):
         SimConfig(**kw).validate()
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(think_ms=NAN),
+        dict(write_ms=NAN),
+        dict(write_ms=[5.0, NAN, 5.0]),
+        dict(read_ms=INF),
+        dict(intra_dc_ms=NAN),
+        dict(sync_period_ms=NAN),
+        dict(rebalance_period_ms=NAN),
+        dict(owner_timeout_ms=NAN),
+        dict(crash_detect_ms=NAN),
+        dict(duration_ms=NAN),
+        dict(duration_ms=INF),
+        dict(warmup_ms=NAN),
+        dict(bucket_ms=NAN),
+        dict(post_depletion_ms=NAN),
+        dict(max_duration_ms=INF),
+        dict(rtts={(0, 1): NAN, (0, 2): 96.0, (1, 2): 163.0}),
+        dict(partitions=[PartitionFault(((0,), (1, 2)), NAN, 2.0)]),
+        dict(crashes=[CrashFault(0, 1, 1.0, NAN)]),
+    ],
+)
+def test_validation_rejects_non_finite_times(kw):
+    with pytest.raises(ConfigInvalid, match="finite"):
+        SimConfig(**kw).validate()
+
+
 def test_rtt_table_is_symmetric():
     cfg = SimConfig(n_dcs=2, rtts={(0, 1): 42.0})
     table = cfg.rtt_table()

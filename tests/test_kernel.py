@@ -45,6 +45,87 @@ def test_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
+def test_nan_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending() == 0
+
+
+def test_time_never_goes_backwards_with_a_nan_delay_offered():
+    # a NaN entry in the heap breaks its order: it once ran the 7 ms event
+    # after both 20 ms events
+    sim = Simulator()
+    stamps = []
+    rejected = 0
+    for d in [2, 3, 3, 12, 6, 10, 9, 20, 7, 20, float("nan"), 2, 19]:
+        try:
+            sim.schedule(d, lambda d=d: stamps.append((sim.now, d)))
+        except ValueError:
+            rejected += 1
+    sim.run()
+    assert rejected == 1
+    assert [now for now, _ in stamps] == sorted(d for _, d in stamps)
+    assert all(now == d for now, d in stamps)
+
+
+@pytest.mark.parametrize(
+    "wait",
+    [
+        lambda f: float("nan"),
+        lambda f: -1,
+        lambda f: (f, float("nan")),
+        lambda f: (f, -1.0),
+    ],
+)
+def test_process_rejects_nan_and_negative_waits(wait):
+    sim = Simulator()
+    f = Future(sim)
+
+    def proc():
+        yield wait(f)
+
+    sim.spawn(proc())
+    with pytest.raises(ValueError):
+        sim.run()
+
+
+def test_absorbed_delay_keeps_schedule_order():
+    # at 2**53, now + 1.0 == now: the sleep is due at once and must run
+    # before the zero sleep yielded after it
+    sim = Simulator()
+    sim.now = 2.0**53
+    log = []
+
+    def sleeper(name, d):
+        yield d
+        log.append(name)
+
+    sim.spawn(sleeper("absorbed", 1.0))
+    sim.spawn(sleeper("zero", 0))
+    sim.run()
+    assert log == ["absorbed", "zero"]
+    assert sim.now == 2.0**53
+
+
+def test_events_counts_dispatched_entries():
+    sim = Simulator()
+    f = Future(sim)
+
+    def waiter():
+        yield (f, 10)
+        yield 5
+
+    sim.spawn(waiter())
+    sim.schedule(3, lambda: f.resolve(1))
+    assert sim.pending() == 2
+    sim.run()
+    # the spawn, the resolve, the value, the sleep, and the timeout that
+    # found its wait already served
+    assert sim.events == 5
+    assert sim.now == 10
+
+
 def test_process_sleeps():
     sim = Simulator()
     stamps = []

@@ -1,0 +1,137 @@
+"""The kernel against the closure-per-event kernel it replaced.
+
+``kernel_reference`` keeps that kernel unchanged. Random process programs run
+on both, and the full ``(now, tag, value)`` logs, the clock and the number
+of queued entries after every ``run(until=...)`` chunk must be equal. The
+programs mix zero and tied delays, delays that float rounding absorbs at
+``now = 2**53``, futures resolved before they are awaited and resolved more
+than once, timed waits with timeout 0 and with a value that lands at the
+deadline, kills before the first step and while waiting, and callbacks
+scheduled by processes.
+"""
+
+import kernel_reference
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from bcounter.sim import kernel
+
+N_FUTURES = 3
+SPAWN_BUDGET = 24
+
+# at 2**53 a delay of 0.5 or 1 is absorbed (now + d == now) and 2 is not
+delays = st.sampled_from([0, 0.0, 0, 0.5, 1, 1.0, 2, 2.5, 3, 8])
+futures = st.integers(0, N_FUTURES - 1)
+values = st.integers(0, 9)
+procs = st.integers(0, 40)
+
+instructions = st.one_of(
+    st.tuples(st.just("sleep"), delays),
+    st.tuples(st.just("wait"), futures),
+    st.tuples(st.just("timed"), futures, delays),
+    st.tuples(st.just("resolve"), futures, values),
+    st.tuples(st.just("spawn"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("kill"), procs),
+    st.tuples(st.just("join"), procs),
+    st.tuples(st.just("call"), delays, futures, values),
+)
+
+worlds = st.fixed_dictionaries(
+    {
+        "start": st.sampled_from([0.0, 2.0**53]),
+        "programs": st.lists(st.lists(instructions, max_size=8), min_size=1, max_size=4),
+        "roots": st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        "resolved": st.lists(st.tuples(futures, values), max_size=2),
+        "killed": st.lists(procs, max_size=2),
+        "chunks": st.lists(st.sampled_from([0, 0.5, 1, 2, 3, 5, 9]), max_size=4),
+    }
+)
+
+
+def play(k, world):
+    """Run ``world`` on kernel module ``k``; returns its log and checkpoints."""
+    sim = k.Simulator()
+    sim.now = world["start"]
+    futs = [k.Future(sim) for _ in range(N_FUTURES)]
+    procs = []
+    log = []
+    budget = [SPAWN_BUDGET]
+    programs = world["programs"]
+
+    def show(v):
+        return "TIMEOUT" if v is k.TIMEOUT else v
+
+    def spawn(index, kill):
+        if budget[0] == 0:
+            return
+        budget[0] -= 1
+        pid = len(procs)
+        procs.append(sim.spawn(proc(pid, programs[index % len(programs)])))
+        if kill:
+            procs[pid].kill()
+
+    def call(tag, f, v):
+        log.append((sim.now, tag, "call"))
+        futs[f].resolve(v)
+
+    def proc(pid, program):
+        for step, ins in enumerate(program):
+            tag = (pid, step)
+            op = ins[0]
+            if op == "sleep":
+                yield ins[1]
+            elif op == "wait":
+                log.append((sim.now, tag, show((yield futs[ins[1]]))))
+            elif op == "timed":
+                log.append((sim.now, tag, show((yield (futs[ins[1]], ins[2])))))
+            elif op == "resolve":
+                futs[ins[1]].resolve((pid, ins[2]))
+            elif op == "spawn":
+                spawn(ins[1], ins[2])
+            elif op == "kill":
+                procs[ins[1] % len(procs)].kill()
+            elif op == "join":
+                log.append((sim.now, tag, show((yield procs[ins[1] % len(procs)].done))))
+            else:
+                sim.schedule(ins[1], lambda tag=tag, f=ins[2], v=ins[3]: call(tag, f, v))
+            log.append((sim.now, tag, op))
+        return pid
+
+    for f, v in world["resolved"]:
+        futs[f].resolve(("pre", v))
+    for index in world["roots"]:
+        spawn(index, False)
+    for p in world["killed"]:
+        procs[p % len(procs)].kill()
+    checkpoints = []
+    for offset in world["chunks"]:
+        sim.run(until=sim.now + offset)
+        checkpoints.append((sim.now, sim.pending()))
+    sim.run()
+    checkpoints.append((sim.now, sim.pending()))
+    return log, checkpoints, [p.alive for p in procs]
+
+
+@seed(20150415)
+@settings(max_examples=400, deadline=None)
+@given(worlds)
+def test_same_event_order_as_reference_kernel(world):
+    assert play(kernel, world) == play(kernel_reference, world)
+
+
+def test_reference_world_exercises_every_instruction():
+    world = {
+        "start": 2.0**53,
+        "programs": [
+            [("resolve", 0, 1), ("spawn", 1, False), ("sleep", 1), ("timed", 1, 0),
+             ("call", 0.5, 1, 4), ("wait", 1), ("join", 1), ("timed", 2, 2)],
+            [("wait", 0), ("sleep", 0.5), ("timed", 2, 1), ("kill", 0), ("resolve", 2, 3)],
+        ],
+        "roots": [0, 1],
+        "resolved": [(0, 5)],
+        "killed": [],
+        "chunks": [0, 1, 2],
+    }
+    log, checkpoints, alive = play(kernel, world)
+    assert (log, checkpoints, alive) == play(kernel_reference, world)
+    assert {entry[2] for entry in log} >= {"TIMEOUT", "call", "sleep", "wait", "timed"}

@@ -87,6 +87,29 @@ def test_epoch_change_moves_some_keys():
     assert 400 < moved < 800  # roughly 2/3 expected
 
 
+def test_route_memo_matches_uncached_hash_across_failover():
+    sim, net, stores, metrics, (c,) = wire()
+    keys = [f"key-{i}" for i in range(60)]
+
+    def uncached(key):
+        alive = c._alive
+        return c.nodes[alive[_route_hash.__wrapped__(key, c.epoch) % len(alive)]]
+
+    def check():
+        for key in keys:
+            c.route(key)  # warm the memo at this epoch, then compare
+            assert c.route(key) is uncached(key)
+
+    check()
+    c.crash_node(1)
+    c.mark_failed(1)
+    check()
+    assert 1 not in {c.route(key).idx for key in keys}
+    c.recover_node(1)
+    check()
+    assert 1 in {c.route(key).idx for key in keys}
+
+
 # -- batching ----------------------------------------------------------------
 
 
@@ -111,9 +134,14 @@ def test_nobatch_one_write_per_op():
 def test_nobatch_replies_in_submission_order():
     sim, net, stores, metrics, (c,) = wire(batching=False)
     order = []
+
+    def await_reply(i, fut):
+        yield fut
+        order.append(i)
+
     for i in range(10):
         fut = Future(sim)
-        fut.add_callback(lambda _r, i=i: order.append(i))
+        sim.spawn(await_reply(i, fut))
         c.client_request("k", "dec", 1, "global", fut.resolve, None)
     sim.run(until=5_000.0)
     assert order == list(range(10))

@@ -111,3 +111,24 @@ def test_overlapping_groups_rejected():
     _, net = make_net()
     with pytest.raises(ValueError):
         net.partition([{0, 1}, {1, 2}])
+
+
+@pytest.mark.parametrize("jitter", [0.1, 0.35])
+def test_jitter_draws_match_random_uniform(jitter):
+    _, net = make_net(jitter=jitter, seed=11)
+    ref = random.Random(11)
+    half = DEFAULT_RTTS[(0, 2)] / 2
+    for i in range(10_000):
+        if i % 2:
+            got, base = net.intra_delay(), net.intra_ms
+        else:
+            got, base = net.delay(0, 2), half
+        assert got == base * ref.uniform(1 - jitter, 1 + jitter)
+
+
+def test_zero_jitter_draws_nothing():
+    _, net = make_net(jitter=0.0, seed=11)
+    for _ in range(100):
+        assert net.intra_delay() == net.intra_ms
+        assert net.delay(0, 2) == DEFAULT_RTTS[(0, 2)] / 2
+    assert net.rng.getstate() == random.Random(11).getstate()
