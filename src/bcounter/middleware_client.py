@@ -41,15 +41,6 @@ from .transfer import (
 )
 
 
-class _Registered:
-    __slots__ = ("polarity", "bound", "threshold")
-
-    def __init__(self, polarity: Polarity, bound: int, threshold: int):
-        self.polarity = polarity
-        self.bound = bound
-        self.threshold = threshold
-
-
 class ClientMiddleware:
     """Counter operations for one DC, backed by its store."""
 
@@ -77,13 +68,13 @@ class ClientMiddleware:
         self.rebalance_period_ms = rebalance_period_ms
         self.table = StateTable() if table is None else table
         self.peers: list["ClientMiddleware"] = []  # index = dc id, set by wiring
-        self._registered: dict[str, _Registered] = {}
+        self._thresholds: dict[str, int] = {}
         self._dirty: set[str] = set()
 
     # -- wiring ------------------------------------------------------------
 
-    def register(self, key: str, polarity: Polarity, bound: int, threshold: int) -> None:
-        self._registered[key] = _Registered(polarity, bound, threshold)
+    def register(self, key: str, threshold: int) -> None:
+        self._thresholds[key] = threshold
 
     def start(self) -> None:
         self.sim.spawn(self._sync_loop())
@@ -169,7 +160,7 @@ class ClientMiddleware:
             yield from self._merge_into_store(key, granted)
             state = state.merge(granted)
 
-        threshold = self._registered[key].threshold
+        threshold = self._thresholds[key]
         return (yield from acquire(lambda: state, self.dc, deficit, threshold, ask, merge))
 
     def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
@@ -220,7 +211,7 @@ class ClientMiddleware:
             epoch = self.net.partition_epoch
             send_all = epoch != last_epoch
             last_epoch = epoch
-            keys = sorted(self._registered) if send_all else sorted(self._dirty)
+            keys = sorted(self._thresholds) if send_all else sorted(self._dirty)
             self._dirty.clear()
             for key in keys:
                 got = yield from self._fetch(key)
@@ -256,11 +247,10 @@ class ClientMiddleware:
     def _rebalance_loop(self):
         while True:
             yield self.rebalance_period_ms
-            for key in sorted(self._registered):
-                info = self._registered[key]
+            for key, threshold in sorted(self._thresholds.items()):
                 got = yield from self._fetch(key)
                 if got is None:
                     continue
                 state = got[0]
-                for req in rebalance_tick(state, self.dc, info.threshold):
+                for req in rebalance_tick(state, self.dc, threshold):
                     self._send_request(key, req, state)

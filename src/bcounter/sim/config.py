@@ -1,11 +1,19 @@
-"""Scenario configuration: validation, JSON loading, deterministic echo."""
+"""Scenario configuration: validation, JSON loading, deterministic echo.
+
+The dataclasses are the schema: ``config_from_dict`` and ``describe`` walk
+``fields()`` and look up each field's annotation in ``_TYPES``, one strict
+JSON reader and one echo per annotation. A record (``CounterSpec``, a fault)
+is read from its own fields and echoed as their echoes joined by its
+``echo_seps``.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from enum import Enum
+from typing import Any, Callable
 
 from .net import DEFAULT_RTTS, symmetric_rtts
 
@@ -30,9 +38,10 @@ class OpFlag(Enum):
 @dataclass(frozen=True)
 class CounterSpec:
     key: str
+    polarity: str = "lower"
     bound: int = 0
     initial: int = 0
-    polarity: str = "lower"
+    echo_seps = ":::"  # c:lower:0:6000
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,7 @@ class PartitionFault:
     groups: tuple[tuple[int, ...], ...]
     start_ms: float
     end_ms: float
+    echo_seps = "@-"  # 0,1/2@1500-3500
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,7 @@ class CrashFault:
     node: int
     start_ms: float
     end_ms: float
+    echo_seps = ".@-"  # 0.1@2000-4000
 
 
 @dataclass
@@ -79,7 +90,6 @@ class SimConfig:
     run_until_depleted: bool = False
     post_depletion_ms: float = 1500.0
     max_duration_ms: float = 120_000.0
-    quiesce: bool = True
     record_ops: bool = False
     partitions: list[PartitionFault] = field(default_factory=list)
     crashes: list[CrashFault] = field(default_factory=list)
@@ -157,6 +167,8 @@ class SimConfig:
                         raise ConfigInvalid(f"partition group names unknown DC {dc}")
             if p.end_ms <= p.start_ms:
                 raise ConfigInvalid("partition end must be after start")
+        if self.crashes and self.strategy not in (Strategy.BCSRV, Strategy.BCSRV_NOBATCH):
+            raise ConfigInvalid(f"strategy {self.strategy.value} has no owner nodes to crash")
         for c in self.crashes:
             if not 0 <= c.dc < self.n_dcs:
                 raise ConfigInvalid(f"crash names unknown DC {c.dc}")
@@ -183,175 +195,162 @@ class SimConfig:
             raise ConfigInvalid("jitter_frac must be within [0, 1)")
 
     def describe(self) -> str:
-        """One-line deterministic echo of every resolved setting."""
-        table = self.rtt_table()
-        rtt_txt = ";".join(
-            f"{a}-{b}:{table[(a, b)]:g}"
-            for a in range(self.n_dcs)
-            for b in range(self.n_dcs)
-            if a != b and (a, b) in table
-        )
-        counters_txt = ";".join(
-            f"{c.key}:{c.polarity}:{c.bound}:{c.initial}" for c in self.counters
-        )
-        parts = [
-            f"strategy={self.strategy.value}",
-            f"n_dcs={self.n_dcs}",
-            f"rtts={rtt_txt}",
-            f"intra_dc_ms={self.intra_dc_ms:g}",
-            f"jitter_frac={self.jitter_frac:g}",
-            f"read_ms={self.read_ms:g}",
-            f"write_ms={self.write_ms if not isinstance(self.write_ms, list) else ','.join(f'{w:g}' for w in self.write_ms)}",
-            f"clients_per_dc={self.clients_per_dc if not isinstance(self.clients_per_dc, list) else ','.join(str(c) for c in self.clients_per_dc)}",
-            f"inc_fraction={self.inc_fraction:g}",
-            f"think_ms={self.think_ms:g}",
-            f"counters={counters_txt}",
-            f"op_flag={self.op_flag.value}",
-            f"retry_limit={self.retry_limit}",
-            f"sync_period_ms={self.sync_period_ms:g}",
-            f"rebalance_period_ms={self.rebalance_period_ms:g}",
-            f"rebalance_threshold={self.rebalance_threshold if self.rebalance_threshold is not None else 'auto'}",
-            f"nodes_per_dc={self.nodes_per_dc}",
-            f"owner_timeout_ms={self.owner_timeout_ms:g}",
-            f"crash_detect_ms={self.crash_detect_ms:g}",
-            f"duration_ms={self.duration_ms:g}",
-            f"warmup_ms={self.warmup_ms:g}",
-            f"bucket_ms={self.bucket_ms:g}",
-            f"run_until_depleted={self.run_until_depleted}",
-            f"post_depletion_ms={self.post_depletion_ms:g}",
-            f"quiesce={self.quiesce}",
-            f"partitions={len(self.partitions)}",
-            f"crashes={len(self.crashes)}",
-            f"seed={self.seed}",
-        ]
-        return " ".join(parts)
+        """One-line deterministic echo of every setting, in field order."""
+        return " ".join(f"{f.name}={_echo(f, getattr(self, f.name))}" for f in fields(self))
 
 
-_SIMPLE_FIELDS = {
-    "n_dcs": int,
-    "intra_dc_ms": float,
-    "jitter_frac": float,
-    "read_ms": float,
-    "inc_fraction": float,
-    "think_ms": float,
-    "retry_limit": int,
-    "sync_period_ms": float,
-    "rebalance_period_ms": float,
-    "nodes_per_dc": int,
-    "owner_timeout_ms": float,
-    "crash_detect_ms": float,
-    "duration_ms": float,
-    "warmup_ms": float,
-    "bucket_ms": float,
-    "run_until_depleted": bool,
-    "post_depletion_ms": float,
-    "max_duration_ms": float,
-    "quiesce": bool,
-    "record_ops": bool,
-    "seed": int,
+# -- readers and echoes, one pair per field annotation ------------------------
+
+Reader = Callable[[str, Any], Any]
+
+
+def _reject(name: str, v: Any, expected: str):
+    raise ConfigInvalid(f"field {name!r}: cannot read {v!r} as {expected}")
+
+
+def _read_int(name: str, v: Any) -> int:
+    # JSON has one number type: 3.0 is read as 3, but 3.5 and true are not ints
+    if type(v) is float and v.is_integer():
+        return int(v)
+    return v if type(v) is int else _reject(name, v, "an integer")
+
+
+def _read_float(name: str, v: Any) -> float:
+    return float(v) if type(v) in (int, float) else _reject(name, v, "a number")
+
+
+def _read_bool(name: str, v: Any) -> bool:
+    return v if type(v) is bool else _reject(name, v, "true or false")
+
+
+def _read_str(name: str, v: Any) -> str:
+    return v if type(v) is str else _reject(name, v, "a string")
+
+
+def _list_of(item: Reader) -> Reader:
+    def read(name: str, v: Any) -> list:
+        return [item(name, x) for x in v] if type(v) is list else _reject(name, v, "a list")
+
+    return read
+
+
+def _one_or_list(item: Reader) -> Reader:
+    many = _list_of(item)
+    return lambda name, v: many(name, v) if type(v) is list else item(name, v)
+
+
+def _read_enum(enum: type[Enum]) -> Reader:
+    def read(name: str, v: Any) -> Enum:
+        try:
+            return enum(v)
+        except ValueError:
+            choices = ", ".join(m.value for m in enum)
+            raise ConfigInvalid(f"unknown {name} {v!r} (choices: {choices})") from None
+
+    return read
+
+
+def _read_rtts(name: str, v: Any) -> dict[tuple[int, int], float] | None:
+    if v is None:
+        return None
+    if type(v) is not list:
+        _reject(name, v, "a list of [dc, dc, ms]")
+    table = {}
+    for entry in v:
+        if type(entry) is not list or len(entry) != 3:
+            raise ConfigInvalid(f"rtts entries must be [dc, dc, ms]; got {entry!r}")
+        a, b, ms = entry
+        table[(_read_int(name, a), _read_int(name, b))] = _read_float(name, ms)
+    return table
+
+
+def _read_groups(name: str, v: Any) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(g) for g in _list_of(_list_of(_read_int))(name, v))
+
+
+def _read_record(cls: type) -> Reader:
+    """Reads one ``cls`` from a JSON object: a field with a default is
+    optional, any key that is not a field is rejected."""
+    label = "".join(f" {c.lower()}" if c.isupper() else c for c in cls.__name__).strip()
+    names = {f.name for f in fields(cls)}
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+
+    def read(_: str, entry: Any):
+        try:
+            if type(entry) is not dict:
+                raise ConfigInvalid("must be an object")
+            if any(k not in entry for k in required):
+                raise ConfigInvalid(f"need at least a {', '.join(required)}")
+            extra = sorted(set(entry) - names)
+            if extra:
+                raise ConfigInvalid(f"unknown fields {extra}")
+            return cls(**{f.name: _read(f, entry[f.name]) for f in fields(cls) if f.name in entry})
+        except ConfigInvalid as e:
+            raise ConfigInvalid(f"bad {label} {entry!r}: {e}") from None
+
+    return read
+
+
+_g = "{:g}".format
+
+
+def _echo_list(item: Callable[[Any], str], sep: str = ",") -> Callable[[Any], str]:
+    return lambda v: sep.join(map(item, v)) if isinstance(v, list) else item(v)
+
+
+def _echo_rtts(v: dict[tuple[int, int], float] | None) -> str:
+    table = symmetric_rtts(v if v is not None else DEFAULT_RTTS)
+    return ";".join(f"{a}-{b}:{ms:g}" for (a, b), ms in sorted(table.items()))
+
+
+def _echo_record(rec: Any) -> str:
+    first, *rest = (_echo(f, getattr(rec, f.name)) for f in fields(rec))
+    return first + "".join(sep + text for sep, text in zip(rec.echo_seps, rest))
+
+
+_TYPES: dict[str, tuple[Reader, Callable[[Any], str]]] = {
+    "int": (_read_int, str),
+    "float": (_read_float, _g),
+    "bool": (_read_bool, str),
+    "str": (_read_str, str),
+    "int | None": (
+        lambda name, v: None if v is None else _read_int(name, v),
+        lambda v: "auto" if v is None else str(v),
+    ),
+    "float | list[float]": (_one_or_list(_read_float), _echo_list(_g)),
+    "int | list[int]": (_one_or_list(_read_int), _echo_list(str)),
+    "Strategy": (_read_enum(Strategy), lambda v: v.value),
+    "OpFlag": (_read_enum(OpFlag), lambda v: v.value),
+    "dict[tuple[int, int], float] | None": (_read_rtts, _echo_rtts),
+    "tuple[tuple[int, ...], ...]": (
+        _read_groups,
+        lambda v: "/".join(",".join(map(str, g)) for g in v),
+    ),
 }
+for _cls in (CounterSpec, PartitionFault, CrashFault):
+    _TYPES[f"list[{_cls.__name__}]"] = (
+        _list_of(_read_record(_cls)),
+        _echo_list(_echo_record, sep=";"),
+    )
+
+
+def _read(f: Field, v: Any) -> Any:
+    return _TYPES[f.type][0](f.name, v)
+
+
+def _echo(f: Field, v: Any) -> str:
+    return _TYPES[f.type][1](v)
 
 
 def config_from_dict(raw: dict) -> SimConfig:
     """Build and validate a SimConfig from parsed JSON."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config root must be an object")
-    cfg = SimConfig()
-    known = set(_SIMPLE_FIELDS) | {
-        "strategy",
-        "rtts",
-        "write_ms",
-        "clients_per_dc",
-        "counters",
-        "op_flag",
-        "rebalance_threshold",
-        "partitions",
-        "crashes",
-    }
+    names = {f.name for f in fields(SimConfig)}
     for key in raw:
-        if key not in known:
+        if key not in names:
             raise ConfigInvalid(f"unknown config field {key!r}")
-    for name, cast in _SIMPLE_FIELDS.items():
-        if name in raw:
-            try:
-                setattr(cfg, name, cast(raw[name]))
-            except (TypeError, ValueError):
-                raise ConfigInvalid(f"field {name!r}: cannot read {raw[name]!r}")
-    if "strategy" in raw:
-        try:
-            cfg.strategy = Strategy(raw["strategy"])
-        except ValueError:
-            choices = ", ".join(s.value for s in Strategy)
-            raise ConfigInvalid(f"unknown strategy {raw['strategy']!r} (choices: {choices})")
-    if "op_flag" in raw:
-        try:
-            cfg.op_flag = OpFlag(raw["op_flag"])
-        except ValueError:
-            raise ConfigInvalid(f"unknown op_flag {raw['op_flag']!r}")
-    if "rtts" in raw:
-        table = {}
-        for entry in raw["rtts"]:
-            try:
-                a, b, ms = entry
-                table[(int(a), int(b))] = float(ms)
-            except (TypeError, ValueError):
-                raise ConfigInvalid(f"rtts entries must be [dc, dc, ms]; got {entry!r}")
-        cfg.rtts = table
-    if "write_ms" in raw:
-        v = raw["write_ms"]
-        cfg.write_ms = [float(x) for x in v] if isinstance(v, list) else float(v)
-    if "clients_per_dc" in raw:
-        v = raw["clients_per_dc"]
-        cfg.clients_per_dc = [int(x) for x in v] if isinstance(v, list) else int(v)
-    if "rebalance_threshold" in raw:
-        v = raw["rebalance_threshold"]
-        cfg.rebalance_threshold = None if v is None else int(v)
-    if "counters" in raw:
-        counters = []
-        for entry in raw["counters"]:
-            if not isinstance(entry, dict) or "key" not in entry:
-                raise ConfigInvalid(f"counter entries need at least a key; got {entry!r}")
-            extra = set(entry) - {"key", "bound", "initial", "polarity"}
-            if extra:
-                raise ConfigInvalid(f"counter {entry['key']!r}: unknown fields {sorted(extra)}")
-            counters.append(
-                CounterSpec(
-                    key=str(entry["key"]),
-                    bound=int(entry.get("bound", 0)),
-                    initial=int(entry.get("initial", 0)),
-                    polarity=str(entry.get("polarity", "lower")),
-                )
-            )
-        cfg.counters = counters
-    if "partitions" in raw:
-        faults = []
-        for entry in raw["partitions"]:
-            try:
-                faults.append(
-                    PartitionFault(
-                        groups=tuple(tuple(int(dc) for dc in g) for g in entry["groups"]),
-                        start_ms=float(entry["start_ms"]),
-                        end_ms=float(entry["end_ms"]),
-                    )
-                )
-            except (TypeError, KeyError, ValueError):
-                raise ConfigInvalid(f"bad partition fault {entry!r}")
-        cfg.partitions = faults
-    if "crashes" in raw:
-        faults = []
-        for entry in raw["crashes"]:
-            try:
-                faults.append(
-                    CrashFault(
-                        dc=int(entry["dc"]),
-                        node=int(entry["node"]),
-                        start_ms=float(entry["start_ms"]),
-                        end_ms=float(entry["end_ms"]),
-                    )
-                )
-            except (TypeError, KeyError, ValueError):
-                raise ConfigInvalid(f"bad crash fault {entry!r}")
-        cfg.crashes = faults
+    cfg = SimConfig(**{f.name: _read(f, raw[f.name]) for f in fields(SimConfig) if f.name in raw})
     cfg.validate()
     return cfg
 

@@ -162,20 +162,17 @@ class Run:
         self._run_chunks(
             drain_end, stop_when=lambda: not any(p.alive for p in self._client_procs)
         )
-        periods = None
-        if cfg.quiesce:
-            periods = 0
-            while not self.driver.converged() and periods < PROBE_CAP_PERIODS:
-                self.sim.run(until=self.sim.now + cfg.sync_period_ms)
-                periods += 1
+        periods = 0
+        while not self.driver.converged() and periods < PROBE_CAP_PERIODS:
+            self.sim.run(until=self.sim.now + cfg.sync_period_ms)
+            periods += 1
         if self.sim.now > self._last_bucket_t:
             self.metrics.close_bucket(self.sim.now, store_totals(self.stores))
         report = self.metrics.finalize(self.sim.now, store_totals(self.stores))
         report.convergence_sync_periods = periods
-        if cfg.quiesce:
-            values = self.driver.converged_values()
-            report.converged_values = values
-            report.converged = self.driver.converged() and values == report.observer_values
+        values = self.driver.converged_values()
+        report.converged_values = values
+        report.converged = self.driver.converged() and values == report.observer_values
         return self.metrics, report
 
 

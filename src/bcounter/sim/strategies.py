@@ -148,16 +148,6 @@ class Driver:
     def converged_values(self) -> dict[str, int]:
         return {key: self._merged_at(0, key).value() for key in self.specs}
 
-    # server-node fault hooks; only the server design has nodes
-    def crash_node(self, dc: int, node: int) -> None:
-        raise RuntimeError("this strategy has no server nodes to crash")
-
-    def mark_failed(self, dc: int, node: int) -> None:
-        raise RuntimeError("this strategy has no server nodes")
-
-    def recover_node(self, dc: int, node: int) -> None:
-        raise RuntimeError("this strategy has no server nodes")
-
 
 class WeakDriver(Driver):
     """Tally counter over weak puts, bound checked against the read value."""
@@ -347,7 +337,7 @@ class ClientDriver(_BoundedDriver):
     def seed(self, spec: CounterSpec) -> None:
         super().seed(spec)
         for mw in self.middlewares:
-            mw.register(spec.key, _polarity(spec), spec.bound, _threshold(self.cfg, spec))
+            mw.register(spec.key, _threshold(self.cfg, spec))
 
     def start(self) -> None:
         for mw in self.middlewares:

@@ -175,6 +175,15 @@ def test_simulate_malformed_config_exits_two_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_simulate_mistyped_field_exits_two_without_traceback(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"write_ms": "abc"}))
+    assert main(["simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "write_ms" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_unknown_field_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"warp_speed": 9}))

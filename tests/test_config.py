@@ -1,6 +1,9 @@
 """Config parsing, validation, and the resolved-settings echo line."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +11,15 @@ from bcounter.sim.config import (
     ConfigInvalid,
     CounterSpec,
     CrashFault,
+    OpFlag,
     PartitionFault,
     SimConfig,
     Strategy,
     config_from_dict,
     load_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_validate():
@@ -40,6 +46,10 @@ def test_defaults_validate():
         dict(partitions=[PartitionFault(((0,), (1, 2)), 5.0, 2.0)]),
         dict(crashes=[CrashFault(0, 7, 1.0, 2.0)]),
         dict(rtts={(0, 1): 80.0}),  # missing pairs for 3 DCs
+        # only the owner-node strategies have nodes to crash
+        dict(strategy=Strategy.WEAK, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
+        dict(strategy=Strategy.STRONG, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
+        dict(strategy=Strategy.BCCLT, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
     ],
 )
 def test_validation_rejects(kw):
@@ -94,7 +104,7 @@ def test_per_dc_lists():
 
 def test_from_dict_full_roundtrip():
     raw = {
-        "strategy": "bcclt",
+        "strategy": "bcsrv-nobatch",  # crashes need owner nodes
         "n_dcs": 2,
         "rtts": [[0, 1, 120]],
         "clients_per_dc": [4, 6],
@@ -108,12 +118,21 @@ def test_from_dict_full_roundtrip():
         "seed": 9,
     }
     cfg = config_from_dict(raw)
-    assert cfg.strategy is Strategy.BCCLT
+    assert cfg.strategy is Strategy.BCSRV_NOBATCH
     assert cfg.rtt_table()[(1, 0)] == 120.0
     assert cfg.counters[1].polarity == "upper"
     assert cfg.partitions[0].groups == ((0,), (1,))
     assert cfg.crashes[0].node == 1
     assert cfg.seed == 9
+
+
+def test_from_dict_reads_integral_floats_as_ints():
+    cfg = config_from_dict({"clients_per_dc": 10.0, "seed": 3.0, "write_ms": 7,
+                            "rebalance_threshold": None})
+    assert cfg.clients_per_dc == 10 and type(cfg.clients_per_dc) is int
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    assert cfg.write_ms == 7.0 and type(cfg.write_ms) is float
+    assert cfg.rebalance_threshold is None
 
 
 @pytest.mark.parametrize(
@@ -128,6 +147,30 @@ def test_from_dict_full_roundtrip():
         ({"partitions": [{"groups": [[0]]}]}, "bad partition fault"),
         ({"n_dcs": "three"}, "cannot read"),
         ([], "must be an object"),
+        # each value is read strictly against its field's type
+        ({"write_ms": "abc"}, "'write_ms': cannot read 'abc'"),
+        ({"write_ms": [5, "x", 5]}, "'write_ms': cannot read 'x'"),
+        ({"clients_per_dc": "ten"}, "'clients_per_dc': cannot read"),
+        ({"clients_per_dc": 10.5}, "'clients_per_dc': cannot read 10.5"),
+        ({"rebalance_threshold": "x"}, "'rebalance_threshold': cannot read"),
+        ({"seed": 1.9}, "'seed': cannot read 1.9"),
+        ({"seed": True}, "'seed': cannot read True"),
+        ({"think_ms": False}, "'think_ms': cannot read False"),
+        ({"run_until_depleted": "false"}, "'run_until_depleted': cannot read 'false'"),
+        ({"record_ops": 1}, "'record_ops': cannot read 1"),
+        ({"counters": [{"key": "a", "bound": "x"}]}, "bad counter spec .*'bound'"),
+        ({"counters": [{"key": "a", "initial": 2.5}]}, "bad counter spec .*'initial'"),
+        ({"counters": [{"key": 7}]}, "bad counter spec .*'key'"),
+        ({"counters": [5]}, "bad counter spec 5: must be an object"),
+        ({"counters": {"key": "a"}}, "'counters': cannot read"),
+        ({"rtts": {"0-1": 80}}, "'rtts': cannot read"),
+        ({"rtts": [[0, 1, "far"]]}, "'rtts': cannot read 'far'"),
+        ({"partitions": {"groups": []}}, "'partitions': cannot read"),
+        ({"partitions": [{"groups": [[0.5]], "start_ms": 1, "end_ms": 2}]},
+         "bad partition fault"),
+        ({"crashes": [{"dc": "0", "node": 1, "start_ms": 1, "end_ms": 2}]}, "bad crash fault"),
+        ({"crashes": [{"dc": 0, "node": 1, "start_ms": 1, "end_ms": 2, "x": 0}]},
+         "unknown fields"),
     ],
 )
 def test_from_dict_rejects_with_message(raw, phrase):
@@ -163,3 +206,59 @@ def test_describe_contains_every_knob():
         assert needle in text
     # deterministic: same config, same echo
     assert text == SimConfig(seed=17).describe()
+
+
+def _other_value(f: dataclasses.Field, v):
+    """A different value of ``f`` that still validates with the defaults."""
+    by_type = {
+        "int": lambda: v - 1 if v > 1 else v + 1,
+        "float": lambda: v / 2 if v else 1.0,
+        "bool": lambda: not v,
+        "int | None": lambda: 5,
+        "float | list[float]": lambda: [v, v, v],
+        "int | list[int]": lambda: [v, v, v],
+        "Strategy": lambda: Strategy.BCSRV_NOBATCH,
+        "OpFlag": lambda: OpFlag.LOCAL,
+        "dict[tuple[int, int], float] | None": lambda: {(0, 1): 10.0, (0, 2): 20.0,
+                                                        (1, 2): 30.0},
+        "list[CounterSpec]": lambda: v + [CounterSpec("d", polarity="upper", bound=9)],
+        "list[PartitionFault]": lambda: [PartitionFault(((0,), (1, 2)), 1.0, 2.0)],
+        "list[CrashFault]": lambda: [CrashFault(1, 2, 1.0, 2.0)],
+    }
+    return by_type[f.type]()
+
+
+def test_describe_echoes_every_field_once_in_order():
+    cfg = SimConfig()
+    names = [f.name for f in dataclasses.fields(SimConfig)]
+    assert [tok.split("=", 1)[0] for tok in cfg.describe().split(" ")] == names
+    for f in dataclasses.fields(SimConfig):
+        changed = dataclasses.replace(cfg, **{f.name: _other_value(f, getattr(cfg, f.name))})
+        changed.validate()
+        assert changed.describe() != cfg.describe(), f.name
+
+
+def test_describe_echoes_faults_in_full():
+    cfg = SimConfig(
+        partitions=[PartitionFault(((0, 1), (2,)), 1500.0, 3500.0),
+                    PartitionFault(((0,), (1, 2)), 4000.0, 4500.5)],
+        crashes=[CrashFault(0, 1, 2000.0, 4000.0)],
+    )
+    text = cfg.describe()
+    assert " partitions=0,1/2@1500-3500;0/1,2@4000-4500.5 " in text
+    assert " crashes=0.1@2000-4000 " in text
+
+
+def _readme_schema() -> str:
+    text = README.read_text()
+    section = text[text.index("## Config file schema"):]
+    block = section[section.index("```jsonc\n") + len("```jsonc\n"):]
+    return re.sub(r"//.*", "", block[:block.index("```")])
+
+
+def test_readme_schema_matches_simconfig():
+    raw = json.loads(_readme_schema())
+    assert list(raw) == [f.name for f in dataclasses.fields(SimConfig)]
+    cfg = config_from_dict(raw)
+    # every value shown is the default, except one example fault of each kind
+    assert dataclasses.replace(cfg, partitions=[], crashes=[]).describe() == SimConfig().describe()

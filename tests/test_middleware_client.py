@@ -26,7 +26,7 @@ def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None):
     ]
     for mw in mws:
         mw.peers = mws
-        mw.register("k", Polarity.LOWER, 0, threshold)
+        mw.register("k", threshold)
     # create at DC 0, then hand every other DC a fully synced copy
     if state is None:
         state = BoundedCounter.new(Polarity.LOWER, 0, n_dcs, 0, initial)
