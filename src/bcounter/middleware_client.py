@@ -27,10 +27,11 @@ reply that arrives after the requester stopped waiting is dropped.
 from __future__ import annotations
 
 from .crdt import BoundedCounter, Polarity, StateTable
-from .sim.kernel import Future, Simulator
+from .sim.kernel import Simulator
 from .sim.net import Network
 from .store import ABSENT, CONFLICT, DCStore
 from .transfer import (
+    Replica,
     TransferRequest,
     TransferResponse,
     TransferStatus,
@@ -41,7 +42,7 @@ from .transfer import (
 )
 
 
-class ClientMiddleware:
+class ClientMiddleware(Replica):
     """Counter operations for one DC, backed by its store."""
 
     def __init__(
@@ -57,24 +58,12 @@ class ClientMiddleware:
         rebalance_period_ms: float = 100.0,
         table: StateTable | None = None,
     ):
-        self.sim = sim
-        self.net = net
-        self.store = store
-        self.dc = dc
+        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms, table)
         self.n_dcs = n_dcs
-        self.metrics = metrics
         self.retry_limit = retry_limit
-        self.sync_period_ms = sync_period_ms
-        self.rebalance_period_ms = rebalance_period_ms
-        self.table = StateTable() if table is None else table
-        self.peers: list["ClientMiddleware"] = []  # index = dc id, set by wiring
-        self._thresholds: dict[str, int] = {}
         self._dirty: set[str] = set()
 
     # -- wiring ------------------------------------------------------------
-
-    def register(self, key: str, threshold: int) -> None:
-        self._thresholds[key] = threshold
 
     def start(self) -> None:
         self.sim.spawn(self._sync_loop())
@@ -149,28 +138,15 @@ class ClientMiddleware:
         """Pull rights until the deficit is covered. The view is the state read
         plus the grants merged so far; each grant is written to the store."""
 
-        def ask(req: TransferRequest, view: BoundedCounter):
-            reply = Future(self.sim)
-            self._send_request(key, req, view, reply.resolve)
-            return reply, 2 * self.net.rtt(self.dc, req.grantor)
-
         def merge(resp: TransferResponse):
             nonlocal state
             granted = self.table.decode(resp.state)
             yield from self._merge_into_store(key, granted)
             state = state.merge(granted)
 
-        threshold = self._thresholds[key]
+        threshold = self.thresholds[key]
+        ask = self._ask(key)
         return (yield from acquire(lambda: state, self.dc, deficit, threshold, ask, merge))
-
-    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
-        """Send a transfer request built from ``view``. A SYNC request carries
-        ``reply``, the requester's callback for the grantor's answer."""
-        self.metrics.transfer_request(
-            self.sim.now, self.dc, req.grantor, req.mode.value, view.local_rights(req.grantor)
-        )
-        peer = self.peers[req.grantor]
-        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply):
         self.sim.spawn(self._serve_transfer(key, req, reply))
@@ -196,12 +172,6 @@ class ClientMiddleware:
             return
         self._respond(req, reply, TransferResponse(TransferStatus.DENIED))
 
-    def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
-        if reply is None:
-            return  # background grants travel with the next sync push
-        self.metrics.transfer_response()
-        self.net.send(self.dc, req.requester, lambda: reply(resp))
-
     # -- cross-DC state synchronization --------------------------------------
 
     def _sync_loop(self):
@@ -211,7 +181,7 @@ class ClientMiddleware:
             epoch = self.net.partition_epoch
             send_all = epoch != last_epoch
             last_epoch = epoch
-            keys = sorted(self._thresholds) if send_all else sorted(self._dirty)
+            keys = sorted(self.thresholds) if send_all else sorted(self._dirty)
             self._dirty.clear()
             for key in keys:
                 got = yield from self._fetch(key)
@@ -247,7 +217,7 @@ class ClientMiddleware:
     def _rebalance_loop(self):
         while True:
             yield self.rebalance_period_ms
-            for key, threshold in sorted(self._thresholds.items()):
+            for key, threshold in sorted(self.thresholds.items()):
                 got = yield from self._fetch(key)
                 if got is None:
                     continue

@@ -38,13 +38,13 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 from .crdt import BoundedCounter, NotEnoughRights, StateTable
-from .sim.kernel import Future, Process, Simulator
+from .sim.kernel import Process, Simulator
 from .sim.net import Network
 from .store import CONFLICT, DCStore
 from .transfer import (
+    Replica,
     TransferRequest,
     TransferResponse,
     TransferStatus,
@@ -117,19 +117,22 @@ class _MergeWaiter:
 
 
 class _GrantWaiter:
-    """A granted transfer awaiting durability before the reply may leave."""
+    """A granted SYNC transfer awaiting durability before the reply may leave."""
 
     counts_as_op = False
 
-    def __init__(self, granted: int, respond: Callable[[TransferResponse], None]):
+    def __init__(self, cluster: "ServerCluster", req: TransferRequest, reply, granted: int):
+        self.cluster = cluster
+        self.req = req
+        self.reply = reply
         self.granted = granted
-        self.respond = respond
 
     def on_ok(self, written: BoundedCounter) -> None:
-        self.respond(TransferResponse(TransferStatus.GRANTED, self.granted, written.encode()))
+        resp = TransferResponse(TransferStatus.GRANTED, self.granted, written.encode())
+        self.cluster._respond(self.req, self.reply, resp)
 
     def on_conflict(self) -> None:
-        self.respond(TransferResponse(TransferStatus.DENIED))
+        self.cluster._respond(self.req, self.reply, TransferResponse(TransferStatus.DENIED))
 
 
 class _Pipeline:
@@ -168,32 +171,16 @@ class Node:
 
     def __init__(self, cluster: "ServerCluster", idx: int):
         self.cluster = cluster
+        self.sim = cluster.sim
+        self.net = cluster.net
+        self.store = cluster.store
+        self.dc = cluster.dc
+        self.metrics = cluster.metrics
         self.idx = idx
         self.dead = False
         self.pipelines: dict[str, _Pipeline] = {}
         self._procs: list[Process] = []
         self._writer_proc: dict[str, Process] = {}
-
-    # shorthand accessors into the cluster's shared machinery
-    @property
-    def sim(self) -> Simulator:
-        return self.cluster.sim
-
-    @property
-    def net(self) -> Network:
-        return self.cluster.net
-
-    @property
-    def store(self) -> DCStore:
-        return self.cluster.store
-
-    @property
-    def dc(self) -> int:
-        return self.cluster.dc
-
-    @property
-    def metrics(self):
-        return self.cluster.metrics
 
     def spawn(self, gen) -> Process:
         p = self.sim.spawn(gen)
@@ -230,12 +217,10 @@ class Node:
             return
         self._admit(self._pipeline(key), "merge", incoming)
 
-    def handle_transfer(
-        self, key: str, req: TransferRequest, respond: Callable[[TransferResponse], None] | None
-    ) -> None:
+    def handle_transfer(self, key: str, req: TransferRequest, reply) -> None:
         if self.dead:
             return
-        self._admit(self._pipeline(key), "transfer", (req, respond))
+        self._admit(self._pipeline(key), "transfer", (req, reply))
 
     def _admit(self, p: _Pipeline, tag: str, payload) -> None:
         """The one admission gate. Work waits in ``arrivals`` while the cache
@@ -303,15 +288,14 @@ class Node:
         p.working = merged
         self._enqueue(p, _MergeWaiter())
 
-    def _admit_transfer(self, p, req: TransferRequest, respond) -> None:
+    def _admit_transfer(self, p, req: TransferRequest, reply) -> None:
         new_working, resp = handle_request(p.working, req)
         if resp.status is not TransferStatus.GRANTED:
-            if respond is not None:
-                respond(resp)
+            self.cluster._respond(req, reply, resp)
             return
         p.working = new_working
-        if respond is not None:
-            self._enqueue(p, _GrantWaiter(resp.granted, respond))
+        if reply is not None:
+            self._enqueue(p, _GrantWaiter(self.cluster, req, reply, resp.granted))
         else:
             self._enqueue(p, _MergeWaiter())  # async grant: durability only
 
@@ -406,26 +390,13 @@ class Node:
         """Pull at least ``deficit`` rights. The view is the working copy,
         re-read before every request; each grant is admitted as a merge."""
 
-        def ask(req: TransferRequest, view: BoundedCounter):
-            reply = Future(self.sim)
-            self._send_request(p.key, req, view, reply.resolve)
-            return reply, 2 * self.net.rtt(self.dc, req.grantor)
-
         def merge(resp: TransferResponse):
             self._admit(p, "merge", self.cluster.table.decode(resp.state))
             yield from ()
 
-        threshold = self.cluster.threshold_for(p.key)
+        threshold = self.cluster.thresholds[p.key]
+        ask = self.cluster._ask(p.key)
         return (yield from acquire(lambda: p.working, self.dc, deficit, threshold, ask, merge))
-
-    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
-        """Send a transfer request built from ``view``. A SYNC request carries
-        ``reply``, the requester's callback for the grantor's answer."""
-        self.metrics.transfer_request(
-            self.sim.now, self.dc, req.grantor, req.mode.value, view.local_rights(req.grantor)
-        )
-        peer = self.cluster.peers[req.grantor]
-        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
 
     # -- periodic loops -----------------------------------------------------------
 
@@ -462,12 +433,11 @@ class Node:
                 if p.state != _Pipeline.WARM:
                     continue
                 view = p.working
-                threshold = self.cluster.threshold_for(key)
-                for req in rebalance_tick(view, self.dc, threshold):
-                    self._send_request(key, req, view)
+                for req in rebalance_tick(view, self.dc, self.cluster.thresholds[key]):
+                    self.cluster._send_request(key, req, view)
 
 
-class ServerCluster:
+class ServerCluster(Replica):
     """One DC's owner nodes plus the routing table over them."""
 
     def __init__(
@@ -483,28 +453,13 @@ class ServerCluster:
         rebalance_period_ms: float = 100.0,
         table: StateTable | None = None,
     ):
-        self.sim = sim
-        self.net = net
-        self.store = store
-        self.dc = dc
-        self.metrics = metrics
+        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms, table)
         self.batching = batching
-        self.sync_period_ms = sync_period_ms
-        self.rebalance_period_ms = rebalance_period_ms
-        self.table = StateTable() if table is None else table
         self.epoch = 0
         self.nodes: list[Node] = [Node(self, i) for i in range(n_nodes)]
         self._alive: list[int] = list(range(n_nodes))
-        self.peers: list["ServerCluster"] = []  # index = dc id, set by wiring
-        self._thresholds: dict[str, int] = {}
 
     # -- wiring --------------------------------------------------------------
-
-    def register(self, key: str, threshold: int) -> None:
-        self._thresholds[key] = threshold
-
-    def threshold_for(self, key: str) -> int:
-        return self._thresholds.get(key, 1)
 
     def start(self) -> None:
         for node in self.nodes:
@@ -550,11 +505,4 @@ class ServerCluster:
         self.route(key).handle_merge(key, self.table.decode(blob))
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
-        respond = None
-        if reply is not None:
-
-            def respond(resp):
-                self.metrics.transfer_response()
-                self.net.send(self.dc, req.requester, lambda: reply(resp))
-
-        self.route(key).handle_transfer(key, req, respond)
+        self.route(key).handle_transfer(key, req, reply)

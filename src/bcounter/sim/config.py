@@ -118,7 +118,8 @@ class SimConfig:
             raise ConfigInvalid("n_dcs must be >= 1")
         table = self.rtt_table()
         # NaN compares false with everything, so it would pass every range
-        # check below; every time (each field named *_ms) must be finite
+        # check below; every time (each field named *_ms) must be finite, and
+        # none may be negative, since the kernel cannot wait a negative delay
         times = [(f"rtt {a}->{b}", v) for (a, b), v in table.items()]
         for f in fields(self):
             if f.name.endswith("_ms"):
@@ -129,6 +130,8 @@ class SimConfig:
         for name, v in times:
             if not math.isfinite(v):
                 raise ConfigInvalid(f"{name} must be finite, got {v!r}")
+            if v < 0:
+                raise ConfigInvalid(f"{name} must be >= 0, got {v!r}")
         for a in range(self.n_dcs):
             for b in range(self.n_dcs):
                 if a == b:
@@ -189,8 +192,8 @@ class SimConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigInvalid(f"{name} must be > 0")
-        if self.duration_ms < 0 or self.warmup_ms < 0:
-            raise ConfigInvalid("durations must be >= 0")
+        if self.rebalance_threshold is not None and self.rebalance_threshold < 1:
+            raise ConfigInvalid("rebalance_threshold must be >= 1")
         if not 0 <= self.jitter_frac < 1:
             raise ConfigInvalid("jitter_frac must be within [0, 1)")
 

@@ -107,13 +107,15 @@ class Run:
         self.net.heal()
 
     def _crash_fault(self, fault: CrashFault):
+        # validate() admits crashes only for the owner-node strategies
+        cluster = self.driver.replicas[fault.dc]
         yield fault.start_ms
-        self.driver.crash_node(fault.dc, fault.node)
+        cluster.crash_node(fault.node)
         detect = min(self.cfg.crash_detect_ms, fault.end_ms - fault.start_ms)
         yield detect
-        self.driver.mark_failed(fault.dc, fault.node)
+        cluster.mark_failed(fault.node)
         yield fault.end_ms - fault.start_ms - detect
-        self.driver.recover_node(fault.dc, fault.node)
+        cluster.recover_node(fault.node)
 
     def _client(self, dc: int, idx: int, rng: random.Random):
         cfg = self.cfg

@@ -58,15 +58,6 @@ class OpRecord:
 
 
 @dataclass
-class TransferRecord:
-    t: float
-    requester_dc: int
-    grantor_dc: int
-    mode: str
-    target_visible_rights: int
-
-
-@dataclass
 class DcStats:
     attempted: int = 0
     ok: int = 0
@@ -96,11 +87,7 @@ class Report:
     store_cond_writes: int = 0
     store_conflicts: int = 0
     # post-warmup window
-    measured_attempted: int = 0
     measured_ok: int = 0
-    measured_failed: int = 0
-    measured_retry: int = 0
-    measured_op_writes: int = 0
     measured_cond_writes: int = 0
     measured_conflicts: int = 0
     measured_window_ms: float = 0.0
@@ -114,7 +101,6 @@ class Report:
     converged_values: dict[str, int] | None = None
     convergence_sync_periods: int | None = None
     op_log: list[OpRecord] | None = None
-    transfer_log: list[TransferRecord] | None = None
 
     def conflict_fraction(self) -> float:
         if self.measured_cond_writes == 0:
@@ -189,19 +175,17 @@ class Metrics:
         self._bucket_latencies: list[float] = []
         self._dc_latencies: dict[int, list[float]] = {dc: [] for dc in range(n_dcs)}
         self._dc_counts: dict[int, DcStats] = {dc: DcStats() for dc in range(n_dcs)}
-        self._measured: dict[str, int] = {"attempted": 0, "ok": 0, "failed": 0, "retry": 0}
+        self._measured_ok = 0
         self._warmup_base: dict[str, int] | None = None
         self._last_snapshot: dict[str, int] = {}
         self.rows: list[dict] = []
         self.op_log: list[OpRecord] = []
-        self.transfer_log: list[TransferRecord] = []
 
     # -- operation lifecycle -----------------------------------------------
 
     def op_started(self, dc: int, kind: str, t: float) -> None:
         self.counts["attempted"] += 1
         if t >= self.warmup_ms:
-            self._measured["attempted"] += 1
             self._dc_counts[dc].attempted += 1
 
     def op_finished(
@@ -218,10 +202,10 @@ class Metrics:
         if used_sync:
             self.counts["sync_ops"] += 1
         if t_start >= self.warmup_ms:
-            self._measured[status] += 1
             stats = self._dc_counts[dc]
             setattr(stats, status, getattr(stats, status) + 1)
             if status == "ok":
+                self._measured_ok += 1
                 lat = t_end - t_start
                 self._bucket_latencies.append(lat)
                 self._dc_latencies[dc].append(lat)
@@ -256,16 +240,10 @@ class Metrics:
     def sync_msg(self, n: int) -> None:
         self.counts["sync_msgs"] += n
 
-    def transfer_request(
-        self, t: float, requester_dc: int, grantor_dc: int, mode: str, target_visible: int
-    ) -> None:
+    def transfer_request(self, target_visible: int) -> None:
         self.counts["transfer_requests"] += 1
         if target_visible <= 0:
             self.counts["requests_to_exhausted"] += 1
-        if self.record_ops:
-            self.transfer_log.append(
-                TransferRecord(t, requester_dc, grantor_dc, mode, target_visible)
-            )
 
     def transfer_response(self) -> None:
         self.counts["transfer_responses"] += 1
@@ -319,11 +297,7 @@ class Metrics:
                 setattr(report, k, v)
         for k in _STORE_KEYS:
             setattr(report, k, store_totals.get(k, 0))
-        report.measured_attempted = self._measured["attempted"]
-        report.measured_ok = self._measured["ok"]
-        report.measured_failed = self._measured["failed"]
-        report.measured_retry = self._measured["retry"]
-        report.measured_op_writes = self.counts["op_writes"] - base.get("op_writes", 0)
+        report.measured_ok = self._measured_ok
         report.measured_cond_writes = store_totals.get("store_cond_writes", 0) - base.get(
             "store_cond_writes", 0
         )
@@ -344,7 +318,6 @@ class Metrics:
         report.depletion_time_ms = self.depletion_time_ms
         if self.record_ops:
             report.op_log = self.op_log
-            report.transfer_log = self.transfer_log
         return report
 
 

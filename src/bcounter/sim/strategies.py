@@ -287,12 +287,19 @@ class StrongDriver(Driver):
 
 
 class _BoundedDriver(Driver):
-    """Shared seeding and state table for the two middleware designs."""
+    """Shared seeding, state table and per-DC replicas for the two middleware
+    designs; a subclass builds its replica for one DC in ``_replica``."""
 
     def __init__(self, cfg, sim, net, stores, metrics):
         super().__init__(cfg, sim, net, stores, metrics)
         # the run's one table: every middleware decodes and steps through it
         self.table = StateTable()
+        self.replicas = [self._replica(dc) for dc in range(cfg.n_dcs)]
+        for replica in self.replicas:
+            replica.peers = self.replicas
+
+    def _replica(self, dc: int):
+        raise NotImplementedError
 
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
@@ -304,6 +311,13 @@ class _BoundedDriver(Driver):
         # DC 0 plus one fully delivered synchronization round
         for store in self.stores:
             store.seed(spec.key, blob, Consistency.STRONG)
+        threshold = _threshold(self.cfg, spec)
+        for replica in self.replicas:
+            replica.register(spec.key, threshold)
+
+    def start(self) -> None:
+        for replica in self.replicas:
+            replica.start()
 
     def _merged_at(self, dc: int, key: str):
         rec = self.stores[dc].peek(key)
@@ -314,75 +328,46 @@ class _BoundedDriver(Driver):
 class ClientDriver(_BoundedDriver):
     """Bounded counter through the client-library middleware."""
 
-    def __init__(self, cfg, sim, net, stores, metrics):
-        super().__init__(cfg, sim, net, stores, metrics)
-        self.middlewares = [
-            ClientMiddleware(
-                sim,
-                net,
-                stores[dc],
-                dc,
-                cfg.n_dcs,
-                metrics,
-                retry_limit=cfg.retry_limit,
-                sync_period_ms=cfg.sync_period_ms,
-                rebalance_period_ms=cfg.rebalance_period_ms,
-                table=self.table,
-            )
-            for dc in range(cfg.n_dcs)
-        ]
-        for mw in self.middlewares:
-            mw.peers = self.middlewares
-
-    def seed(self, spec: CounterSpec) -> None:
-        super().seed(spec)
-        for mw in self.middlewares:
-            mw.register(spec.key, _threshold(self.cfg, spec))
-
-    def start(self) -> None:
-        for mw in self.middlewares:
-            mw.start()
+    def _replica(self, dc: int) -> ClientMiddleware:
+        cfg = self.cfg
+        return ClientMiddleware(
+            self.sim,
+            self.net,
+            self.stores[dc],
+            dc,
+            cfg.n_dcs,
+            self.metrics,
+            retry_limit=cfg.retry_limit,
+            sync_period_ms=cfg.sync_period_ms,
+            rebalance_period_ms=cfg.rebalance_period_ms,
+            table=self.table,
+        )
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
-        result = yield from self.middlewares[dc].update(key, kind, delta, flag)
+        result = yield from self.replicas[dc].update(key, kind, delta, flag)
         return result
 
 
 class ServerDriver(_BoundedDriver):
     """Bounded counter through per-DC owner nodes."""
 
-    def __init__(self, cfg, sim, net, stores, metrics):
-        super().__init__(cfg, sim, net, stores, metrics)
-        batching = cfg.strategy is not Strategy.BCSRV_NOBATCH
-        self.clusters = [
-            ServerCluster(
-                sim,
-                net,
-                stores[dc],
-                dc,
-                metrics,
-                n_nodes=cfg.nodes_per_dc,
-                batching=batching,
-                sync_period_ms=cfg.sync_period_ms,
-                rebalance_period_ms=cfg.rebalance_period_ms,
-                table=self.table,
-            )
-            for dc in range(cfg.n_dcs)
-        ]
-        for cluster in self.clusters:
-            cluster.peers = self.clusters
-
-    def seed(self, spec: CounterSpec) -> None:
-        super().seed(spec)
-        for cluster in self.clusters:
-            cluster.register(spec.key, _threshold(self.cfg, spec))
-
-    def start(self) -> None:
-        for cluster in self.clusters:
-            cluster.start()
+    def _replica(self, dc: int) -> ServerCluster:
+        cfg = self.cfg
+        return ServerCluster(
+            self.sim,
+            self.net,
+            self.stores[dc],
+            dc,
+            self.metrics,
+            n_nodes=cfg.nodes_per_dc,
+            batching=cfg.strategy is not Strategy.BCSRV_NOBATCH,
+            sync_period_ms=cfg.sync_period_ms,
+            rebalance_period_ms=cfg.rebalance_period_ms,
+            table=self.table,
+        )
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
-        cluster = self.clusters[dc]
+        cluster = self.replicas[dc]
         for _ in range(self.cfg.retry_limit):
             reply = Future(self.sim)
             deadline = self.sim.now + self.cfg.owner_timeout_ms
@@ -408,15 +393,6 @@ class ServerDriver(_BoundedDriver):
             self.net.send(dc, dc, lambda: fut.resolve(reply))
 
         return deliver
-
-    def crash_node(self, dc: int, node: int) -> None:
-        self.clusters[dc].crash_node(node)
-
-    def mark_failed(self, dc: int, node: int) -> None:
-        self.clusters[dc].mark_failed(node)
-
-    def recover_node(self, dc: int, node: int) -> None:
-        self.clusters[dc].recover_node(node)
 
 
 def make_driver(

@@ -14,10 +14,12 @@ witness, the requester's current view of how many rights the grantor has
 already sent it; the grantor ignores any request whose witness is behind its
 own record, so replayed requests grant nothing twice.
 
-Everything here except :func:`acquire` is a pure function of a counter
-state. ``acquire`` is the requester's side of on-demand acquisition, shared by
-both middlewares: a generator that runs the request/grant loop, with sending,
-waiting and merging granted states back in left to its callbacks.
+The policy functions are pure functions of a counter state. ``acquire`` is
+the requester's side of on-demand acquisition, shared by both middlewares: a
+generator that runs the request/grant loop, with sending, waiting and merging
+granted states back in left to its callbacks. :class:`Replica` is one DC's
+endpoint for these messages, the base of both middlewares: it sends requests,
+builds ``acquire``'s ask callback, and hops replies back to the requester.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Generator
 
-from .crdt import BoundedCounter
+from .crdt import BoundedCounter, StateTable
+from .sim.kernel import Future, Simulator
+from .sim.net import Network
+from .store import DCStore
 
 
 class TransferMode(Enum):
@@ -184,3 +189,64 @@ def acquire(
 def default_threshold(initial_slack: int, n: int) -> int:
     """Rebalance threshold: a tenth of an even per-replica share, at least 1."""
     return max(1, initial_slack // (10 * n))
+
+
+class Replica:
+    """One DC's bounded-counter replica: what both middlewares wire the same way.
+
+    It holds the run's kernel and network, this DC's store, the metrics, the
+    sync and rebalance periods, the run's state table, ``peers`` (every DC's
+    replica by dc id, set by wiring) and each registered key's rebalance
+    threshold. A subclass serves ``on_transfer_request(key, req, reply)``.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        net: Network,
+        store: DCStore,
+        dc: int,
+        metrics,
+        sync_period_ms: float,
+        rebalance_period_ms: float,
+        table: StateTable | None,
+    ):
+        self.sim = sim
+        self.net = net
+        self.store = store
+        self.dc = dc
+        self.metrics = metrics
+        self.sync_period_ms = sync_period_ms
+        self.rebalance_period_ms = rebalance_period_ms
+        self.table = StateTable() if table is None else table
+        self.peers: list[Replica] = []
+        self.thresholds: dict[str, int] = {}
+
+    def register(self, key: str, threshold: int) -> None:
+        self.thresholds[key] = threshold
+
+    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
+        """Send a transfer request built from ``view``. A SYNC request carries
+        ``reply``, the requester's callback for the grantor's answer."""
+        self.metrics.transfer_request(view.local_rights(req.grantor))
+        peer = self.peers[req.grantor]
+        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
+
+    def _ask(self, key: str):
+        """``acquire``'s ask for ``key``: send the request with a reply future
+        and wait on it for two round trips to the grantor."""
+
+        def ask(req: TransferRequest, view: BoundedCounter):
+            reply = Future(self.sim)
+            self._send_request(key, req, view, reply.resolve)
+            return reply, 2 * self.net.rtt(self.dc, req.grantor)
+
+        return ask
+
+    def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
+        """Hop ``resp`` back to the requester; an ASYNC request has no reply,
+        and its grant travels with the next state push."""
+        if reply is None:
+            return
+        self.metrics.transfer_response()
+        self.net.send(self.dc, req.requester, lambda: reply(resp))

@@ -184,6 +184,25 @@ def test_simulate_mistyped_field_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"intra_dc_ms": -1},
+        {"strategy": "bcsrv", "crash_detect_ms": -5,
+         "crashes": [{"dc": 0, "node": 1, "start_ms": 100, "end_ms": 200}]},
+        {"partitions": [{"groups": [[0], [1, 2]], "start_ms": -100, "end_ms": 200}]},
+    ],
+    ids=["intra", "crash-detect", "partition-start"],
+)
+def test_simulate_negative_time_exits_two_without_traceback(tmp_path, capsys, doc):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_unknown_field_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"warp_speed": 9}))

@@ -50,6 +50,17 @@ def test_defaults_validate():
         dict(strategy=Strategy.WEAK, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
         dict(strategy=Strategy.STRONG, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
         dict(strategy=Strategy.BCCLT, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
+        # no time may be negative: the kernel cannot wait a negative delay
+        dict(intra_dc_ms=-1.0),
+        dict(crash_detect_ms=-5.0, crashes=[CrashFault(0, 1, 1.0, 2.0)]),
+        dict(partitions=[PartitionFault(((0,), (1, 2)), -100.0, 2.0)]),
+        dict(run_until_depleted=True, max_duration_ms=-1.0),
+        dict(duration_ms=-1.0),
+        dict(warmup_ms=-1.0),
+        dict(post_depletion_ms=-1.0),
+        # a set rebalance threshold asks for at least one right
+        dict(rebalance_threshold=0),
+        dict(rebalance_threshold=-3),
     ],
 )
 def test_validation_rejects(kw):

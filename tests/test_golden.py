@@ -1,6 +1,10 @@
 """Golden CSV digests: the sha256 of the bench CSV for a fixed set of
 (scenario, strategy, seed). A refactor that means to keep behaviour keeps
 every digest; one that moves a digest changes its pin and says why next to it.
+
+To re-pin, print every config's current digest in ``GOLDEN`` order:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -11,6 +15,9 @@ from bcounter.sim.config import CounterSpec, CrashFault, PartitionFault, SimConf
 from bcounter.sim.harness import run
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.scenarios import expand
+
+
+OWNER_NODES = (Strategy.BCSRV, Strategy.BCSRV_NOBATCH)
 
 
 def single_counter(strategy):
@@ -26,8 +33,9 @@ def violation_count(strategy):
 
 
 def faults(strategy):
-    # weak has no owner nodes to crash; it runs under the partition alone
-    crashes = [] if strategy is Strategy.WEAK else [
+    # only the owner-node strategies have nodes to crash; the others run
+    # under the partition alone
+    crashes = [] if strategy not in OWNER_NODES else [
         CrashFault(dc=0, node=1, start_ms=2_000.0, end_ms=4_000.0)
     ]
     return SimConfig(
@@ -70,6 +78,10 @@ GOLDEN = {
         "b2800c6215d537bfa9e5a6dde44abc21fe6d48c77d87947f16d1cd8bee759761",
     ("faults", Strategy.WEAK):
         "82b07338318c214457539a3860e3d771448ebab2c4b2ced81301d61f674ec462",
+    ("faults", Strategy.STRONG):
+        "ddfd8c71e936d950e8554ee105e905ec2d3780e4894ba449183f37b8e2fc7c75",
+    ("faults", Strategy.BCCLT):
+        "e27fc5f674125b7c09a570eddee37a21d9cbdd8f24303bab2d366f2c03976b62",
     ("faults", Strategy.BCSRV):
         "d84c7c5c847ccf195213dbe268e37d911ddd1180c57bb4a323e254f14cdb491e",
     ("faults", Strategy.BCSRV_NOBATCH):
@@ -93,3 +105,8 @@ def digest(cfg: SimConfig) -> str:
 )
 def test_csv_digest_is_pinned(name, strategy):
     assert digest(CONFIGS[name](strategy)) == GOLDEN[(name, strategy)]
+
+
+if __name__ == "__main__":
+    for name, strategy in GOLDEN:
+        print(f"{name} {strategy.value} {digest(CONFIGS[name](strategy))}")

@@ -59,9 +59,9 @@ def test_depletion_requires_all_counters():
 
 def test_requests_to_exhausted_tracks_visible_rights():
     m = Metrics("bcsrv", 2, bucket_ms=1000.0)
-    m.transfer_request(1.0, 0, 1, "sync", target_visible=5)
+    m.transfer_request(target_visible=5)
     assert m.counts["requests_to_exhausted"] == 0
-    m.transfer_request(2.0, 0, 1, "sync", target_visible=0)
+    m.transfer_request(target_visible=0)
     assert m.counts["requests_to_exhausted"] == 1
 
 

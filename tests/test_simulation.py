@@ -16,11 +16,10 @@ from bcounter.sim.config import (
     SimConfig,
     Strategy,
 )
-from bcounter.middleware_client import ClientMiddleware
-from bcounter.middleware_server import Node
 from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.strategies import TallyCounter
+from bcounter.transfer import Replica
 
 BOUNDED = [Strategy.BCCLT, Strategy.BCSRV, Strategy.BCSRV_NOBATCH, Strategy.STRONG]
 
@@ -150,8 +149,7 @@ def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch
 
         return send_request
 
-    for cls in (ClientMiddleware, Node):
-        monkeypatch.setattr(cls, "_send_request", timed(cls._send_request))
+    monkeypatch.setattr(Replica, "_send_request", timed(Replica._send_request))
     cfg = small(strategy, clients_per_dc=4, inc_fraction=0.2, think_ms=20.0,
                 write_ms=[250.0, 5.0, 5.0],
                 counters=[CounterSpec("k", bound=0, initial=60)])

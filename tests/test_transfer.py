@@ -1,11 +1,17 @@
-"""Transfer policy: grant rules, witness dedup, rebalance and candidate ranking."""
+"""Transfer policy: grant rules, witness dedup, rebalance and candidate
+ranking; and a grantor's reply paths, the same in both middlewares."""
 
 import random
 
 import pytest
 
 from bcounter import BoundedCounter, Polarity
-from bcounter.sim.kernel import TIMEOUT
+from bcounter.middleware_client import ClientMiddleware
+from bcounter.middleware_server import ServerCluster
+from bcounter.sim.kernel import TIMEOUT, Simulator
+from bcounter.sim.metrics import Metrics
+from bcounter.sim.net import Network
+from bcounter.store import Consistency, DCStore
 from bcounter.transfer import (
     TransferMode,
     TransferRequest,
@@ -309,3 +315,70 @@ def test_rights_elsewhere_needs_one_other_replica_covering_the_deficit():
 )
 def test_default_threshold(slack, n, expected):
     assert default_threshold(slack, n) == expected
+
+
+# -- a grantor's replies, in both middlewares ------------------------------
+
+DESIGNS = {
+    "client": lambda sim, net, store, dc, metrics: ClientMiddleware(
+        sim, net, store, dc, 2, metrics
+    ),
+    "server": lambda sim, net, store, dc, metrics: ServerCluster(sim, net, store, dc, metrics),
+}
+
+FULL = BoundedCounter.new(Polarity.LOWER, 0, 2, 0, 12)  # DC 0 holds all 12 rights
+
+
+def grantor(design, state):
+    """DC 0 of two replicas of ``design``, both seeded with ``state``. Their
+    background loops are not started, so only the request under test runs."""
+    sim = Simulator()
+    net = Network(sim, 2, {(0, 1): 80.0}, intra_ms=0.2, jitter_frac=0.0,
+                  rng=random.Random(0))
+    stores = [DCStore(sim, dc, read_ms=0.5, write_ms=1.0) for dc in range(2)]
+    metrics = Metrics("bcclt", 2, bucket_ms=1000.0)
+    replicas = [DESIGNS[design](sim, net, stores[dc], dc, metrics) for dc in range(2)]
+    for replica in replicas:
+        replica.peers = replicas
+        replica.register("k", 1)
+        stores[replica.dc].seed("k", state.encode(), Consistency.STRONG)
+    return sim, net, stores[0], metrics, replicas[0]
+
+
+@pytest.mark.parametrize("design", list(DESIGNS))
+@pytest.mark.parametrize(
+    "state,req,status",
+    [
+        # DC 0 already sent every right it had to DC 1: nothing to give
+        (FULL.transfer(0, 1, 12), make_request(FULL.transfer(0, 1, 12), 0, 1, 5,
+                                               TransferMode.SYNC), TransferStatus.DENIED),
+        # the witness is behind DC 0's record of rights sent to DC 1
+        (FULL.transfer(0, 1, 3), TransferRequest(0, 1, 5, 0, TransferMode.SYNC),
+         TransferStatus.IGNORED),
+    ],
+    ids=["denied", "ignored"],
+)
+def test_refused_sync_request_is_answered_once_without_a_write(design, state, req, status):
+    sim, net, store, metrics, replica = grantor(design, state)
+    answers = []
+    replica.on_transfer_request("k", req, answers.append)
+    sim.run()
+    assert [resp.status for resp in answers] == [status]
+    assert answers[0].granted == 0 and answers[0].state is None
+    assert store.cond_writes == 0
+    assert store.peek("k").siblings == (state.encode(),)
+    assert metrics.counts["transfer_responses"] == 1
+    assert net.sent == 1  # the reply hop
+
+
+@pytest.mark.parametrize("design", list(DESIGNS))
+def test_async_grant_sends_no_reply_but_becomes_durable(design):
+    sim, net, store, metrics, replica = grantor(design, FULL)
+    req = make_request(FULL, 0, 1, 4, TransferMode.ASYNC)
+    replica.on_transfer_request("k", req, None)
+    sim.run()
+    assert metrics.counts["transfer_responses"] == 0
+    assert net.sent == 0
+    assert store.cond_writes == 1
+    durable = BoundedCounter.decode(store.peek("k").siblings[0])
+    assert durable == FULL.transfer(0, 1, 4)
