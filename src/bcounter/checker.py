@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import ge
 
-from .crdt import BoundedCounter, NotEnoughRights, Polarity
+from .crdt import INT64_MAX, INT64_MIN, BoundedCounter, NotEnoughRights, Polarity
 
 Action = tuple
 # ("inc", i, d) | ("dec", i, d) | ("transfer", i, j, a) | ("merge", i, j)
@@ -86,6 +86,16 @@ class ExploreSpec:
             raise ValueError("deltas must be positive")
         if not self.transfer_amounts or any(a < 1 for a in self.transfer_amounts):
             raise ValueError("transfer amounts must be positive")
+        # every value, right and use the updates can reach lies in [lo, hi]
+        reach = self.n * (self.incs + self.decs) * max(self.deltas)
+        lo = min(self.bound, self.initial) - reach
+        hi = max(self.bound, self.initial) + reach
+        if lo < INT64_MIN or hi > INT64_MAX or hi - lo > INT64_MAX:
+            raise ValueError("bound, initial and the updates must stay in 64-bit signed range")
+        if self.polarity is Polarity.LOWER and self.initial < self.bound:
+            raise ValueError(f"initial {self.initial} below lower bound {self.bound}")
+        if self.polarity is Polarity.UPPER and self.initial > self.bound:
+            raise ValueError(f"initial {self.initial} above upper bound {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -101,43 +111,63 @@ class Trace:
     state_hash: str
 
     def to_json(self) -> str:
-        doc = {
-            "spec": {
-                **{
-                    k: getattr(self.spec, k)
-                    for k in (
-                        "n",
-                        "bound",
-                        "initial",
-                        "incs",
-                        "decs",
-                        "transfers",
-                        "max_merges",
-                        "max_updates",
-                        "max_depth",
-                        "unchecked_decrement",
-                        "max_states",
-                    )
-                },
-                "polarity": self.spec.polarity.value,
-                "deltas": list(self.spec.deltas),
-                "transfer_amounts": list(self.spec.transfer_amounts),
-            },
-            "steps": [list(s) for s in self.steps],
-            "state_hash": self.state_hash,
-        }
+        spec = {k: getattr(self.spec, k) for k in _SPEC_CHECKS}
+        spec["polarity"] = self.spec.polarity.value
+        spec["deltas"] = list(self.spec.deltas)
+        spec["transfer_amounts"] = list(self.spec.transfer_amounts)
+        doc = {"spec": spec, "steps": [list(s) for s in self.steps], "state_hash": self.state_hash}
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
+        """Strict inverse of ``to_json``: any other shape raises ValueError."""
         doc = json.loads(text)
-        raw = dict(doc["spec"])
+        if type(doc) is not dict or sorted(doc) != ["spec", "state_hash", "steps"]:
+            raise ValueError("a trace has exactly the keys spec, steps and state_hash")
+        raw, steps = doc["spec"], doc["steps"]
+        if type(raw) is not dict or sorted(raw) != sorted(_SPEC_CHECKS):
+            raise ValueError(f"a trace spec has exactly the keys {', '.join(_SPEC_CHECKS)}")
+        for k, v in raw.items():
+            if not _SPEC_CHECKS[k](v):
+                raise ValueError(f"spec {k} cannot be {v!r}")
+        if type(steps) is not list or not all(
+            type(s) is list and all(type(x) in (int, str) for x in s) for s in steps
+        ):
+            raise ValueError("steps must be a list of lists of names and integers")
+        if type(doc["state_hash"]) is not str:
+            raise ValueError("state_hash must be a string")
         raw["polarity"] = Polarity(raw["polarity"])
         raw["deltas"] = tuple(raw["deltas"])
         raw["transfer_amounts"] = tuple(raw["transfer_amounts"])
-        spec = ExploreSpec(**raw)
-        steps = tuple(tuple(s) for s in doc["steps"])
-        return cls(spec, steps, doc["state_hash"])
+        return cls(ExploreSpec(**raw), tuple(tuple(s) for s in steps), doc["state_hash"])
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_ints(v) -> bool:
+    return type(v) is list and all(type(x) is int for x in v)
+
+
+# The trace spec's keys in their written order, each with the check its JSON
+# value must pass.
+_SPEC_CHECKS = {
+    "n": _is_int,
+    "bound": _is_int,
+    "initial": _is_int,
+    "incs": _is_int,
+    "decs": _is_int,
+    "transfers": _is_int,
+    "max_merges": _is_int,
+    "max_updates": lambda v: v is None or type(v) is int,
+    "max_depth": lambda v: v is None or type(v) is int,
+    "unchecked_decrement": lambda v: type(v) is bool,
+    "max_states": _is_int,
+    "polarity": lambda v: v in ("lower", "upper"),
+    "deltas": _is_ints,
+    "transfer_amounts": _is_ints,
+}
 
 
 @dataclass(frozen=True)

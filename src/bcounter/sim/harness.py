@@ -37,15 +37,6 @@ PROBE_CAP_PERIODS = 40  # convergence probe budget, in sync periods
 CHUNK_MS = 50.0  # stepping granularity for phase checks
 
 
-def store_totals(stores: list[DCStore]) -> dict[str, int]:
-    return {
-        "store_reads": sum(s.reads for s in stores),
-        "store_weak_puts": sum(s.weak_puts for s in stores),
-        "store_cond_writes": sum(s.cond_writes for s in stores),
-        "store_conflicts": sum(s.conflicts for s in stores),
-    }
-
-
 class Run:
     """One configured simulation, stepped to completion by run()."""
 
@@ -68,7 +59,7 @@ class Run:
         self.metrics = Metrics(
             cfg.strategy.value,
             cfg.n_dcs,
-            cfg.bucket_ms,
+            self.stores,
             warmup_ms=cfg.warmup_ms,
             record_ops=cfg.record_ops,
         )
@@ -96,9 +87,9 @@ class Run:
                 self._client_procs.append(self.sim.spawn(self._client(dc, idx, rng)))
         self.sim.spawn(self._bucket_closer())
         if cfg.warmup_ms > 0:
-            self.sim.schedule(
-                cfg.warmup_ms, lambda: self.metrics.mark_warmup(store_totals(self.stores))
-            )
+            # a lambda, not the bound method: a traced run attributes each
+            # scheduled callback to the module that defines it
+            self.sim.schedule(cfg.warmup_ms, lambda: self.metrics.mark_warmup())
 
     def _partition_fault(self, fault: PartitionFault):
         yield fault.start_ms
@@ -139,7 +130,7 @@ class Run:
         while True:
             yield self.cfg.bucket_ms
             self._last_bucket_t = self.sim.now
-            self.metrics.close_bucket(self.sim.now, store_totals(self.stores))
+            self.metrics.close_bucket(self.sim.now)
 
     # -- phase control --------------------------------------------------------
 
@@ -169,8 +160,8 @@ class Run:
             self.sim.run(until=self.sim.now + cfg.sync_period_ms)
             periods += 1
         if self.sim.now > self._last_bucket_t:
-            self.metrics.close_bucket(self.sim.now, store_totals(self.stores))
-        report = self.metrics.finalize(self.sim.now, store_totals(self.stores))
+            self.metrics.close_bucket(self.sim.now)
+        report = self.metrics.finalize(self.sim.now)
         report.convergence_sync_periods = periods
         values = self.driver.converged_values()
         report.converged_values = values

@@ -1,5 +1,9 @@
 """Run instrumentation: counters, latency percentiles, CSV rows, final report.
 
+``Metrics`` is the run's one ledger. It keeps the protocol counters, sums the
+stores' own counters, and derives the bucket rows, the ``Report`` and the
+summary lines from those totals.
+
 A global observer is fed every successful operation the moment it is
 acknowledged, and tracks each counter's true global value. It exchanges no
 messages with the system under test; it exists to count invariant violations
@@ -11,7 +15,7 @@ Aggregates split at a warmup boundary: totals cover the whole run, while the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 CSV_COLUMNS = [
     "time_s",
@@ -34,7 +38,42 @@ CSV_COLUMNS = [
 ]
 CSV_VERSION = 1
 
-_STORE_KEYS = ("store_reads", "store_weak_puts", "store_cond_writes", "store_conflicts")
+# The run's counters, each named once: ``Metrics.counts`` holds them, every
+# one is a ``Report`` field, and a bucket row is their per-bucket delta.
+COUNTERS = (
+    "attempted",
+    "ok",
+    "failed",
+    "retry",
+    "op_writes",
+    "sync_msgs",
+    "transfer_requests",
+    "transfer_responses",
+    "requests_to_exhausted",
+    "sync_ops",
+    "violations",
+)
+# DCStore counters, summed over the run's stores as ``store_<name>``.
+STORE_COUNTERS = ("reads", "weak_puts", "cond_writes", "conflicts")
+
+# The ``# final:`` summary line, in order; ``values=`` follows.
+FINAL_FIELDS = (
+    "attempted",
+    "ok",
+    "failed",
+    "retry",
+    "violations",
+    "op_writes",
+    "store_cond_writes",
+    "store_conflicts",
+    "sync_ops",
+    "transfer_requests",
+    "throughput_ok_per_s",
+    "p50_ms",
+    "p99_ms",
+    "depletion_time_ms",
+    "converged",
+)
 
 
 def percentile(samples: list[float], p: float) -> float | None:
@@ -90,7 +129,6 @@ class Report:
     measured_ok: int = 0
     measured_cond_writes: int = 0
     measured_conflicts: int = 0
-    measured_window_ms: float = 0.0
     throughput_ok_per_s: float = 0.0
     p50_ms: float | None = None
     p99_ms: float | None = None
@@ -144,32 +182,22 @@ class _Observer:
 
 
 class Metrics:
+    """The run's ledger: every counter, the stores' totals, the bucket rows."""
+
     def __init__(
         self,
         strategy: str,
         n_dcs: int,
-        bucket_ms: float,
+        stores=(),
         warmup_ms: float = 0.0,
         record_ops: bool = False,
     ):
         self.strategy = strategy
         self.n_dcs = n_dcs
-        self.bucket_ms = bucket_ms
+        self.stores = stores
         self.warmup_ms = warmup_ms
         self.record_ops = record_ops
-        self.counts = {
-            "attempted": 0,
-            "ok": 0,
-            "failed": 0,
-            "retry": 0,
-            "op_writes": 0,
-            "sync_msgs": 0,
-            "transfer_requests": 0,
-            "transfer_responses": 0,
-            "requests_to_exhausted": 0,
-            "sync_ops": 0,
-            "violations": 0,
-        }
+        self.counts = dict.fromkeys(COUNTERS, 0)
         self._observers: dict[str, _Observer] = {}
         self.depletion_time_ms: float | None = None
         self._bucket_latencies: list[float] = []
@@ -250,75 +278,52 @@ class Metrics:
 
     # -- aggregation boundaries -------------------------------------------------
 
-    def mark_warmup(self, store_totals: dict[str, int]) -> None:
-        self._warmup_base = dict(self.counts)
-        for k in _STORE_KEYS:
-            self._warmup_base[k] = store_totals.get(k, 0)
+    def totals(self) -> dict[str, int]:
+        """Every counter and every summed ``store_*`` count, as of now."""
+        totals = dict(self.counts)
+        for name in STORE_COUNTERS:
+            totals[f"store_{name}"] = sum(getattr(s, name) for s in self.stores)
+        return totals
 
-    def close_bucket(self, t: float, store_totals: dict[str, int]) -> None:
-        current = dict(self.counts)
-        for k in _STORE_KEYS:
-            current[k] = store_totals.get(k, 0)
+    def mark_warmup(self) -> None:
+        self._warmup_base = self.totals()
+
+    def close_bucket(self, t: float) -> None:
+        current = self.totals()
         prev = self._last_snapshot
-        delta = {k: current[k] - prev.get(k, 0) for k in current}
+        row = {k: v - prev.get(k, 0) for k, v in current.items()}
         self._last_snapshot = current
-        p50 = percentile(self._bucket_latencies, 50)
-        p99 = percentile(self._bucket_latencies, 99)
+        row["transfer_msgs"] = row["transfer_requests"] + row["transfer_responses"]
+        row["time_s"] = t / 1000.0
+        row["strategy"] = self.strategy
+        row["p50_ms"] = percentile(self._bucket_latencies, 50)
+        row["p99_ms"] = percentile(self._bucket_latencies, 99)
         self._bucket_latencies = []
-        self.rows.append(
-            {
-                "time_s": t / 1000.0,
-                "strategy": self.strategy,
-                "attempted": delta["attempted"],
-                "ok": delta["ok"],
-                "failed": delta["failed"],
-                "retry": delta["retry"],
-                "p50_ms": p50,
-                "p99_ms": p99,
-                "op_writes": delta["op_writes"],
-                "store_reads": delta["store_reads"],
-                "store_weak_puts": delta["store_weak_puts"],
-                "store_cond_writes": delta["store_cond_writes"],
-                "store_conflicts": delta["store_conflicts"],
-                "sync_msgs": delta["sync_msgs"],
-                "transfer_msgs": delta["transfer_requests"] + delta["transfer_responses"],
-                "sync_ops": delta["sync_ops"],
-                "violations": delta["violations"],
-            }
-        )
+        self.rows.append(row)
 
-    def finalize(self, duration_ms: float, store_totals: dict[str, int]) -> Report:
-        all_lat = [x for dc in range(self.n_dcs) for x in self._dc_latencies[dc]]
+    def finalize(self, duration_ms: float) -> Report:
+        totals = self.totals()
         base = self._warmup_base or {}
-        window = duration_ms - self.warmup_ms if self._warmup_base else duration_ms
-        report = Report(strategy=self.strategy, duration_ms=duration_ms)
-        for k, v in self.counts.items():
-            if hasattr(report, k):
-                setattr(report, k, v)
-        for k in _STORE_KEYS:
-            setattr(report, k, store_totals.get(k, 0))
-        report.measured_ok = self._measured_ok
-        report.measured_cond_writes = store_totals.get("store_cond_writes", 0) - base.get(
-            "store_cond_writes", 0
-        )
-        report.measured_conflicts = store_totals.get("store_conflicts", 0) - base.get(
-            "store_conflicts", 0
-        )
-        report.measured_window_ms = max(window, 0.0)
-        if report.measured_window_ms > 0:
-            report.throughput_ok_per_s = report.measured_ok / (report.measured_window_ms / 1000)
-        report.p50_ms = percentile(all_lat, 50)
-        report.p99_ms = percentile(all_lat, 99)
-        for dc in range(self.n_dcs):
-            stats = self._dc_counts[dc]
+        window = max(duration_ms - self.warmup_ms if base else duration_ms, 0.0)
+        all_lat = [x for dc in range(self.n_dcs) for x in self._dc_latencies[dc]]
+        for dc, stats in self._dc_counts.items():
             stats.p50_ms = percentile(self._dc_latencies[dc], 50)
             stats.p99_ms = percentile(self._dc_latencies[dc], 99)
-            report.per_dc[dc] = stats
-        report.observer_values = self.observer_values()
-        report.depletion_time_ms = self.depletion_time_ms
-        if self.record_ops:
-            report.op_log = self.op_log
-        return report
+        return Report(
+            strategy=self.strategy,
+            duration_ms=duration_ms,
+            **totals,
+            measured_ok=self._measured_ok,
+            measured_cond_writes=totals["store_cond_writes"] - base.get("store_cond_writes", 0),
+            measured_conflicts=totals["store_conflicts"] - base.get("store_conflicts", 0),
+            throughput_ok_per_s=self._measured_ok / (window / 1000) if window > 0 else 0.0,
+            p50_ms=percentile(all_lat, 50),
+            p99_ms=percentile(all_lat, 99),
+            per_dc=dict(self._dc_counts),
+            observer_values=self.observer_values(),
+            depletion_time_ms=self.depletion_time_ms,
+            op_log=self.op_log if self.record_ops else None,
+        )
 
 
 def _cell(value) -> str:
@@ -338,34 +343,10 @@ def csv_lines(config_desc: str, metrics: Metrics, report: Report) -> list[str]:
     ]
     for row in metrics.rows:
         lines.append(",".join(_cell(row[c]) for c in CSV_COLUMNS))
-    lines.append(
-        "# final: "
-        + " ".join(
-            [
-                f"attempted={report.attempted}",
-                f"ok={report.ok}",
-                f"failed={report.failed}",
-                f"retry={report.retry}",
-                f"violations={report.violations}",
-                f"op_writes={report.op_writes}",
-                f"store_cond_writes={report.store_cond_writes}",
-                f"store_conflicts={report.store_conflicts}",
-                f"sync_ops={report.sync_ops}",
-                f"transfer_requests={report.transfer_requests}",
-                f"throughput_ok_per_s={report.throughput_ok_per_s:.3f}",
-                f"p50_ms={_cell(report.p50_ms)}",
-                f"p99_ms={_cell(report.p99_ms)}",
-                f"depletion_time_ms={_cell(report.depletion_time_ms)}",
-                f"converged={report.converged}",
-                "values="
-                + ";".join(f"{k}:{v}" for k, v in sorted(report.observer_values.items())),
-            ]
-        )
-    )
-    for dc in sorted(report.per_dc):
-        s = report.per_dc[dc]
-        lines.append(
-            f"# dc{dc}: attempted={s.attempted} ok={s.ok} failed={s.failed} "
-            f"retry={s.retry} p50_ms={_cell(s.p50_ms)} p99_ms={_cell(s.p99_ms)}"
-        )
+    final = " ".join(f"{k}={_cell(getattr(report, k))}" for k in FINAL_FIELDS)
+    values = ";".join(f"{k}:{v}" for k, v in sorted(report.observer_values.items()))
+    lines.append(f"# final: {final} values={values}")
+    for dc, stats in sorted(report.per_dc.items()):
+        cells = " ".join(f"{f.name}={_cell(getattr(stats, f.name))}" for f in fields(DcStats))
+        lines.append(f"# dc{dc}: {cells}")
     return lines

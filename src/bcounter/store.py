@@ -19,10 +19,10 @@ Behavior is linearizable per key within one DC: effects land atomically when
 the operation's service latency elapses, so of two in-flight conditional
 writes racing from the same version, exactly the first to complete wins.
 
-Writes may carry an ``aborter`` process: if that process has died by the time
-the write would land, the write is discarded. This models a node crashing
-with the request still in its send buffer, and keeps "acknowledged" and
-"durable" the same thing for crashed middleware nodes.
+Conditional writes may carry an ``aborter`` process: if that process has
+died by the time the write would land, the write is discarded. This models an
+owner node crashing with the request still in its send buffer, and keeps
+"acknowledged" and "durable" the same thing for crashed middleware nodes.
 """
 
 from __future__ import annotations
@@ -95,13 +95,7 @@ class DCStore:
         self.sim.schedule(self.read_ms, complete)
         return f
 
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        context: int | None = None,
-        aborter: Process | None = None,
-    ) -> Future:
+    def put(self, key: str, data: bytes, context: int | None = None) -> Future:
         """Weak put; resolves to the new version token.
 
         ``context`` is the version the caller read before computing ``data``;
@@ -116,8 +110,6 @@ class DCStore:
         f = Future(self.sim)
 
         def complete():
-            if aborter is not None and not aborter.alive:
-                return
             entry = self._entries.setdefault(key, _Entry(Consistency.WEAK))
             if entry.mode is not Consistency.WEAK:
                 raise WrongMode(f"weak put on strong key {key!r}")

@@ -30,6 +30,14 @@ def test_check_bad_usage_exits_two(capsys):
     assert main(["check", "--replicas", "0"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+    # malformed specs: a one-line error, never a traceback or exit 1
+    for flags in (["--initial", "-1"],
+                  ["--polarity", "upper", "--initial", "3"],
+                  ["--bound", "99999999999999999999"]):
+        assert main(["check", "--replicas", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_negative_cap_exits_two(capsys):
@@ -74,16 +82,40 @@ def test_check_trace_roundtrip_through_replay(tmp_path, capsys):
     assert main(["replay", str(bad)]) == 1
 
 
-def test_replay_rejects_edited_spec(tmp_path, capsys):
+def _set_spec(key, value):
+    def edit(doc):
+        doc["spec"][key] = value
+        return doc
+
+    return edit
+
+
+def _set_steps(doc):
+    doc["steps"] = [1, 2]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit,needle",
+    [
+        (_set_spec("max_updates", -1), "max_updates"),
+        (_set_spec("foo", 1), "exactly the keys"),
+        (_set_spec("n", "3"), "spec n"),
+        (_set_steps, "steps"),
+        (lambda doc: [1], "exactly the keys"),
+    ],
+    ids=["negative-cap", "extra-key", "string-n", "flat-steps", "not-an-object"],
+)
+def test_replay_rejects_edited_spec(tmp_path, capsys, edit, needle):
     trace = tmp_path / "probe.json"
     assert main(["check", "--replicas", "2", "--initial", "3", "--decs", "1",
                  "--trace-out", str(trace)]) == 0
-    doc = json.loads(trace.read_text())
-    doc["spec"]["max_updates"] = -1
-    trace.write_text(json.dumps(doc))
+    trace.write_text(json.dumps(edit(json.loads(trace.read_text()))))
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 2
-    assert "max_updates" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_replay_unreadable_exits_two(tmp_path):
