@@ -3,10 +3,11 @@
 One instance serves one data center. Counters live in that DC's store as
 strong keys holding the canonical counter encoding, one sibling each; every
 update is a read, a CRDT update applied at this DC's replica id, and a
-conditional write, retried on conflict. Reads decode and updates step
-through a ``StateTable`` shared by every middleware of a run: clients that
-read the same stored bytes share one decoded state and one computed next
-state, and a blob that is read is sent on as it is, never re-encoded.
+conditional write, retried on conflict, each one store round trip, hops
+included. Reads decode and updates step through a ``StateTable`` shared by
+every middleware of a run: clients that read the same stored bytes share one
+decoded state and one computed next state, and a blob that is read is sent
+on as it is, never re-encoded.
 
 Cross-DC replication is a periodic push of locally modified counters to
 every other DC, merged in at the receiver through the same conditional-write
@@ -74,26 +75,18 @@ class ClientMiddleware(Replica):
     def _fetch(self, key: str):
         """Read the locally stored counter: (state, version, blob), or None.
         A strong key holds exactly one sibling, decoded through the table."""
-        yield self.net.intra_delay()
-        rec = yield self.store.get(key)
-        yield self.net.intra_delay()
+        rec = yield from self.store.get(key)
         if rec is None:
             return None
         blob = rec.siblings[0]
         return self.table.decode(blob), rec.version, blob
-
-    def _cond_write(self, key: str, blob: bytes, expected):
-        yield self.net.intra_delay()
-        res = yield self.store.put_conditional(key, blob, expected)
-        yield self.net.intra_delay()
-        return res
 
     # -- counter operations ------------------------------------------------------
 
     def create(self, key: str, polarity: Polarity, bound: int, initial: int | None = None):
         """Install a fresh counter; fails if the key already exists."""
         state = BoundedCounter.new(polarity, bound, self.n_dcs, self.dc, initial)
-        res = yield from self._cond_write(key, state.encode(), ABSENT)
+        res = yield from self.store.put_conditional(key, state.encode(), ABSENT)
         if res is CONFLICT:
             return "exists"
         self._dirty.add(key)
@@ -125,7 +118,7 @@ class ClientMiddleware(Replica):
                     return "failed", "rights", used_sync
                 continue  # fresh read sees the merged-in rights
             self.metrics.op_write()
-            res = yield from self._cond_write(key, new_blob, version)
+            res = yield from self.store.put_conditional(key, new_blob, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -164,7 +157,7 @@ class ClientMiddleware(Replica):
                 return
             # a SYNC grant already carries the encoded new state
             blob = resp.state if resp.state is not None else new_state.encode()
-            res = yield from self._cond_write(key, blob, version)
+            res = yield from self.store.put_conditional(key, blob, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -207,7 +200,7 @@ class ClientMiddleware(Replica):
             merged = state.merge(incoming)
             if merged == state:
                 return True
-            res = yield from self._cond_write(key, merged.encode(), version)
+            res = yield from self.store.put_conditional(key, merged.encode(), version)
             if res is not CONFLICT:
                 return True
         return False  # the next sync tick delivers it again

@@ -17,8 +17,9 @@ ride the next write, so a busy owner writes batches, not single updates.
 A conflicted write means another owner wrote first (an epoch race): the whole
 working copy is discarded since none of it is durable, every affected client
 is told to retry, and the cache is refreshed from the store. A crashed owner
-loses its cache and its in-flight write; the durable base in the store is
-what the next owner starts from, and unacknowledged clients time out.
+loses its cache and any write not yet landed, as its processes never resume;
+the durable base in the store is what the next owner starts from, and
+unacknowledged clients time out.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
 owner pulls rights with ``transfer.acquire``, the loop the client library
@@ -180,7 +181,6 @@ class Node:
         self.dead = False
         self.pipelines: dict[str, _Pipeline] = {}
         self._procs: list[Process] = []
-        self._writer_proc: dict[str, Process] = {}
 
     def spawn(self, gen) -> Process:
         p = self.sim.spawn(gen)
@@ -241,9 +241,7 @@ class Node:
             self._admit_transfer(p, *payload)
 
     def _load(self, p: _Pipeline):
-        yield self.net.intra_delay()
-        rec = yield self.store.get(p.key)
-        yield self.net.intra_delay()
+        rec = yield from self.store.get(p.key)
         if rec is None:
             p.state = _Pipeline.COLD
             for tag, payload in p.arrivals:
@@ -319,7 +317,7 @@ class Node:
         p.batch.append(waiter)
         if not p.writer_running:
             p.writer_running = True
-            self._writer_proc[p.key] = self.spawn(self._write_loop(p))
+            self.spawn(self._write_loop(p))
 
     def _write_loop(self, p: _Pipeline):
         """The pipeline's only writer: one conditional write in flight at a
@@ -331,11 +329,7 @@ class Node:
             snapshot = p.working
             if any(w.counts_as_op for w in waiters):
                 self.metrics.op_write()
-            yield self.net.intra_delay()
-            res = yield self.store.put_conditional(
-                p.key, snapshot.encode(), p.base_version, aborter=self._writer_proc[p.key]
-            )
-            yield self.net.intra_delay()
+            res = yield from self.store.put_conditional(p.key, snapshot.encode(), p.base_version)
             if res is CONFLICT:
                 # nothing in the working copy is durable; drop all of it
                 for w in waiters:

@@ -53,7 +53,7 @@ class Run:
             rng=random.Random(f"{cfg.seed}:net"),
         )
         self.stores = [
-            DCStore(self.sim, dc, read_ms=cfg.read_ms, write_ms=cfg.write_ms_at(dc))
+            DCStore(dc, cfg.read_ms, cfg.write_ms_at(dc), self.net.intra_delay)
             for dc in range(cfg.n_dcs)
         ]
         self.metrics = Metrics(

@@ -169,9 +169,7 @@ class WeakDriver(Driver):
             self.sim.spawn(self._sync_loop(dc))
 
     def _read_merged(self, dc: int, key: str):
-        yield self.net.intra_delay()
-        rec = yield self.stores[dc].get(key)
-        yield self.net.intra_delay()
+        rec = yield from self.stores[dc].get(key)
         if rec is None:
             return None
         return self._fold(dc, key, rec.siblings), rec.version
@@ -203,9 +201,7 @@ class WeakDriver(Driver):
         if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
         new_tally = tally.apply(actor, kind, delta)
-        yield self.net.intra_delay()
-        yield self.stores[dc].put(key, new_tally.encode(), context=version)
-        yield self.net.intra_delay()
+        yield from self.stores[dc].put(key, new_tally.encode(), context=version)
         return "ok", "ok", False
 
     def _sync_loop(self, dc: int):
@@ -232,9 +228,7 @@ class WeakDriver(Driver):
         merged = tally.merge(incoming)
         if merged == tally:
             return
-        yield self.net.intra_delay()
-        yield self.stores[dc].put(key, merged.encode(), context=version)
-        yield self.net.intra_delay()
+        yield from self.stores[dc].put(key, merged.encode(), context=version)
 
 
 class StrongDriver(Driver):
@@ -259,18 +253,14 @@ class StrongDriver(Driver):
         store = self.stores[self.HOME]
         spec = self.specs[key]
         for _ in range(self.cfg.retry_limit):
-            yield self.net.intra_delay()
-            rec = yield store.get(key)
-            yield self.net.intra_delay()
+            rec = yield from store.get(key)
             if rec is None:
                 return "failed", "notfound", False
             value = int(rec.siblings[0])
             if _would_violate(spec, value, kind, delta):
                 return "failed", "bound", False
             new_value = value + delta if kind == "inc" else value - delta
-            yield self.net.intra_delay()
-            res = yield store.put_conditional(key, str(new_value).encode(), rec.version)
-            yield self.net.intra_delay()
+            res = yield from store.put_conditional(key, str(new_value).encode(), rec.version)
             if res is not CONFLICT:
                 return "ok", "ok", False
         return "failed", "retries", False

@@ -19,18 +19,22 @@ Behavior is linearizable per key within one DC: effects land atomically when
 the operation's service latency elapses, so of two in-flight conditional
 writes racing from the same version, exactly the first to complete wins.
 
-Conditional writes may carry an ``aborter`` process: if that process has
-died by the time the write would land, the write is discarded. This models an
-owner node crashing with the request still in its send buffer, and keeps
-"acknowledged" and "durable" the same thing for crashed middleware nodes.
+The store sits one intra-DC hop from its callers. An operation is its
+caller's whole round trip, run as ``rec = yield from store.get(key)``: one
+hop out, the service time, the effect, one hop back. An op is counted when
+issued, a conflict when it lands. The effect runs inside the caller's
+process, so a caller killed before it (a crashed owner node) is never
+resumed and its op never lands. That keeps "acknowledged" and "durable" the
+same thing for crashed middleware nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .sim.kernel import Future, Process, Sentinel, Simulator
+from .sim.kernel import Sentinel
 
 
 class Consistency(Enum):
@@ -65,13 +69,15 @@ class _Entry:
 
 
 class DCStore:
-    """One DC's store; all effects land via the simulator's event loop."""
+    """One DC's store, ``hop()`` ms from its callers. ``get``, ``put`` and
+    ``put_conditional`` check modes and count when called, and return the
+    round trip for the caller to ``yield from``."""
 
-    def __init__(self, sim: Simulator, dc: int, read_ms: float = 1.0, write_ms: float = 5.0):
-        self.sim = sim
+    def __init__(self, dc: int, read_ms: float, write_ms: float, hop: Callable[[], float]):
         self.dc = dc
         self.read_ms = read_ms
         self.write_ms = write_ms
+        self.hop = hop
         self._entries: dict[str, _Entry] = {}
         self.reads = 0
         self.weak_puts = 0
@@ -80,23 +86,20 @@ class DCStore:
 
     # -- modeled API -----------------------------------------------------------
 
-    def get(self, key: str) -> Future:
-        """Resolves to a VersionedRecord, or None when the key is absent."""
+    def get(self, key: str):
+        """Round trip to a VersionedRecord, or None when the key is absent."""
         self.reads += 1
-        f = Future(self.sim)
 
         def complete():
             e = self._entries.get(key)
             if e is None or e.version == 0:
-                f.resolve(None)
-            else:
-                f.resolve(VersionedRecord(key, e.siblings, e.version, e.mode))
+                return None
+            return VersionedRecord(key, e.siblings, e.version, e.mode)
 
-        self.sim.schedule(self.read_ms, complete)
-        return f
+        return self._round_trip(self.read_ms, complete)
 
-    def put(self, key: str, data: bytes, context: int | None = None) -> Future:
-        """Weak put; resolves to the new version token.
+    def put(self, key: str, data: bytes, context: int | None = None):
+        """Weak put; round trip to the new version token.
 
         ``context`` is the version the caller read before computing ``data``;
         the put replaces every sibling that existed by that version and lands
@@ -107,7 +110,6 @@ class DCStore:
         if e is not None and e.mode is Consistency.STRONG:
             raise WrongMode(f"weak put on strong key {key!r}")
         self.weak_puts += 1
-        f = Future(self.sim)
 
         def complete():
             entry = self._entries.setdefault(key, _Entry(Consistency.WEAK))
@@ -123,13 +125,12 @@ class DCStore:
             survivors.append((entry.version, data))
             entry.births = tuple(b for b, _ in survivors)
             entry.siblings = tuple(s for _, s in survivors)
-            f.resolve(entry.version)
+            return entry.version
 
-        self.sim.schedule(self.write_ms, complete)
-        return f
+        return self._round_trip(self.write_ms, complete)
 
-    def put_conditional(self, key, data, expected, aborter: Process | None = None) -> Future:
-        """Conditional write; resolves to the new version token, or CONFLICT.
+    def put_conditional(self, key, data, expected):
+        """Conditional write; round trip to the new version token, or CONFLICT.
 
         ``expected`` is a version token, or ABSENT to create the key. The
         version comparison happens when the write lands, so of concurrent
@@ -139,18 +140,14 @@ class DCStore:
         if e is not None and e.mode is Consistency.WEAK:
             raise WrongMode(f"conditional write on weak key {key!r}")
         self.cond_writes += 1
-        f = Future(self.sim)
 
         def complete():
-            if aborter is not None and not aborter.alive:
-                return
             entry = self._entries.get(key)
             current = 0 if entry is None else entry.version
             want = 0 if expected is ABSENT else expected
             if want != current:
                 self.conflicts += 1
-                f.resolve(CONFLICT)
-                return
+                return CONFLICT
             if entry is None:
                 entry = self._entries[key] = _Entry(Consistency.STRONG)
             elif entry.mode is not Consistency.STRONG:
@@ -158,10 +155,15 @@ class DCStore:
             entry.version += 1
             entry.siblings = (data,)
             entry.births = (entry.version,)
-            f.resolve(entry.version)
+            return entry.version
 
-        self.sim.schedule(self.write_ms, complete)
-        return f
+        return self._round_trip(self.write_ms, complete)
+
+    def _round_trip(self, service_ms: float, complete: Callable[[], object]):
+        yield self.hop() + service_ms
+        result = complete()
+        yield self.hop()
+        return result
 
     # -- instrumentation (no latency, not part of the modeled API) -------------
 

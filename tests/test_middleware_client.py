@@ -17,7 +17,7 @@ def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None):
     sim = Simulator()
     net = Network(sim, n_dcs, RTTS, intra_ms=0.2, jitter_frac=0.0,
                   rng=random.Random(seed))
-    stores = [DCStore(sim, dc, read_ms=0.5, write_ms=1.0) for dc in range(n_dcs)]
+    stores = [DCStore(dc, 0.5, 1.0, net.intra_delay) for dc in range(n_dcs)]
     metrics = Metrics("bcclt", n_dcs)
     mws = [
         ClientMiddleware(sim, net, stores[dc], dc, n_dcs, metrics,

@@ -17,7 +17,7 @@ def wire(n_dcs=1, n_nodes=3, batching=True, initial=1000, threshold=5):
     sim = Simulator()
     net = Network(sim, n_dcs, RTTS if n_dcs > 1 else {}, intra_ms=0.2,
                   jitter_frac=0.0, rng=random.Random(1))
-    stores = [DCStore(sim, dc, read_ms=0.5, write_ms=2.0) for dc in range(n_dcs)]
+    stores = [DCStore(dc, 0.5, 2.0, net.intra_delay) for dc in range(n_dcs)]
     metrics = Metrics("bcsrv", n_dcs)
     clusters = [
         ServerCluster(sim, net, stores[dc], dc, metrics, n_nodes=n_nodes,

@@ -1,9 +1,15 @@
-"""Store semantics: siblings, conditional writes, races, crash-abort."""
+"""Store semantics: siblings, conditional writes, races, the round trip
+and the kill rule."""
 
 import pytest
 
 from bcounter.sim.kernel import Simulator
 from bcounter.store import ABSENT, CONFLICT, Consistency, DCStore, WrongMode
+
+
+def new_store(read_ms=1.0, write_ms=5.0, hop_ms=1.0):
+    """DC 0's store, a fixed ``hop_ms`` from its callers."""
+    return DCStore(0, read_ms, write_ms, lambda: hop_ms)
 
 
 def run_ops(sim, gen):
@@ -16,11 +22,11 @@ def run_ops(sim, gen):
 
 def test_put_get_round_trip():
     sim = Simulator()
-    store = DCStore(sim, 0)
+    store = new_store()
 
     def script():
-        v = yield store.put("k", b"hello")
-        rec = yield store.get("k")
+        v = yield from store.put("k", b"hello")
+        rec = yield from store.get("k")
         return v, rec
 
     v, rec = run_ops(sim, script())
@@ -32,98 +38,99 @@ def test_put_get_round_trip():
 
 def test_get_absent_key():
     sim = Simulator()
-    store = DCStore(sim, 0)
+    store = new_store()
     assert run_ops(sim, iter_get(store)) is None
 
 
 def iter_get(store):
-    rec = yield store.get("nothing")
+    rec = yield from store.get("nothing")
     return rec
 
 
 def test_latencies_model_service_time():
+    """An op resumes its caller one hop, the service time and one hop later."""
     sim = Simulator()
-    store = DCStore(sim, 0, read_ms=1.0, write_ms=5.0)
+    store = new_store(read_ms=2.0, write_ms=5.0, hop_ms=1.0)
     stamps = {}
 
     def script():
-        yield store.put("k", b"x")
+        yield from store.put("k", b"x")
         stamps["write"] = sim.now
-        yield store.get("k")
+        yield from store.get("k")
         stamps["read"] = sim.now
 
     run_ops(sim, script())
-    assert stamps["write"] == 5.0
-    assert stamps["read"] == 6.0
+    assert stamps["write"] == 1 + 5.0 + 1
+    assert stamps["read"] == stamps["write"] + 1 + 2.0 + 1
 
 
 class TestWeakSiblings:
     def test_current_context_replaces(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put("k", b"a")
-            rec = yield store.get("k")
-            yield store.put("k", b"b", context=rec.version)
-            return (yield store.get("k"))
+            yield from store.put("k", b"a")
+            rec = yield from store.get("k")
+            yield from store.put("k", b"b", context=rec.version)
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert rec.siblings == (b"b",)
 
     def test_stale_context_adds_sibling(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put("k", b"a")
-            rec = yield store.get("k")
-            yield store.put("k", b"b", context=rec.version)
-            yield store.put("k", b"c", context=rec.version)  # now stale
-            return (yield store.get("k"))
+            yield from store.put("k", b"a")
+            rec = yield from store.get("k")
+            yield from store.put("k", b"b", context=rec.version)
+            yield from store.put("k", b"c", context=rec.version)  # now stale
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"b", b"c"}
 
     def test_concurrent_puts_accumulate(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def writer(data, ctx):
-            yield store.put("k", data, context=ctx)
+            yield from store.put("k", data, context=ctx)
 
         def script():
-            yield store.put("k", b"base")
-            rec = yield store.get("k")
+            yield from store.put("k", b"base")
+            rec = yield from store.get("k")
             p1 = sim.spawn(writer(b"one", rec.version))
             p2 = sim.spawn(writer(b"two", rec.version))
             yield p1.done
             yield p2.done
-            return (yield store.get("k"))
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"one", b"two"}
 
     def test_no_context_adds_sibling(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put("k", b"a")
-            yield store.put("k", b"b")
-            return (yield store.get("k"))
+            yield from store.put("k", b"a")
+            yield from store.put("k", b"b")
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"a", b"b"}
 
     def test_duplicate_bytes_not_duplicated(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put("k", b"a")
-            yield store.put("k", b"a")
-            return (yield store.get("k"))
+            yield from store.put("k", b"a")
+            yield from store.put("k", b"a")
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert rec.siblings == (b"a",)
@@ -132,11 +139,11 @@ class TestWeakSiblings:
 class TestConditionalWrites:
     def test_create_with_absent(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            v = yield store.put_conditional("k", b"x", ABSENT)
-            rec = yield store.get("k")
+            v = yield from store.put_conditional("k", b"x", ABSENT)
+            rec = yield from store.get("k")
             return v, rec
 
         v, rec = run_ops(sim, script())
@@ -146,11 +153,11 @@ class TestConditionalWrites:
 
     def test_create_race_has_one_winner(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
         results = []
 
         def writer(data):
-            r = yield store.put_conditional("k", data, ABSENT)
+            r = yield from store.put_conditional("k", data, ABSENT)
             results.append(r)
 
         sim.spawn(writer(b"a"))
@@ -160,25 +167,25 @@ class TestConditionalWrites:
 
     def test_chain_of_expected_versions(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            v1 = yield store.put_conditional("k", b"a", ABSENT)
-            v2 = yield store.put_conditional("k", b"b", v1)
-            v3 = yield store.put_conditional("k", b"c", v2)
+            v1 = yield from store.put_conditional("k", b"a", ABSENT)
+            v2 = yield from store.put_conditional("k", b"b", v1)
+            v3 = yield from store.put_conditional("k", b"c", v2)
             return [v1, v2, v3]
 
         assert run_ops(sim, script()) == [1, 2, 3]
 
     def test_stale_expected_conflicts(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            v1 = yield store.put_conditional("k", b"a", ABSENT)
-            yield store.put_conditional("k", b"b", v1)
-            r = yield store.put_conditional("k", b"c", v1)
-            rec = yield store.get("k")
+            v1 = yield from store.put_conditional("k", b"a", ABSENT)
+            yield from store.put_conditional("k", b"b", v1)
+            r = yield from store.put_conditional("k", b"c", v1)
+            rec = yield from store.get("k")
             return r, rec
 
         r, rec = run_ops(sim, script())
@@ -187,15 +194,15 @@ class TestConditionalWrites:
 
     def test_same_version_racers_one_wins(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
         results = []
 
         def writer(data, expected):
-            r = yield store.put_conditional("k", data, expected)
+            r = yield from store.put_conditional("k", data, expected)
             results.append((data, r))
 
         def script():
-            v = yield store.put_conditional("k", b"base", ABSENT)
+            v = yield from store.put_conditional("k", b"base", ABSENT)
             sim.spawn(writer(b"x", v))
             sim.spawn(writer(b"y", v))
 
@@ -207,26 +214,26 @@ class TestConditionalWrites:
 
     def test_strong_key_always_single_sibling(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            v = yield store.put_conditional("k", b"a", ABSENT)
-            yield store.put_conditional("k", b"b", v)
-            return (yield store.get("k"))
+            v = yield from store.put_conditional("k", b"a", ABSENT)
+            yield from store.put_conditional("k", b"b", v)
+            return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
         assert len(rec.siblings) == 1
 
     def test_retry_loop_succeeds_after_conflict(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put_conditional("k", b"a", ABSENT)
-            r = yield store.put_conditional("k", b"b", ABSENT)
+            yield from store.put_conditional("k", b"a", ABSENT)
+            r = yield from store.put_conditional("k", b"b", ABSENT)
             assert r is CONFLICT
-            rec = yield store.get("k")
-            r2 = yield store.put_conditional("k", b"b", rec.version)
+            rec = yield from store.get("k")
+            r2 = yield from store.put_conditional("k", b"b", rec.version)
             return r2
 
         assert run_ops(sim, script()) == 2
@@ -235,10 +242,10 @@ class TestConditionalWrites:
 class TestModeSeparation:
     def test_weak_put_on_strong_key(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put_conditional("k", b"a", ABSENT)
+            yield from store.put_conditional("k", b"a", ABSENT)
 
         run_ops(sim, script())
         with pytest.raises(WrongMode):
@@ -246,54 +253,79 @@ class TestModeSeparation:
 
     def test_conditional_on_weak_key(self):
         sim = Simulator()
-        store = DCStore(sim, 0)
+        store = new_store()
 
         def script():
-            yield store.put("k", b"a")
+            yield from store.put("k", b"a")
 
         run_ops(sim, script())
         with pytest.raises(WrongMode):
             store.put_conditional("k", b"b", ABSENT)
 
 
-def test_crashed_writer_installs_nothing():
+def run_killed_writers(kill_at_ms):
+    """Two conditional writes issued at t=0, 1 ms hop then 5 ms of service:
+    one would create key "new", the other would conflict on the seeded key
+    "old". Both writers are killed at ``kill_at_ms``, before their writes
+    land, so neither write installs, conflicts or resumes its writer."""
     sim = Simulator()
-    store = DCStore(sim, 0)
+    store = new_store()
+    store.seed("old", b"v1", Consistency.STRONG)
+    resumed = []
 
-    def doomed():
-        yield store.put_conditional("k", b"ghost", ABSENT, aborter=p_holder[0])
+    def writer(key):
+        resumed.append((yield from store.put_conditional(key, b"ghost", ABSENT)))
 
-    p_holder = [None]
-    p = sim.spawn(doomed())
-    p_holder[0] = p
-    sim.schedule(2, p.kill)  # write lands at t=5, after the crash
+    for key in ("new", "old"):
+        p = sim.spawn(writer(key))
+        sim.schedule(kill_at_ms, p.kill)
     sim.run()
-    assert store.peek("k") is None
+    assert store.peek("new") is None
+    assert store.peek("old").siblings == (b"v1",)
+    assert store.conflicts == 0
+    assert resumed == []
+    assert store.cond_writes == 2  # counted when issued, before the kill
+
+
+def test_writer_killed_in_outbound_hop_installs_nothing():
+    run_killed_writers(0.5)
+
+
+def test_crashed_writer_installs_nothing():
+    run_killed_writers(3.0)  # during the service time
 
 
 def test_surviving_writer_installs():
     sim = Simulator()
-    store = DCStore(sim, 0)
+    store = new_store()
 
     def writer():
-        yield store.put_conditional("k", b"v", ABSENT, aborter=p_holder[0])
+        return (yield from store.put_conditional("k", b"v", ABSENT))
 
-    p_holder = [None]
-    p_holder[0] = sim.spawn(writer())
-    sim.run()
+    assert run_ops(sim, writer()) == 1
     assert store.peek("k").siblings == (b"v",)
+
+
+def test_ops_counted_at_call_time():
+    store = new_store()
+    store.seed("s", b"a", Consistency.STRONG)
+    store.get("w")
+    store.put("w", b"a")
+    store.put_conditional("s", b"b", 1)
+    assert (store.reads, store.weak_puts, store.cond_writes) == (1, 1, 1)
+    assert store.peek("w") is None  # no round trip ran
 
 
 def test_stats_counted():
     sim = Simulator()
-    store = DCStore(sim, 0)
+    store = new_store()
 
     def script():
-        yield store.put("w", b"a")
-        yield store.get("w")
-        v = yield store.put_conditional("s", b"a", ABSENT)
-        yield store.put_conditional("s", b"b", v)
-        yield store.put_conditional("s", b"c", v)  # conflict
+        yield from store.put("w", b"a")
+        yield from store.get("w")
+        v = yield from store.put_conditional("s", b"a", ABSENT)
+        yield from store.put_conditional("s", b"b", v)
+        yield from store.put_conditional("s", b"c", v)  # conflict
 
     run_ops(sim, script())
     assert store.weak_puts == 1

@@ -335,7 +335,7 @@ def grantor(design, state):
     sim = Simulator()
     net = Network(sim, 2, {(0, 1): 80.0}, intra_ms=0.2, jitter_frac=0.0,
                   rng=random.Random(0))
-    stores = [DCStore(sim, dc, read_ms=0.5, write_ms=1.0) for dc in range(2)]
+    stores = [DCStore(dc, 0.5, 1.0, net.intra_delay) for dc in range(2)]
     metrics = Metrics("bcclt", 2)
     replicas = [DESIGNS[design](sim, net, stores[dc], dc, metrics) for dc in range(2)]
     for replica in replicas:
