@@ -8,7 +8,7 @@ from bcounter.middleware_server import ServerCluster, _route_hash
 from bcounter.sim.kernel import TIMEOUT, Future, Simulator
 from bcounter.sim.metrics import Metrics
 from bcounter.sim.net import Network
-from bcounter.store import Consistency, DCStore
+from bcounter.store import CONFLICT, Consistency, DCStore
 
 RTTS = {(0, 1): 80.0}
 
@@ -325,15 +325,20 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
     # DC 1 holds no rights, so its dec waits on a sync grant from DC 0. An
     # outside write makes DC 1's next conditional write conflict; a grant that
     # lands while the owner reloads must not ride the discarded working copy
+    reloads = 0
     for tenth in range(700, 901):
         t = tenth / 10
         sim, net, stores, metrics, clusters = wire(n_dcs=2, n_nodes=1, initial=10)
         futs = {"dec": submit(sim, clusters[1])}
         sim.run(until=t)
-        futs["inc"] = submit(sim, clusters[1], kind="inc")
+        # issued before the inc, the outside write lands ahead of the owner's
         rec = stores[1].peek("k")
-        stores[1].put_conditional("k", rec.siblings[0], rec.version)
+        outside = sim.spawn(stores[1].put_conditional("k", rec.siblings[0], rec.version))
+        futs["inc"] = submit(sim, clusters[1], kind="inc")
         drain(sim, list(futs.values()))
+        assert outside.done.done
+        owner_conflicts = stores[1].conflicts - (outside.done.value is CONFLICT)
+        reloads += owner_conflicts > 0
         acked = sum(
             (1 if kind == "inc" else -1)
             for kind, f in futs.items()
@@ -342,3 +347,4 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
         state = BoundedCounter.decode(stores[1].peek("k").siblings[0])
         durable = state.rights.get((1, 1), 0) - state.used.get(1, 0)
         assert durable == acked, (t, {kind: f.value for kind, f in futs.items()})
+    assert reloads > 0
