@@ -29,9 +29,10 @@ propagated state. Rights this owner grants are answered only once the write
 carrying the grant is durable.
 
 Without batching the same writer serves as the baseline the batching design
-is measured against: work is admitted only while the working copy equals the
-durable base, so each conditional write carries one waiter, and everything
-arriving meanwhile waits, FIFO, until that write lands.
+is measured against: an op is admitted only while no other op is unanswered,
+so each conditional write carries at most one op, and ops arriving meanwhile
+wait, FIFO, until it lands. Merges and transfer requests are admitted as they
+arrive and ride the next write, as they do with batching.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _route_hash(key: str, epoch: int) -> int:
 
 
 class _OpItem:
+    """A client op; once admitted, it is its own waiter for the write."""
+
     __slots__ = ("kind", "delta", "flag", "reply", "deadline_ms", "retried", "used_sync")
 
     def __init__(self, kind, delta, flag, reply, deadline_ms=None, retried=False):
@@ -93,34 +96,15 @@ class _OpItem:
         self.retried = retried
         self.used_sync = False
 
-
-class _OpWaiter:
-    counts_as_op = True
-
-    def __init__(self, item: _OpItem):
-        self.item = item
-
     def on_ok(self, written: BoundedCounter) -> None:
-        self.item.reply(OwnerReply("ok", "ok", self.item.used_sync))
+        self.reply(OwnerReply("ok", "ok", self.used_sync))
 
     def on_conflict(self) -> None:
-        self.item.reply(OwnerReply("retry", "conflict", self.item.used_sync))
-
-
-class _MergeWaiter:
-    counts_as_op = False
-
-    def on_ok(self, written: BoundedCounter) -> None:
-        pass
-
-    def on_conflict(self) -> None:
-        pass
+        self.reply(OwnerReply("retry", "conflict", self.used_sync))
 
 
 class _GrantWaiter:
     """A granted SYNC transfer awaiting durability before the reply may leave."""
-
-    counts_as_op = False
 
     def __init__(self, cluster: "ServerCluster", req: TransferRequest, reply, granted: int):
         self.cluster = cluster
@@ -159,7 +143,7 @@ class _Pipeline:
         self.base_state: BoundedCounter | None = None
         self.base_version: int | None = None
         self.working: BoundedCounter | None = None
-        self.batch: list = []  # waiters riding the next conditional write
+        self.batch: list = []  # admitted waiters not yet answered, oldest first
         self.arrivals: list = []  # work parked until the pipeline can admit it
         self.writer_running = False
         self.acquire_queue: list[_OpItem] = []
@@ -224,10 +208,12 @@ class Node:
 
     def _admit(self, p: _Pipeline, tag: str, payload) -> None:
         """The one admission gate. Work waits in ``arrivals`` while the cache
-        is not warm, and, without batching, while the working copy holds work
-        that is not yet durable: one waiter per conditional write."""
+        is not warm, and, without batching, an op waits while another op is
+        unanswered: one op per conditional write."""
         if p.state != _Pipeline.WARM or (
-            not self.cluster.batching and p.working is not p.base_state
+            tag == "op"
+            and not self.cluster.batching
+            and any(type(w) is _OpItem for w in p.batch)
         ):
             p.arrivals.append((tag, payload))
             if p.state == _Pipeline.COLD:
@@ -277,14 +263,15 @@ class Node:
             self._rights_denied(p, item)
             return
         p.working = new_working
-        self._enqueue(p, _OpWaiter(item))
+        p.batch.append(item)
+        self._start_writer(p)
 
     def _admit_merge(self, p: _Pipeline, incoming: BoundedCounter) -> None:
         merged = p.working.merge(incoming)
         if merged == p.working:
             return
         p.working = merged
-        self._enqueue(p, _MergeWaiter())
+        self._start_writer(p)
 
     def _admit_transfer(self, p, req: TransferRequest, reply) -> None:
         new_working, resp = handle_request(p.working, req)
@@ -292,10 +279,9 @@ class Node:
             self.cluster._respond(req, reply, resp)
             return
         p.working = new_working
-        if reply is not None:
-            self._enqueue(p, _GrantWaiter(self.cluster, req, reply, resp.granted))
-        else:
-            self._enqueue(p, _MergeWaiter())  # async grant: durability only
+        if reply is not None:  # an async grant needs durability only
+            p.batch.append(_GrantWaiter(self.cluster, req, reply, resp.granted))
+        self._start_writer(p)
 
     def _apply(self, state: BoundedCounter, item: _OpItem) -> BoundedCounter:
         if item.kind == "inc":
@@ -313,36 +299,35 @@ class Node:
             p.acquiring = True
             self.spawn(self._acquire_loop(p))
 
-    def _enqueue(self, p: _Pipeline, waiter) -> None:
-        p.batch.append(waiter)
+    def _start_writer(self, p: _Pipeline) -> None:
         if not p.writer_running:
             p.writer_running = True
             self.spawn(self._write_loop(p))
 
     def _write_loop(self, p: _Pipeline):
         """The pipeline's only writer: one conditional write in flight at a
-        time, carrying the working copy and every waiter admitted since the
-        last write. After a landed write, work parked by the admission gate is
-        admitted; after a conflict, the cache is reloaded from the store."""
+        time, carrying the working copy. A landed write answers the waiters
+        that were in ``batch`` when it was taken, then admits work parked by
+        the admission gate; a conflict answers every waiter and reloads the
+        cache from the store."""
         while p.batch or p.working is not p.base_state:
-            waiters, p.batch = p.batch, []
+            n = len(p.batch)
             snapshot = p.working
-            if any(w.counts_as_op for w in waiters):
+            if any(type(w) is _OpItem for w in p.batch):
                 self.metrics.op_write()
             res = yield from self.store.put_conditional(p.key, snapshot.encode(), p.base_version)
             if res is CONFLICT:
                 # nothing in the working copy is durable; drop all of it
+                waiters, p.batch = p.batch, []
                 for w in waiters:
                     w.on_conflict()
-                for w in p.batch:
-                    w.on_conflict()
-                p.batch = []
                 p.state = _Pipeline.LOADING
                 yield from self._load(p)
                 continue
             p.base_version = res
             p.base_state = snapshot
             p.dirty = True
+            waiters, p.batch = p.batch[:n], p.batch[n:]
             for w in waiters:
                 w.on_ok(snapshot)
             self._drain_arrivals(p)
@@ -405,11 +390,7 @@ class Node:
             last_epoch = epoch
             for key in sorted(self.pipelines):
                 p = self.pipelines[key]
-                if p.state != _Pipeline.WARM and not (
-                    p.state == _Pipeline.LOADING and p.base_state is not None
-                ):
-                    continue
-                if not (p.dirty or send_all):
+                if p.base_state is None or not (p.dirty or send_all):
                     continue
                 p.dirty = False
                 blob = p.base_state.encode()  # only durable state ever leaves

@@ -60,6 +60,12 @@ def faults(strategy):
 # weak, bcsrv and bcsrv-nobatch, and faults strong kept theirs. Every other
 # line, including the `# final:` and `# dcN:` lines, is byte-identical to the
 # previous pins' runs.
+#
+# The three bcsrv-nobatch pins were re-pinned since, for one cause: merges and
+# transfer grants no longer wait behind the owner's ops. Without batching only
+# an op waits while another op is unanswered; a merge or a grant rides the
+# next write, as with batching. Their `# final:` lines moved (single-counter:
+# ok 951 -> 1316, failed 4 -> 0); the twelve other pins did not.
 GOLDEN = {
     ("single-counter", Strategy.WEAK):
         "b0c5b7fb5a68b8633ef7229c01e3fbbac530ce34d98b855eb69c4059ec8a18c5",
@@ -70,7 +76,7 @@ GOLDEN = {
     ("single-counter", Strategy.BCSRV):
         "316914795b355fc2f7a95d51a7d097dbe914833118373d930cd32de5496ad51b",
     ("single-counter", Strategy.BCSRV_NOBATCH):
-        "4b64d04224843864db374c1d625939c7761d730f9bf0484894dd773bf5a64e6f",
+        "693ead730a5564bd39fe3e4f0a6292c2ea483add10fa7132ee0ca09c84f0a79d",
     ("violation-count", Strategy.WEAK):
         "537a6545773cb30d91ebadedab3504a1186e51a64933a086d152d2ebda10ef79",
     ("violation-count", Strategy.STRONG):
@@ -80,7 +86,7 @@ GOLDEN = {
     ("violation-count", Strategy.BCSRV):
         "d0ed4075a36ccc4f9e0f38ab472d6e1eea80ee9aa1da09841185589b4cb22662",
     ("violation-count", Strategy.BCSRV_NOBATCH):
-        "b2800c6215d537bfa9e5a6dde44abc21fe6d48c77d87947f16d1cd8bee759761",
+        "0198c677e9e4591cfee0319ac5f0b87a099a1f3e7923e9dd12e67092c5f71069",
     ("faults", Strategy.WEAK):
         "a0583985a1c382cb7ba06f0ebc2bd61077e675587585eda50e28fe94c0c14adb",
     ("faults", Strategy.STRONG):
@@ -90,7 +96,7 @@ GOLDEN = {
     ("faults", Strategy.BCSRV):
         "a25fd1c78bfd17f50ab1ee598d14e10008350e155130c50b6f0ca29796d637cf",
     ("faults", Strategy.BCSRV_NOBATCH):
-        "81091363567b556d2aa257c9f403b5fbf4e7d37da26d125e29ddf266fa6366a2",
+        "f82dd85b6b0acbe524207920d0745c842093051cf9faff679de1c779da92bc40",
 }
 
 CONFIGS = {

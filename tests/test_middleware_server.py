@@ -131,6 +131,18 @@ def test_nobatch_one_write_per_op():
     assert metrics.counts["op_writes"] == 25
 
 
+def test_nobatch_grant_does_not_wait_behind_ops():
+    # DC 1 holds no rights and asks DC 0, whose owner has 100 ops queued;
+    # the grant rides DC 0's next write, not the write after the 100th op
+    sim, net, stores, metrics, clusters = wire(n_dcs=2, batching=False)
+    futs = [submit(sim, clusters[0]) for _ in range(100)]
+    futs.append(submit(sim, clusters[1]))
+    replies = drain(sim, futs)
+    assert (replies[-1].status, replies[-1].used_sync) == ("ok", True)
+    oks = sum(1 for r in replies if r.status == "ok")
+    assert metrics.counts["op_writes"] == oks
+
+
 def test_nobatch_replies_in_submission_order():
     sim, net, stores, metrics, (c,) = wire(batching=False)
     order = []

@@ -160,6 +160,19 @@ def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch
     assert report.converged_values == report.observer_values
 
 
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_nobatch_with_a_slow_store_converges(seed):
+    # DC 0's writes take 250 ms; merges and grants arriving there ride its
+    # next write instead of queueing one slow write each behind its ops
+    cfg = small(Strategy.BCSRV_NOBATCH, clients_per_dc=4, inc_fraction=0.2, think_ms=20.0,
+                write_ms=[250.0, 5.0, 5.0],
+                counters=[CounterSpec("k", bound=0, initial=60)], seed=seed)
+    metrics, report = run(cfg)
+    assert report.violations == 0
+    assert report.converged is True
+    assert report.converged_values == report.observer_values
+
+
 def test_multiple_counters_tracked_independently():
     cfg = small(
         Strategy.BCCLT,
