@@ -30,7 +30,7 @@ from functools import reduce
 from ..crdt import BoundedCounter, Polarity, StateTable
 from ..middleware_client import ClientMiddleware
 from ..middleware_server import ServerCluster
-from ..store import CONFLICT, Consistency, DCStore
+from ..store import CONFLICT, Consistency, DCStore, VersionedRecord
 from ..transfer import default_threshold
 from .config import CounterSpec, SimConfig, Strategy
 from .kernel import TIMEOUT, Future, Simulator
@@ -107,6 +107,10 @@ def _entrywise_max(mine: dict[str, int], theirs: dict[str, int]) -> dict[str, in
     return out
 
 
+def _fresh_fold(siblings: tuple[bytes, ...]) -> TallyCounter:
+    return reduce(TallyCounter.merge, map(TallyCounter.decode, siblings))
+
+
 class Driver:
     """Shared plumbing; subclasses implement the design specifics."""
 
@@ -154,9 +158,11 @@ class WeakDriver(Driver):
 
     def __init__(self, cfg, sim, net, stores, metrics):
         super().__init__(cfg, sim, net, stores, metrics)
-        # per (dc, key): the sibling tuple last folded, each of its siblings
-        # decoded, and their merge; one entry per key per DC
-        self._folds: dict[tuple[int, str], tuple[tuple[bytes, ...], dict, TallyCounter]] = {}
+        # per (dc, key): the version last folded, its siblings and their merge
+        self._folds: dict[tuple[int, str], tuple[int, tuple[bytes, ...], TallyCounter]] = {}
+        # per (dc, key): blob -> tally of each put returned since the last
+        # fold of a later version, so the next such fold need not decode it
+        self._written: dict[tuple[int, str], dict[bytes, TallyCounter]] = {}
 
     def seed(self, spec: CounterSpec) -> None:
         self.specs[spec.key] = spec
@@ -172,25 +178,46 @@ class WeakDriver(Driver):
         rec = yield from self.stores[dc].get(key)
         if rec is None:
             return None
-        return self._fold(dc, key, rec.siblings), rec.version
+        return self._fold(dc, rec), rec.version
 
-    def _fold(self, dc: int, key: str, siblings: tuple[bytes, ...]) -> TallyCounter:
-        """The merge of ``siblings``. An unchanged sibling tuple reuses the
-        last merge; a changed one decodes only siblings the last one lacked."""
-        last = self._folds.get((dc, key))
-        if last is not None and last[0] == siblings:
-            return last[2]
-        seen = last[1] if last is not None else {}
-        tallies = {blob: seen.get(blob) or TallyCounter.decode(blob) for blob in siblings}
-        merged = reduce(TallyCounter.merge, tallies.values())
-        self._folds[(dc, key)] = (siblings, tallies, merged)
+    def _fold(self, dc: int, rec: VersionedRecord) -> TallyCounter:
+        """The merge of ``rec``'s siblings, as a delta join on the last merge.
+
+        A read of the version last folded returns the last merge. A later
+        version joins into it only the siblings the last tuple lacked, taking
+        the tally of a blob this driver put from ``_written`` and decoding
+        the rest; the first fold of a (dc, key) joins them all. This is exact
+        because every weak put's data is at least the fold of what its writer
+        read (``apply`` in ``client_op``, ``merge`` in ``_merge_in``) and the
+        store drops only siblings born by the put's context: each sibling
+        that leaves the tuple is below one that stays, so below the new
+        merge. An earlier version, whose read was overtaken on the way back
+        by a later one, may merge to less than the last merge, so it is
+        folded whole and the cache is left as it is.
+        """
+        version, folded, merged = self._folds.get((dc, rec.key), (0, (), None))
+        if rec.version == version:
+            return merged
+        if rec.version < version:
+            return _fresh_fold(rec.siblings)
+        written = self._written.pop((dc, rec.key), {})
+        for blob in rec.siblings:
+            if blob not in folded:
+                tally = written.get(blob) or TallyCounter.decode(blob)
+                merged = tally if merged is None else merged.merge(tally)
+        self._folds[(dc, rec.key)] = (rec.version, rec.siblings, merged)
         return merged
+
+    def _put(self, dc: int, key: str, tally: TallyCounter, version: int):
+        blob = tally.encode()
+        yield from self.stores[dc].put(key, blob, context=version)
+        self._written.setdefault((dc, key), {})[blob] = tally
 
     def _merged_at(self, dc: int, key: str):
         rec = self.stores[dc].peek(key)
         if rec is None:
             return None
-        return reduce(TallyCounter.merge, map(TallyCounter.decode, rec.siblings))
+        return _fresh_fold(rec.siblings)
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         got = yield from self._read_merged(dc, key)
@@ -200,8 +227,7 @@ class WeakDriver(Driver):
         spec = self.specs[key]
         if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
-        new_tally = tally.apply(actor, kind, delta)
-        yield from self.stores[dc].put(key, new_tally.encode(), context=version)
+        yield from self._put(dc, key, tally.apply(actor, kind, delta), version)
         return "ok", "ok", False
 
     def _sync_loop(self, dc: int):
@@ -228,7 +254,7 @@ class WeakDriver(Driver):
         merged = tally.merge(incoming)
         if merged == tally:
             return
-        yield from self.stores[dc].put(key, merged.encode(), context=version)
+        yield from self._put(dc, key, merged, version)
 
 
 class StrongDriver(Driver):

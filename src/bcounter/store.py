@@ -5,11 +5,14 @@ a configurable service latency per operation, and two consistency modes fixed
 per key by its first write:
 
 * WEAK: puts always succeed. A put carries the version its writer read
-  (its causal context): it replaces every sibling that existed by then,
-  because the writer is assumed to have read and merged them, and it lands
-  next to any sibling written concurrently. A put with no context dominates
-  nothing and simply joins the sibling set. Readers see all siblings and are
-  expected to merge them.
+  (its causal context): it replaces every sibling that existed by then and
+  lands next to any sibling written concurrently. The store does not look
+  inside the data; it trusts the writer to have read and merged the siblings
+  it replaces. The weak driver's fold relies on this: a sibling that leaves
+  is below a sibling that stays, so a reader may join only the new siblings
+  into its last merge. A put with no context dominates nothing and simply
+  joins the sibling set. Readers see all siblings and are expected to merge
+  them.
 * STRONG: only conditional writes, which install iff the caller's expected
   version is still current. Exactly one sibling at all times. Strong keys are
   never replicated across DCs by the store; any cross-DC movement of their

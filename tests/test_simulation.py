@@ -2,6 +2,7 @@
 depletion, partitions, and crashes. Desk-scale versions of the larger
 benchmark sweeps."""
 
+import dataclasses
 import random
 from functools import reduce
 
@@ -18,8 +19,10 @@ from bcounter.sim.config import (
 )
 from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
-from bcounter.sim.strategies import TallyCounter
+from bcounter.sim.strategies import TallyCounter, WeakDriver
 from bcounter.transfer import Replica
+
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 BOUNDED = [Strategy.BCCLT, Strategy.BCSRV, Strategy.BCSRV_NOBATCH, Strategy.STRONG]
 
@@ -208,43 +211,112 @@ def test_tally_merge_is_the_per_actor_max(a, b, c):
     assert a.merge(TallyCounter()) == a
 
 
+def step_all(gens, rng):
+    """Step generators in a random interleaving until all finish. Driver ops
+    yield only their store round trips' delays, so no kernel is needed."""
+    while gens:
+        gen = rng.choice(gens)
+        try:
+            next(gen)
+        except StopIteration:
+            gens.remove(gen)
+
+
 def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
+    keys = ("a", "b")
     driver = Run(small(Strategy.WEAK)).driver
+    for key in keys:
+        driver.seed(CounterSpec(key, bound=0, initial=10_000))
+    stores = driver.stores
     rng = random.Random(7)
-
-    def blob():
-        actors = [f"c{i}" for i in range(12)]
-        return TallyCounter(
-            {a: rng.randint(0, 9) for a in rng.sample(actors, 8)},
-            {a: rng.randint(0, 9) for a in rng.sample(actors, 8)},
-        ).encode()
-
-    A, B, C, D, E, F, G = (blob() for _ in range(7))
-    steps = {
-        (0, "a"): [(A,), (A,), (A, B), (A, B, C), (C, D), (C, D), (E,), (A, B), (C, D)],
-        (1, "a"): [(B,), (B, F), (G,), (B, F), (B, F, G), (F,)],
-        (0, "b"): [(G,), (G, A), (A,), (A, G), (G, A)],
-        (1, "b"): [(C, D, E), (D, E), (E, F), (C, D, E), (C,)],
-    }
-    decoded = []
     decode = TallyCounter.decode
+
+    def fresh(siblings):
+        return reduce(TallyCounter.merge, map(decode, siblings))
+
+    def outside_put(dc, key):
+        # a writer other than the driver: reads, merges, bumps and puts with
+        # its read as context, as every weak writer does
+        rec = yield from stores[dc].get(key)
+        tally = fresh(rec.siblings).apply(f"x{dc}", rng.choice(["inc", "dec"]), 1)
+        yield from stores[dc].put(key, tally.encode(), context=rec.version)
+
+    def merge_in(dc, key):
+        other = rng.choice([d for d in range(len(stores)) if d != dc])
+        yield from driver._merge_in(dc, key, fresh(stores[other].peek(key).siblings))
+
+    def client_op(dc, key):
+        kind = rng.choice(["inc", "dec"])
+        yield from driver.client_op(dc, f"c{rng.randrange(6)}", key, kind, 1, "global")
+
+    # the test's own model of the fold contract, per (dc, key): the version
+    # and tuple last folded, and the blobs the driver has put since then
+    last, written, decoded = {}, {}, []
+    fold, put = driver._fold, driver._put
+    stats = {"widest": 0, "skipped": 0, "decoded": 0, "overtaken": 0}
+
+    def checked_fold(dc, rec):
+        decoded.clear()
+        got = fold(dc, rec)
+        assert got == fresh(rec.siblings)
+        assert got.encode() == fresh(rec.siblings).encode()
+        version, before = last.get((dc, rec.key), (0, ()))
+        if rec.version == version:
+            assert decoded == []
+            return got
+        if rec.version < version:
+            # an overtaken read of an earlier version is folded whole
+            assert decoded == list(rec.siblings)
+            stats["overtaken"] += 1
+            return got
+        mine = written.pop((dc, rec.key), set())
+        new = [s for s in rec.siblings if s not in before]
+        assert decoded == [s for s in new if s not in mine]
+        last[(dc, rec.key)] = rec.version, rec.siblings
+        stats["widest"] = max(stats["widest"], len(rec.siblings))
+        stats["skipped"] += len(new) - len(decoded)
+        stats["decoded"] += len(decoded)
+        return got
+
+    def recorded_put(dc, key, tally, version):
+        yield from put(dc, key, tally, version)
+        written.setdefault((dc, key), set()).add(tally.encode())
+
+    monkeypatch.setattr(driver, "_fold", checked_fold)
+    monkeypatch.setattr(driver, "_put", recorded_put)
     monkeypatch.setattr(
         TallyCounter, "decode", classmethod(lambda cls, b: decoded.append(b) or decode(b))
     )
-    last = {}
-    for i in range(max(len(s) for s in steps.values())):
-        for (dc, key), seq in steps.items():
-            if i >= len(seq):
-                continue
-            siblings = seq[i]
-            decoded.clear()
-            got = driver._fold(dc, key, siblings)
-            fresh = reduce(TallyCounter.merge, map(decode, siblings))
-            assert got == fresh
-            assert got.encode() == fresh.encode()
-            # only siblings absent from this (dc, key)'s last tuple are decoded
-            assert decoded == [s for s in siblings if s not in last.get((dc, key), ())]
-            last[(dc, key)] = siblings
+    ops = [client_op] * 6 + [outside_put, merge_in]
+    for _ in range(60):
+        gens = [rng.choice(ops)(rng.randrange(len(stores)), rng.choice(keys))
+                for _ in range(rng.randint(1, 16))]
+        step_all(gens, rng)
+    # the interleavings built wide sibling sets and overtaken reads, and the
+    # folds both decoded new siblings and took some from the driver's writes
+    assert stats["widest"] >= 4 and stats["overtaken"] > 0
+    assert stats["skipped"] > 0 and stats["decoded"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["single-counter", "violation-count", "faults"])
+def test_weak_fold_equals_a_fresh_fold_over_whole_runs(name, seed, monkeypatch):
+    """Under a real run's interleavings, every fold equals a fresh decode and
+    merge of the siblings read."""
+    fold = WeakDriver._fold
+    widest = 0
+
+    def checked(self, dc, rec):
+        nonlocal widest
+        got = fold(self, dc, rec)
+        assert got == reduce(TallyCounter.merge, map(TallyCounter.decode, rec.siblings))
+        widest = max(widest, len(rec.siblings))
+        return got
+
+    monkeypatch.setattr(WeakDriver, "_fold", checked)
+    cfg = dataclasses.replace(GOLDEN_CONFIGS[name](Strategy.WEAK), seed=seed)
+    run(cfg)
+    assert widest > 1
 
 
 def test_store_counters_reported():

@@ -1,9 +1,14 @@
 """Store semantics: siblings, conditional writes, races, the round trip
 and the kill rule."""
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcounter.sim.kernel import Simulator
+from bcounter.sim.strategies import TallyCounter
 from bcounter.store import ABSENT, CONFLICT, Consistency, DCStore, WrongMode
 
 
@@ -134,6 +139,42 @@ class TestWeakSiblings:
 
         rec = run_ops(sim, script())
         assert rec.siblings == (b"a",)
+
+
+def tally_fold(siblings):
+    return reduce(TallyCounter.merge, map(TallyCounter.decode, siblings))
+
+
+# (writer, actor, kind): a writer without a read in hand reads; one with a
+# read puts the merge of it plus the actor's bump, with the read as context
+weak_steps = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from("abc"), st.sampled_from(["inc", "dec"])),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_steps)
+def test_a_context_put_drops_only_siblings_below_those_that_stay(steps):
+    """What the weak driver's delta fold relies on: when every writer puts
+    at least the merge of what it read, each sibling a put replaces is below
+    the merge of the siblings left."""
+    sim = Simulator()
+    store = new_store()
+    store.seed("k", TallyCounter({"_init": 9}).encode(), Consistency.WEAK)
+    reads = {}
+    for writer, actor, kind in steps:
+        if writer not in reads:
+            rec = run_ops(sim, store.get("k"))
+            reads[writer] = tally_fold(rec.siblings), rec.version
+            continue
+        tally, version = reads.pop(writer)
+        before = store.peek("k").siblings
+        run_ops(sim, store.put("k", tally.apply(actor, kind, 1).encode(), context=version))
+        after = store.peek("k").siblings
+        merged = tally_fold(after)
+        for blob in set(before) - set(after):
+            assert merged.merge(TallyCounter.decode(blob)) == merged
 
 
 class TestConditionalWrites:
