@@ -25,7 +25,8 @@ Designs:
 from __future__ import annotations
 
 import json
-from functools import reduce
+from bisect import bisect_left
+from functools import lru_cache, reduce
 
 from ..crdt import BoundedCounter, Polarity, StateTable
 from ..middleware_client import ClientMiddleware
@@ -56,29 +57,62 @@ def _threshold(cfg: SimConfig, spec: CounterSpec) -> int:
 class TallyCounter:
     """Grow-only per-actor tallies; value = sum(incs) - sum(decs).
 
-    Instances are never mutated: ``apply`` and ``merge`` return new objects,
-    so one decoded or merged tally may be shared, as the weak driver's fold
-    cache does.
+    Instances are immutable apart from the byte cache: ``apply`` and
+    ``merge`` return new objects (sharing any section dict they leave
+    alone), so one decoded or merged tally may be shared, as the weak
+    driver's fold cache does. The cache holds the tally's canonical
+    encoding once known: ``decode`` keeps the blob it parsed, ``encode``
+    keeps what it computes, and ``apply`` and ``merge`` splice the entries
+    they change into the parent's bytes (``_splice``) instead of encoding
+    the whole tally again.
     """
 
-    __slots__ = ("incs", "decs")
+    __slots__ = ("incs", "decs", "_blob")
 
-    def __init__(self, incs: dict[str, int] | None = None, decs: dict[str, int] | None = None):
+    def __init__(
+        self,
+        incs: dict[str, int] | None = None,
+        decs: dict[str, int] | None = None,
+        _blob: bytes | None = None,
+    ):
         self.incs = incs or {}
         self.decs = decs or {}
+        self._blob = _blob
 
     def value(self) -> int:
         return sum(self.incs.values()) - sum(self.decs.values())
 
     def apply(self, actor: str, kind: str, delta: int) -> "TallyCounter":
-        incs, decs = dict(self.incs), dict(self.decs)
-        tallies = incs if kind == "inc" else decs
-        tallies[actor] = tallies.get(actor, 0) + delta
-        return TallyCounter(incs, decs)
+        section = self.incs if kind == "inc" else self.decs
+        change = {actor: section.get(actor, 0) + delta}
+        if kind == "inc":
+            return self._changed(change, {})
+        return self._changed({}, change)
 
     def merge(self, other: "TallyCounter") -> "TallyCounter":
+        """The entrywise max; ``self`` itself when no entry of ``other`` is above it."""
+        incs = _entrywise_max(self.incs, other.incs)
+        decs = _entrywise_max(self.decs, other.decs)
+        if not incs and not decs:
+            return self
+        return self._changed(incs, decs)
+
+    def _changed(self, incs: dict[str, int], decs: dict[str, int]) -> "TallyCounter":
+        """This tally with the entries given set; each section copied only if
+        it changes, and the bytes spliced from this tally's when it has them."""
+        blob = self._blob
+        if blob is not None:
+            # canonical bytes are {"d":{...},"i":{...}}; that separator occurs
+            # nowhere else, since every quote inside a key is escaped; the
+            # later section goes first, so the earlier one's span still holds
+            mid = blob.index(b'},"i":{', 6)
+            blob = _splice(blob, mid + 7, len(blob) - 2, self.incs, incs)
+            if blob is not None:
+                blob = _splice(blob, 6, mid, self.decs, decs)
         return TallyCounter(
-            _entrywise_max(self.incs, other.incs), _entrywise_max(self.decs, other.decs)
+            {**self.incs, **incs} if incs else self.incs,
+            {**self.decs, **decs} if decs else self.decs,
+            blob,
         )
 
     def __eq__(self, other) -> bool:
@@ -89,22 +123,85 @@ class TallyCounter:
         )
 
     def encode(self) -> bytes:
-        doc = {"i": self.incs, "d": self.decs}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        if self._blob is None:
+            self._blob = _encode(self.incs, self.decs)
+        return self._blob
 
     @classmethod
     def decode(cls, blob: bytes) -> "TallyCounter":
+        """The tally of canonical bytes, as ``encode`` makes them; it keeps ``blob``."""
         doc = json.loads(blob)
-        return cls(dict(doc["i"]), dict(doc["d"]))
+        return cls(doc["i"], doc["d"], blob)
+
+
+def _encode(incs: dict[str, int], decs: dict[str, int]) -> bytes:
+    """The canonical encoding of a whole tally."""
+    return json.dumps({"i": incs, "d": decs}, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _entrywise_max(mine: dict[str, int], theirs: dict[str, int]) -> dict[str, int]:
-    out = dict(mine)
-    for actor, n in theirs.items():
-        # tallies are >= 0, so an actor only ``theirs`` has is always kept
-        if n > out.get(actor, -1):
-            out[actor] = n
-    return out
+    """The entries of ``theirs`` above ``mine``'s. Tallies are >= 0, so an
+    actor only ``theirs`` has is always one of them."""
+    return {actor: n for actor, n in theirs.items() if n > mine.get(actor, -1)}
+
+
+@lru_cache(maxsize=4096)
+def _needle(actor: str) -> bytes:
+    return json.dumps(actor).encode() + b":"
+
+
+def _locate(blob: bytes, lo: int, hi: int, actor: str) -> int:
+    """Where the digits of ``actor``'s entry start in ``blob[lo:hi]``, a
+    section that holds it; -1 when its needle occurs more than once there.
+    The true key always matches, so a lone match is the key."""
+    needle = _needle(actor)
+    at = blob.find(needle, lo, hi)
+    if blob.find(needle, at + 1, hi) >= 0:
+        return -1
+    return at + len(needle)
+
+
+def _splice(
+    blob: bytes, lo: int, hi: int, old: dict[str, int], changes: dict[str, int]
+) -> bytes | None:
+    """``blob`` with its section ``blob[lo:hi]``, the encoding of ``old``,
+    rewritten to encode ``old`` updated with ``changes``: a changed entry gets
+    new digits, and a new actor goes in after its sorted predecessor (first
+    when it has none). None when a needle is not unique, and the caller
+    encodes the whole tally instead."""
+    edits = []  # (start, end, bytes), disjoint
+    after: dict[str | None, list[str]] = {}  # predecessor -> new actors
+    keys = None
+    for actor, n in changes.items():
+        if actor in old:
+            at = _locate(blob, lo, hi, actor)
+            if at < 0:
+                return None
+            edits.append((at, at + len(str(old[actor])), str(n).encode()))
+        else:
+            if keys is None:
+                keys = sorted(old)
+            i = bisect_left(keys, actor)
+            after.setdefault(keys[i - 1] if i else None, []).append(actor)
+    for pred, actors in after.items():
+        entries = b",".join(_needle(a) + str(changes[a]).encode() for a in sorted(actors))
+        if pred is None:
+            edits.append((lo, lo, entries + b"," if old else entries))
+            continue
+        at = _locate(blob, lo, hi, pred)
+        if at < 0:
+            return None
+        at += len(str(old[pred]))
+        edits.append((at, at, b"," + entries))
+    if not edits:
+        return blob
+    edits.sort()
+    parts, last = [], 0
+    for start, end, text in edits:
+        parts += (blob[last:start], text)
+        last = end
+    parts.append(blob[last:])
+    return b"".join(parts)
 
 
 def _fresh_fold(siblings: tuple[bytes, ...]) -> TallyCounter:
@@ -160,8 +257,9 @@ class WeakDriver(Driver):
         super().__init__(cfg, sim, net, stores, metrics)
         # per (dc, key): the version last folded, its siblings and their merge
         self._folds: dict[tuple[int, str], tuple[int, tuple[bytes, ...], TallyCounter]] = {}
-        # per (dc, key): blob -> tally of each put returned since the last
-        # fold of a later version, so the next such fold need not decode it
+        # per (dc, key): blob -> tally (holding that blob) of each put returned
+        # since the last fold of a later version, so the next such fold need
+        # not decode it
         self._written: dict[tuple[int, str], dict[bytes, TallyCounter]] = {}
 
     def seed(self, spec: CounterSpec) -> None:
@@ -191,9 +289,12 @@ class WeakDriver(Driver):
         read (``apply`` in ``client_op``, ``merge`` in ``_merge_in``) and the
         store drops only siblings born by the put's context: each sibling
         that leaves the tuple is below one that stays, so below the new
-        merge. An earlier version, whose read was overtaken on the way back
+        merge. A lone sibling is folded whole: it is its own merge, so the
+        merge keeps that sibling's bytes object (``_sync_loop`` sends it as
+        is). An earlier version, whose read was overtaken on the way back
         by a later one, may merge to less than the last merge, so it is
-        folded whole and the cache is left as it is.
+        folded whole and the cache is left as it is. Tallies in ``_written``
+        and decoded ones carry their bytes, so a merge of them does too.
         """
         version, folded, merged = self._folds.get((dc, rec.key), (0, (), None))
         if rec.version == version:
@@ -201,6 +302,8 @@ class WeakDriver(Driver):
         if rec.version < version:
             return _fresh_fold(rec.siblings)
         written = self._written.pop((dc, rec.key), {})
+        if len(rec.siblings) == 1:
+            folded, merged = (), None
         for blob in rec.siblings:
             if blob not in folded:
                 tally = written.get(blob) or TallyCounter.decode(blob)
@@ -252,7 +355,7 @@ class WeakDriver(Driver):
             return
         tally, version = got
         merged = tally.merge(incoming)
-        if merged == tally:
+        if merged is tally:
             return
         yield from self._put(dc, key, merged, version)
 

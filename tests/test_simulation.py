@@ -3,6 +3,7 @@ depletion, partitions, and crashes. Desk-scale versions of the larger
 benchmark sweeps."""
 
 import dataclasses
+import json
 import random
 from functools import reduce
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcounter.sim import strategies
 from bcounter.sim.config import (
     CounterSpec,
     CrashFault,
@@ -20,6 +22,7 @@ from bcounter.sim.config import (
 from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.strategies import TallyCounter, WeakDriver
+from bcounter.store import DCStore
 from bcounter.transfer import Replica
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -211,6 +214,73 @@ def test_tally_merge_is_the_per_actor_max(a, b, c):
     assert a.merge(TallyCounter()) == a
 
 
+def reference_bytes(tally: TallyCounter) -> bytes:
+    doc = {"i": tally.incs, "d": tally.decs}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+# actor names that are hard to splice: a quote and a backslash, the needle's
+# and the section separator's own characters, the empty string (first in
+# sorted order) and non-ASCII (last); '"a' sorts before "a" and its escaped
+# encoding holds the needle '"a":', which so occurs twice in a section
+# holding both, the false match first
+_awkward = st.sampled_from(
+    ["", "a", '"a', "back\\slash", '":', '},"i":{', "m", "0:1", "0:12", "é", "日本"]
+)
+_awkward_tallies = st.dictionaries(_awkward, st.integers(0, 3), max_size=6)
+# a step is (op, actor, kind, delta, other) with other a tally and whether it
+# is decoded, so carries bytes, or built from dicts
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["apply", "merge", "merged_into", "decode"]),
+        _awkward,
+        st.sampled_from(["inc", "dec"]),
+        st.integers(0, 3),
+        st.tuples(st.builds(TallyCounter, _awkward_tallies, _awkward_tallies), st.booleans()),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(TallyCounter, _awkward_tallies, _awkward_tallies), st.booleans(), _steps)
+def test_tally_bytes_equal_the_reference_encoding(start, decoded, steps):
+    """Through any chain of decode / apply / merge, with encode after every
+    step, a tally's bytes, spliced from its parent's or encoded whole, are
+    the reference encoding."""
+    tally = TallyCounter.decode(start.encode()) if decoded else start
+    for op, actor, kind, delta, (other, other_decoded) in steps:
+        if other_decoded:
+            other = TallyCounter.decode(reference_bytes(other))
+        if op == "apply":
+            tally = tally.apply(actor, kind, delta)
+        elif op == "merge":
+            tally = tally.merge(other)
+        elif op == "merged_into":
+            tally = other.merge(tally)
+        elif op == "decode":
+            tally = TallyCounter.decode(tally.encode())
+        assert tally.encode() == reference_bytes(tally)
+
+
+def test_tally_splices_its_bytes_and_shares_what_it_leaves(monkeypatch):
+    full = []
+    encode = strategies._encode
+    monkeypatch.setattr(strategies, "_encode", lambda *a: full.append(a) or encode(*a))
+    parent = TallyCounter.decode(
+        reference_bytes(TallyCounter({"_init": 9, "m": 1}, {"0:1": 2, "0:12": 0}))
+    )
+    child = parent.apply("0:1", "dec", 5)
+    assert child.incs is parent.incs and child.decs is not parent.decs
+    grown = child.apply("", "inc", 1).apply("n", "inc", 2).apply("zz", "dec", 1)
+    assert grown.merge(parent) is grown  # nothing rose: the tally itself
+    merged = parent.merge(grown)
+    for tally in (child, grown, merged):
+        assert tally.encode() == reference_bytes(tally)
+    assert merged.encode() == grown.encode()
+    assert full == []  # every one of those was spliced
+
+
 def step_all(gens, rng):
     """Step generators in a random interleaving until all finish. Driver ops
     yield only their store round trips' delays, so no kernel is needed."""
@@ -302,9 +372,10 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
 @pytest.mark.parametrize("name", ["single-counter", "violation-count", "faults"])
 def test_weak_fold_equals_a_fresh_fold_over_whole_runs(name, seed, monkeypatch):
     """Under a real run's interleavings, every fold equals a fresh decode and
-    merge of the siblings read."""
-    fold = WeakDriver._fold
-    widest = 0
+    merge of the siblings read, and every put's blob is the reference
+    encoding of its tally, spliced: only the seeds are encoded whole."""
+    fold, put, encode = WeakDriver._fold, DCStore.put, strategies._encode
+    widest, puts, full = 0, [], []
 
     def checked(self, dc, rec):
         nonlocal widest
@@ -313,10 +384,51 @@ def test_weak_fold_equals_a_fresh_fold_over_whole_runs(name, seed, monkeypatch):
         widest = max(widest, len(rec.siblings))
         return got
 
+    def checked_put(self, key, data, context=None):
+        assert data == reference_bytes(TallyCounter.decode(data))
+        puts.append(data)
+        return put(self, key, data, context)
+
     monkeypatch.setattr(WeakDriver, "_fold", checked)
+    monkeypatch.setattr(DCStore, "put", checked_put)
+    monkeypatch.setattr(strategies, "_encode", lambda *a: full.append(a) or encode(*a))
     cfg = dataclasses.replace(GOLDEN_CONFIGS[name](Strategy.WEAK), seed=seed)
     run(cfg)
     assert widest > 1
+    assert len(puts) > 100 and len(full) == len(cfg.counters)
+
+
+def test_weak_sync_sends_a_lone_siblings_own_bytes(monkeypatch):
+    driver = Run(small(Strategy.WEAK)).driver
+    driver.seed(CounterSpec("x", bound=0, initial=100))
+    store, sent, puts, rng = driver.stores[0], [], [], random.Random(0)
+    # deliver each sync at once and keep the blob it carries
+    monkeypatch.setattr(driver.net, "broadcast", lambda dc, deliver: deliver(1) or 1)
+    monkeypatch.setattr(driver, "_on_sync", lambda dc, key, blob: sent.append(blob))
+    sync = driver._sync_loop(0)
+
+    def sync_once():
+        n = len(sent)
+        while len(sent) == n:
+            next(sync)
+        assert sent[-1] is store.peek("x").siblings[0]
+
+    sync_once()  # the seed, decoded by the first fold
+    for actor in ("0:0", "0:1", "0:0"):
+        step_all([driver.client_op(0, actor, "x", "dec", 1, "global")], rng)
+        assert len(store.peek("x").siblings) == 1
+        sync_once()  # the driver's own put, folded from _written
+    put = driver._put
+
+    def recorded_put(dc, key, tally, version):
+        puts.append(tally)
+        yield from put(dc, key, tally, version)
+
+    monkeypatch.setattr(driver, "_put", recorded_put)
+    # a merge that raises nothing writes nothing; one that raises an entry does
+    for incoming in (TallyCounter({"_init": 100}, {"0:0": 1}), TallyCounter({}, {"1:0": 1})):
+        step_all([driver._merge_in(0, "x", incoming)], rng)
+    assert [t.decs for t in puts] == [{"0:0": 2, "0:1": 1, "1:0": 1}]
 
 
 def test_store_counters_reported():
