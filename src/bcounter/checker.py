@@ -111,10 +111,7 @@ class Trace:
     state_hash: str
 
     def to_json(self) -> str:
-        spec = {k: getattr(self.spec, k) for k in _SPEC_CHECKS}
-        spec["polarity"] = self.spec.polarity.value
-        spec["deltas"] = list(self.spec.deltas)
-        spec["transfer_amounts"] = list(self.spec.transfer_amounts)
+        spec = {f.name: _CODECS[f.type][2](getattr(self.spec, f.name)) for f in _SPEC_FIELDS}
         doc = {"spec": spec, "steps": [list(s) for s in self.steps], "state_hash": self.state_hash}
         return json.dumps(doc, indent=2)
 
@@ -125,49 +122,44 @@ class Trace:
         if type(doc) is not dict or sorted(doc) != ["spec", "state_hash", "steps"]:
             raise ValueError("a trace has exactly the keys spec, steps and state_hash")
         raw, steps = doc["spec"], doc["steps"]
-        if type(raw) is not dict or sorted(raw) != sorted(_SPEC_CHECKS):
-            raise ValueError(f"a trace spec has exactly the keys {', '.join(_SPEC_CHECKS)}")
-        for k, v in raw.items():
-            if not _SPEC_CHECKS[k](v):
-                raise ValueError(f"spec {k} cannot be {v!r}")
+        names = [f.name for f in _SPEC_FIELDS]
+        if type(raw) is not dict or sorted(raw) != sorted(names):
+            raise ValueError(f"a trace spec has exactly the keys {', '.join(names)}")
+        spec = {}
+        for f in _SPEC_FIELDS:
+            check, load, _ = _CODECS[f.type]
+            v = raw[f.name]
+            if not check(v):
+                raise ValueError(f"spec {f.name} cannot be {v!r}")
+            spec[f.name] = load(v)
         if type(steps) is not list or not all(
             type(s) is list and all(type(x) in (int, str) for x in s) for s in steps
         ):
             raise ValueError("steps must be a list of lists of names and integers")
         if type(doc["state_hash"]) is not str:
             raise ValueError("state_hash must be a string")
-        raw["polarity"] = Polarity(raw["polarity"])
-        raw["deltas"] = tuple(raw["deltas"])
-        raw["transfer_amounts"] = tuple(raw["transfer_amounts"])
-        return cls(ExploreSpec(**raw), tuple(tuple(s) for s in steps), doc["state_hash"])
+        return cls(ExploreSpec(**spec), tuple(tuple(s) for s in steps), doc["state_hash"])
 
 
-def _is_int(v) -> bool:
-    return type(v) is int
+def _same(v):
+    return v
 
 
-def _is_ints(v) -> bool:
-    return type(v) is list and all(type(x) is int for x in v)
-
-
-# The trace spec's keys in their written order, each with the check its JSON
-# value must pass.
-_SPEC_CHECKS = {
-    "n": _is_int,
-    "bound": _is_int,
-    "initial": _is_int,
-    "incs": _is_int,
-    "decs": _is_int,
-    "transfers": _is_int,
-    "max_merges": _is_int,
-    "max_updates": lambda v: v is None or type(v) is int,
-    "max_depth": lambda v: v is None or type(v) is int,
-    "unchecked_decrement": lambda v: type(v) is bool,
-    "max_states": _is_int,
-    "polarity": lambda v: v in ("lower", "upper"),
-    "deltas": _is_ints,
-    "transfer_amounts": _is_ints,
+# A trace writes the spec's fields in field order. Each field annotation maps
+# to the check its JSON value must pass, the JSON-to-field conversion and the
+# field-to-JSON conversion.
+_CODECS = {
+    "int": (lambda v: type(v) is int, _same, _same),
+    "int | None": (lambda v: v is None or type(v) is int, _same, _same),
+    "bool": (lambda v: type(v) is bool, _same, _same),
+    "Polarity": (lambda v: v in ("lower", "upper"), Polarity, lambda p: p.value),
+    "tuple[int, ...]": (
+        lambda v: type(v) is list and all(type(x) is int for x in v),
+        tuple,
+        list,
+    ),
 }
+_SPEC_FIELDS = dataclasses.fields(ExploreSpec)
 
 
 @dataclass(frozen=True)
@@ -287,42 +279,34 @@ def _initial_budget(spec: ExploreSpec) -> tuple[int, ...]:
 def _moves(spec: ExploreSpec, budget: tuple[int, ...]):
     """Yields (action, new_budget) for every budget-enabled action."""
     n = spec.n
-    merges, updates, depth = budget[3 * n], budget[3 * n + 1], budget[3 * n + 2]
+    merges, updates, depth = budget[3 * n :]
     if depth <= 0:
         return
+
+    def spend(slot, action):
+        b = list(budget)
+        b[slot] -= 1
+        if slot < 3 * n:
+            b[-2] -= 1  # an update also spends the shared update cap
+        b[-1] -= 1
+        return action, tuple(b)
+
     if updates > 0:
         for i in range(n):
-            if budget[i] > 0:
-                for d in spec.deltas:
-                    b = list(budget)
-                    b[i] -= 1
-                    b[3 * n + 1] = updates - 1
-                    b[3 * n + 2] = depth - 1
-                    yield ("inc", i, d), tuple(b)
-            if budget[n + i] > 0:
-                for d in spec.deltas:
-                    b = list(budget)
-                    b[n + i] -= 1
-                    b[3 * n + 1] = updates - 1
-                    b[3 * n + 2] = depth - 1
-                    yield ("dec", i, d), tuple(b)
+            for slot, kind in ((i, "inc"), (n + i, "dec")):
+                if budget[slot] > 0:
+                    for d in spec.deltas:
+                        yield spend(slot, (kind, i, d))
             if budget[2 * n + i] > 0:
                 for j in range(n):
                     if j != i:
                         for a in spec.transfer_amounts:
-                            b = list(budget)
-                            b[2 * n + i] -= 1
-                            b[3 * n + 1] = updates - 1
-                            b[3 * n + 2] = depth - 1
-                            yield ("transfer", i, j, a), tuple(b)
+                            yield spend(2 * n + i, ("transfer", i, j, a))
     if merges > 0:
         for i in range(n):
             for j in range(n):
                 if j != i:
-                    b = list(budget)
-                    b[3 * n] = merges - 1
-                    b[3 * n + 2] = depth - 1
-                    yield ("merge", i, j), tuple(b)
+                    yield spend(3 * n, ("merge", i, j))
 
 
 def explore(spec: ExploreSpec) -> Verified | Counterexample:
@@ -430,7 +414,7 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
         steps.reverse()
         return steps
 
-    depth0 = budget0[3 * n + 2]
+    depth0 = budget0[-1]
     while queue:
         world, budget, cons = queue.popleft()
         moves = moves_of.get(budget)
@@ -457,7 +441,7 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
                     make_trace(rebuild(ncons), full),
                     tuple(v.value() for v in full),
                 )
-            depth_used = depth0 - nbudget[3 * n + 2]
+            depth_used = depth0 - nbudget[-1]
             if deepest is None or depth_used > deepest[0]:
                 deepest = (depth_used, ncons, nxt)
             queue.append((nxt, nbudget, ncons))
@@ -475,9 +459,7 @@ def replay(trace: Trace) -> tuple[BoundedCounter, ...]:
     world = initial_world(spec)
     budget = _initial_budget(spec)
     for action in trace.steps:
-        legal = dict()
-        for a, nb in _moves(spec, budget):
-            legal[a] = nb
+        legal = dict(_moves(spec, budget))
         if action not in legal:
             raise InvalidStep(f"action {action!r} exceeds the budgets")
         nxt = apply_action(world, action, spec)

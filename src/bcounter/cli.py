@@ -87,27 +87,20 @@ def _sim_overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument("--clients", type=int, default=None, help="clients per DC")
 
 
+# check's spec flags by argparse dest, each with the ExploreSpec field it
+# sets, in echo order
+_CHECK_FLAGS = (
+    ("replicas", "n"), ("polarity", "polarity"), ("bound", "bound"), ("initial", "initial"),
+    ("incs", "incs"), ("decs", "decs"), ("transfers", "transfers"), ("merges", "max_merges"),
+    ("updates", "max_updates"), ("depth", "max_depth"), ("max_states", "max_states"),
+    ("unchecked_dec", "unchecked_decrement"),
+)
+
+
 def _cmd_check(args) -> int:
-    spec = ExploreSpec(
-        n=args.replicas,
-        polarity=Polarity(args.polarity),
-        bound=args.bound,
-        initial=args.initial,
-        incs=args.incs,
-        decs=args.decs,
-        transfers=args.transfers,
-        max_merges=args.merges,
-        max_updates=args.updates,
-        max_depth=args.depth,
-        unchecked_decrement=args.unchecked_dec,
-        max_states=args.max_states,
-    )
-    print(
-        f"check: replicas={spec.n} polarity={spec.polarity.value} bound={spec.bound} "
-        f"initial={spec.initial} incs={spec.incs} decs={spec.decs} "
-        f"transfers={spec.transfers} merges={spec.max_merges} "
-        f"updates={spec.max_updates} depth={spec.max_depth}"
-    )
+    given = {field: getattr(args, flag) for flag, field in _CHECK_FLAGS}
+    spec = ExploreSpec(**{**given, "polarity": Polarity(args.polarity)})
+    print("check: " + " ".join(f"{flag}={getattr(args, flag)}" for flag, _ in _CHECK_FLAGS))
     started = time.perf_counter()
     try:
         result = explore(spec)

@@ -180,14 +180,9 @@ class ClientMiddleware(Replica):
                 got = yield from self._fetch(key)
                 if got is None:
                     continue
-                blob = got[2]
-                peers = self.peers
-                sent = self.net.broadcast(
-                    self.dc, lambda dst, key=key, blob=blob: peers[dst].on_sync_state(key, blob)
-                )
-                self.metrics.sync_msg(sent)
+                self._push_state(key, got[2])
 
-    def on_sync_state(self, key: str, blob: bytes) -> None:
+    def on_state(self, key: str, blob: bytes) -> None:
         self.sim.spawn(self._merge_into_store(key, self.table.decode(blob)))
 
     def _merge_into_store(self, key: str, incoming: BoundedCounter):

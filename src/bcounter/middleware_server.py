@@ -71,7 +71,7 @@ ROUTE_CACHE = 4096
 
 @dataclass(frozen=True)
 class OwnerReply:
-    status: str  # ok | failed | retry | stale
+    status: str  # ok | failed | retry
     reason: str
     used_sync: bool = False
 
@@ -190,9 +190,6 @@ class Node:
 
     def handle_op(self, key: str, item: _OpItem) -> None:
         if self.dead:
-            return
-        if self.cluster.route(key) is not self:
-            item.reply(OwnerReply("stale", "stale"))
             return
         self._admit(self._pipeline(key), "op", item)
 
@@ -393,12 +390,7 @@ class Node:
                 if p.base_state is None or not (p.dirty or send_all):
                     continue
                 p.dirty = False
-                blob = p.base_state.encode()  # only durable state ever leaves
-                peers = self.cluster.peers
-                sent = self.net.broadcast(
-                    self.dc, lambda dst, key=key, blob=blob: peers[dst].on_propagate(key, blob)
-                )
-                self.metrics.sync_msg(sent)
+                self.cluster._push_state(key, p.base_state.encode())  # only durable state leaves
 
     def _rebalance_loop(self):
         while True:
@@ -476,7 +468,7 @@ class ServerCluster(Replica):
     ) -> None:
         self.route(key).handle_op(key, _OpItem(kind, delta, flag, reply, deadline_ms))
 
-    def on_propagate(self, key: str, blob: bytes) -> None:
+    def on_state(self, key: str, blob: bytes) -> None:
         self.route(key).handle_merge(key, self.table.decode(blob))
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:

@@ -463,8 +463,7 @@ class ClientDriver(_BoundedDriver):
         )
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
-        result = yield from self.replicas[dc].update(key, kind, delta, flag)
-        return result
+        return self.replicas[dc].update(key, kind, delta, flag)
 
 
 class ServerDriver(_BoundedDriver):
@@ -500,8 +499,6 @@ class ServerDriver(_BoundedDriver):
             resp = yield (reply, self.cfg.owner_timeout_ms)
             if resp is TIMEOUT:
                 return "retry", "timeout", False
-            if resp.status == "stale":
-                continue  # re-route against the bumped epoch
             if resp.status == "retry" and resp.reason == "conflict":
                 continue
             return resp.status, resp.reason, resp.used_sync

@@ -197,7 +197,8 @@ class Replica:
     It holds the run's kernel and network, this DC's store, the metrics, the
     sync and rebalance periods, the run's state table, ``peers`` (every DC's
     replica by dc id, set by wiring) and each registered key's rebalance
-    threshold. A subclass serves ``on_transfer_request(key, req, reply)``.
+    threshold. A subclass serves ``on_transfer_request(key, req, reply)`` and
+    ``on_state(key, blob)``, the receiving end of ``_push_state``.
     """
 
     def __init__(
@@ -242,6 +243,12 @@ class Replica:
             return reply, 2 * self.net.rtt(self.dc, req.grantor)
 
         return ask
+
+    def _push_state(self, key: str, blob: bytes) -> None:
+        """Send ``blob``, this DC's encoded state of ``key``, to every other DC."""
+        peers = self.peers
+        sent = self.net.broadcast(self.dc, lambda dst: peers[dst].on_state(key, blob))
+        self.metrics.sync_msg(sent)
 
     def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
         """Hop ``resp`` back to the requester; an ASYNC request has no reply,

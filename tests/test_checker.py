@@ -20,6 +20,7 @@ from bcounter.checker import (
     InvalidStep,
     Trace,
     Verified,
+    _CODECS,
     _initial_budget,
     _moves,
     apply_action,
@@ -131,6 +132,75 @@ def test_trace_json_rejects_garbage():
         Trace.from_json("{}")
     with pytest.raises((ValueError, KeyError)):
         Trace.from_json(json.dumps({"spec": {"polarity": "sideways"}, "steps": []}))
+
+
+_SPEC_FIELDS = pytest.mark.parametrize(
+    "field", dataclasses.fields(ExploreSpec), ids=lambda f: f.name
+)
+
+# per annotation, a value other than the given default
+_OTHER_VALUE = {
+    "int": lambda d: d + 7,
+    "int | None": lambda d: 7,
+    "bool": lambda d: not d,
+    "Polarity": lambda d: Polarity.UPPER if d is Polarity.LOWER else Polarity.LOWER,
+    "tuple[int, ...]": lambda d: d + (2, 3),
+}
+
+# per annotation, JSON values the field must refuse, near misses included
+_WRONG_JSON = {
+    "int": ["3", True, 3.0],
+    "int | None": [1.0, False],
+    "bool": [1, "true", None],
+    "Polarity": ["LOWER", None],
+    "tuple[int, ...]": [[1, True], 1, [1.0]],
+}
+
+
+@_SPEC_FIELDS
+def test_every_spec_field_has_a_codec(field):
+    assert field.type in _CODECS
+    assert field.type in _OTHER_VALUE and field.type in _WRONG_JSON
+
+
+@_SPEC_FIELDS
+def test_each_spec_field_roundtrips_through_json(field):
+    value = _OTHER_VALUE[field.type](field.default)
+    assert value != field.default
+    spec = dataclasses.replace(ExploreSpec(), **{field.name: value})
+    trace = Trace(spec, (("merge", 0, 1),), "h")
+    back = Trace.from_json(trace.to_json())
+    assert back == trace
+    assert getattr(back.spec, field.name) == value
+
+
+@_SPEC_FIELDS
+def test_wrong_json_type_names_the_field(field):
+    for wrong in _WRONG_JSON[field.type]:
+        doc = json.loads(Trace(ExploreSpec(), (), "h").to_json())
+        doc["spec"][field.name] = wrong
+        with pytest.raises(ValueError, match=f"spec {field.name} cannot be"):
+            Trace.from_json(json.dumps(doc))
+
+
+def test_trace_in_the_old_key_order_still_loads_and_replays():
+    spec = ExploreSpec(n=2, polarity=Polarity.UPPER, bound=6, initial=3, incs=1, transfers=1,
+                       max_depth=4, deltas=(1, 2))
+    probe = explore(spec).probe
+    assert probe.steps
+    written = json.loads(probe.to_json())["spec"]
+    assert list(written) == [f.name for f in dataclasses.fields(ExploreSpec)]
+    old_order = ("n", "bound", "initial", "incs", "decs", "transfers", "max_merges",
+                 "max_updates", "max_depth", "unchecked_decrement", "max_states", "polarity",
+                 "deltas", "transfer_amounts")
+    doc = {
+        "spec": {k: written[k] for k in old_order},
+        "steps": [list(s) for s in probe.steps],
+        "state_hash": probe.state_hash,
+    }
+    back = Trace.from_json(json.dumps(doc, indent=2))
+    assert back == probe
+    assert world_hash(replay(back)) == probe.state_hash
 
 
 def test_max_states_raises():

@@ -17,6 +17,17 @@ def test_check_small_instance_verified(capsys):
     assert "replicas=2" in out  # resolved parameters are echoed
 
 
+@pytest.mark.parametrize("polarity,bound", [("lower", 0), ("upper", 5)])
+def test_check_echoes_every_flag(capsys, polarity, bound):
+    assert main(["check", "--replicas", "2", "--polarity", polarity, "--bound", str(bound),
+                 "--initial", "2", "--decs", "1", "--max-states", "900"]) == 0
+    (echo,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("check: ")]
+    assert echo == (
+        f"check: replicas=2 polarity={polarity} bound={bound} initial=2 incs=0 decs=1 "
+        "transfers=0 merges=4 updates=None depth=None max_states=900 unchecked_dec=False"
+    )
+
+
 def test_check_mutant_exits_one(capsys):
     code = main(["check", "--replicas", "2", "--bound", "0", "--initial", "2",
                  "--decs", "2", "--transfers", "1", "--unchecked-dec"])

@@ -179,7 +179,7 @@ def test_exhaustion_is_exact_under_concurrency():
     assert durable_value(stores[0]) == 0
 
 
-# -- deadlines & stale routing -------------------------------------------------
+# -- deadlines -----------------------------------------------------------------
 
 
 def test_expired_ops_are_shed_silently():
@@ -188,18 +188,6 @@ def test_expired_ops_are_shed_silently():
     sim.run(until=5_000.0)
     assert not fut.done
     assert durable_value(stores[0]) == 1000
-
-
-def test_wrong_node_reports_stale():
-    sim, net, stores, metrics, (c,) = wire()
-    owner = c.route("k")
-    other = next(n for n in c.nodes if n is not owner)
-    fut = Future(sim)
-    from bcounter.middleware_server import _OpItem
-
-    other.handle_op("k", _OpItem("dec", 1, "global", fut.resolve))
-    sim.run(until=1_000.0)
-    assert fut.done and fut.value.status == "stale"
 
 
 # -- failover ------------------------------------------------------------------
