@@ -1,8 +1,10 @@
 """Per-data-center key-value store emulation.
 
-Models the storage substrate the middleware runs against: opaque byte values,
-a configurable service latency per operation, and two consistency modes fixed
-per key by its first write:
+Models the storage substrate the middleware runs against: opaque immutable
+values, a configurable service latency per operation, and two consistency
+modes. Bounded counters store their canonical encoding, the weak and strong
+baselines their value; the store compares values only for equality. A key's
+mode is fixed by its first write:
 
 * WEAK: puts always succeed. A put carries the version its writer read
   (its causal context): it replaces every sibling that existed by then and
@@ -56,7 +58,7 @@ class WrongMode(Exception):
 @dataclass(frozen=True)
 class VersionedRecord:
     key: str
-    siblings: tuple[bytes, ...]
+    siblings: tuple[object, ...]
     version: int
     consistency: Consistency
 
@@ -66,7 +68,7 @@ class _Entry:
 
     def __init__(self, mode: Consistency):
         self.mode = mode
-        self.siblings: tuple[bytes, ...] = ()
+        self.siblings: tuple[object, ...] = ()
         self.births: tuple[int, ...] = ()  # version at which each sibling landed
         self.version = 0
 
@@ -101,7 +103,7 @@ class DCStore:
 
         return self._round_trip(self.read_ms, complete)
 
-    def put(self, key: str, data: bytes, context: int | None = None):
+    def put(self, key: str, data: object, context: int | None = None):
         """Weak put; round trip to the new version token.
 
         ``context`` is the version the caller read before computing ``data``;
@@ -176,7 +178,7 @@ class DCStore:
             return None
         return VersionedRecord(key, e.siblings, e.version, e.mode)
 
-    def seed(self, key: str, data: bytes, mode: Consistency) -> None:
+    def seed(self, key: str, data: object, mode: Consistency) -> None:
         """Install a key instantly at version 1, as experiment setup."""
         if key in self._entries:
             raise ValueError(f"seed would clobber existing key {key!r}")

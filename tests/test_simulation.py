@@ -3,7 +3,6 @@ depletion, partitions, and crashes. Desk-scale versions of the larger
 benchmark sweeps."""
 
 import dataclasses
-import json
 import random
 from functools import reduce
 
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcounter.sim import strategies
 from bcounter.sim.config import (
     CounterSpec,
     CrashFault,
@@ -210,75 +208,39 @@ def test_tally_merge_is_the_per_actor_max(a, b, c):
     assert a.merge(b) == b.merge(a)
     assert a.merge(b).merge(c) == a.merge(b.merge(c))
     assert a.merge(a) == a
-    assert a.merge(b).encode() == b.merge(a).encode()
     assert a.merge(TallyCounter()) == a
 
 
-def reference_bytes(tally: TallyCounter) -> bytes:
-    doc = {"i": tally.incs, "d": tally.decs}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+def snapshot(tally: TallyCounter):
+    return dict(tally.incs), dict(tally.decs)
 
 
-# actor names that are hard to splice: a quote and a backslash, the needle's
-# and the section separator's own characters, the empty string (first in
-# sorted order) and non-ASCII (last); '"a' sorts before "a" and its escaped
-# encoding holds the needle '"a":', which so occurs twice in a section
-# holding both, the false match first
-_awkward = st.sampled_from(
-    ["", "a", '"a', "back\\slash", '":', '},"i":{', "m", "0:1", "0:12", "é", "日本"]
+@settings(max_examples=300, deadline=None)
+@given(
+    tally_counters,
+    tally_counters,
+    st.sampled_from("abcdef"),
+    st.sampled_from(["inc", "dec"]),
+    st.integers(0, 3),
 )
-_awkward_tallies = st.dictionaries(_awkward, st.integers(0, 3), max_size=6)
-# a step is (op, actor, kind, delta, other) with other a tally and whether it
-# is decoded, so carries bytes, or built from dicts
-_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["apply", "merge", "merged_into", "decode"]),
-        _awkward,
-        st.sampled_from(["inc", "dec"]),
-        st.integers(0, 3),
-        st.tuples(st.builds(TallyCounter, _awkward_tallies, _awkward_tallies), st.booleans()),
-    ),
-    max_size=12,
-)
+def test_tally_apply_and_merge_leave_their_operands_alone(a, b, actor, kind, delta):
+    """Stores and fold caches share tallies, so neither operation may write
+    into an operand's dicts."""
+    before = snapshot(a), snapshot(b)
+    a.apply(actor, kind, delta)
+    b.apply(actor, kind, delta)
+    a.merge(b)
+    b.merge(a)
+    assert (snapshot(a), snapshot(b)) == before
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.builds(TallyCounter, _awkward_tallies, _awkward_tallies), st.booleans(), _steps)
-def test_tally_bytes_equal_the_reference_encoding(start, decoded, steps):
-    """Through any chain of decode / apply / merge, with encode after every
-    step, a tally's bytes, spliced from its parent's or encoded whole, are
-    the reference encoding."""
-    tally = TallyCounter.decode(start.encode()) if decoded else start
-    for op, actor, kind, delta, (other, other_decoded) in steps:
-        if other_decoded:
-            other = TallyCounter.decode(reference_bytes(other))
-        if op == "apply":
-            tally = tally.apply(actor, kind, delta)
-        elif op == "merge":
-            tally = tally.merge(other)
-        elif op == "merged_into":
-            tally = other.merge(tally)
-        elif op == "decode":
-            tally = TallyCounter.decode(tally.encode())
-        assert tally.encode() == reference_bytes(tally)
-
-
-def test_tally_splices_its_bytes_and_shares_what_it_leaves(monkeypatch):
-    full = []
-    encode = strategies._encode
-    monkeypatch.setattr(strategies, "_encode", lambda *a: full.append(a) or encode(*a))
-    parent = TallyCounter.decode(
-        reference_bytes(TallyCounter({"_init": 9, "m": 1}, {"0:1": 2, "0:12": 0}))
-    )
+def test_tally_shares_what_it_leaves():
+    parent = TallyCounter({"_init": 9, "m": 1}, {"0:1": 2, "0:12": 0})
     child = parent.apply("0:1", "dec", 5)
     assert child.incs is parent.incs and child.decs is not parent.decs
     grown = child.apply("", "inc", 1).apply("n", "inc", 2).apply("zz", "dec", 1)
     assert grown.merge(parent) is grown  # nothing rose: the tally itself
-    merged = parent.merge(grown)
-    for tally in (child, grown, merged):
-        assert tally.encode() == reference_bytes(tally)
-    assert merged.encode() == grown.encode()
-    assert full == []  # every one of those was spliced
+    assert parent.merge(grown) == grown
 
 
 def step_all(gens, rng):
@@ -292,6 +254,11 @@ def step_all(gens, rng):
             gens.remove(gen)
 
 
+def same(xs, ys) -> bool:
+    """The same objects, in order."""
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
 def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
     keys = ("a", "b")
     driver = Run(small(Strategy.WEAK)).driver
@@ -299,17 +266,17 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
         driver.seed(CounterSpec(key, bound=0, initial=10_000))
     stores = driver.stores
     rng = random.Random(7)
-    decode = TallyCounter.decode
+    merge = TallyCounter.merge
 
     def fresh(siblings):
-        return reduce(TallyCounter.merge, map(decode, siblings))
+        return reduce(merge, siblings)
 
     def outside_put(dc, key):
         # a writer other than the driver: reads, merges, bumps and puts with
         # its read as context, as every weak writer does
         rec = yield from stores[dc].get(key)
         tally = fresh(rec.siblings).apply(f"x{dc}", rng.choice(["inc", "dec"]), 1)
-        yield from stores[dc].put(key, tally.encode(), context=rec.version)
+        yield from stores[dc].put(key, tally, context=rec.version)
 
     def merge_in(dc, key):
         other = rng.choice([d for d in range(len(stores)) if d != dc])
@@ -320,91 +287,106 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
         yield from driver.client_op(dc, f"c{rng.randrange(6)}", key, kind, 1, "global")
 
     # the test's own model of the fold contract, per (dc, key): the version
-    # and tuple last folded, and the blobs the driver has put since then
-    last, written, decoded = {}, {}, []
-    fold, put = driver._fold, driver._put
-    stats = {"widest": 0, "skipped": 0, "decoded": 0, "overtaken": 0}
+    # and tuple last folded; joined collects the tallies a fold merges in
+    last, joined = {}, []
+    fold = driver._fold
+    stats = {"widest": 0, "cached": 0, "joined": 0, "overtaken": 0}
 
     def checked_fold(dc, rec):
-        decoded.clear()
+        joined.clear()
         got = fold(dc, rec)
+        seen = list(joined)
         assert got == fresh(rec.siblings)
-        assert got.encode() == fresh(rec.siblings).encode()
         version, before = last.get((dc, rec.key), (0, ()))
         if rec.version == version:
-            assert decoded == []
+            assert seen == []
             return got
         if rec.version < version:
             # an overtaken read of an earlier version is folded whole
-            assert decoded == list(rec.siblings)
+            assert same(seen, rec.siblings[1:])
             stats["overtaken"] += 1
             return got
-        mine = written.pop((dc, rec.key), set())
+        if len(rec.siblings) == 1:
+            before = ()  # a lone sibling is its own merge
         new = [s for s in rec.siblings if s not in before]
-        assert decoded == [s for s in new if s not in mine]
+        # with no merge cached, the first new sibling starts it
+        assert same(seen, new if before else new[1:])
         last[(dc, rec.key)] = rec.version, rec.siblings
         stats["widest"] = max(stats["widest"], len(rec.siblings))
-        stats["skipped"] += len(new) - len(decoded)
-        stats["decoded"] += len(decoded)
+        stats["cached"] += len(rec.siblings) - len(new)
+        stats["joined"] += len(seen)
         return got
 
-    def recorded_put(dc, key, tally, version):
-        yield from put(dc, key, tally, version)
-        written.setdefault((dc, key), set()).add(tally.encode())
+    def recorded_merge(self, other):
+        joined.append(other)
+        return merge(self, other)
 
     monkeypatch.setattr(driver, "_fold", checked_fold)
-    monkeypatch.setattr(driver, "_put", recorded_put)
-    monkeypatch.setattr(
-        TallyCounter, "decode", classmethod(lambda cls, b: decoded.append(b) or decode(b))
-    )
+    monkeypatch.setattr(TallyCounter, "merge", recorded_merge)
     ops = [client_op] * 6 + [outside_put, merge_in]
     for _ in range(60):
         gens = [rng.choice(ops)(rng.randrange(len(stores)), rng.choice(keys))
                 for _ in range(rng.randint(1, 16))]
         step_all(gens, rng)
     # the interleavings built wide sibling sets and overtaken reads, and the
-    # folds both decoded new siblings and took some from the driver's writes
+    # folds both joined new siblings and skipped ones already in the cache
     assert stats["widest"] >= 4 and stats["overtaken"] > 0
-    assert stats["skipped"] > 0 and stats["decoded"] > 0
+    assert stats["cached"] > 0 and stats["joined"] > 0
+
+
+def weak_golden(name, seed=None):
+    cfg = GOLDEN_CONFIGS[name](Strategy.WEAK)
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["single-counter", "violation-count", "faults"])
 def test_weak_fold_equals_a_fresh_fold_over_whole_runs(name, seed, monkeypatch):
-    """Under a real run's interleavings, every fold equals a fresh decode and
-    merge of the siblings read, and every put's blob is the reference
-    encoding of its tally, spliced: only the seeds are encoded whole."""
-    fold, put, encode = WeakDriver._fold, DCStore.put, strategies._encode
-    widest, puts, full = 0, [], []
+    """Under a real run's interleavings, every fold equals a fresh merge of
+    the siblings read."""
+    fold = WeakDriver._fold
+    widest = 0
 
     def checked(self, dc, rec):
         nonlocal widest
         got = fold(self, dc, rec)
-        assert got == reduce(TallyCounter.merge, map(TallyCounter.decode, rec.siblings))
+        assert got == reduce(TallyCounter.merge, rec.siblings)
         widest = max(widest, len(rec.siblings))
         return got
 
-    def checked_put(self, key, data, context=None):
-        assert data == reference_bytes(TallyCounter.decode(data))
-        puts.append(data)
+    monkeypatch.setattr(WeakDriver, "_fold", checked)
+    run(weak_golden(name, seed))
+    assert widest > 1
+
+
+def test_weak_run_never_changes_a_stored_tally(monkeypatch):
+    """Every tally a store receives keeps its entries to the end of the run,
+    as the stores of every DC and the fold caches share them."""
+    put, seed = DCStore.put, DCStore.seed
+    stored = []
+
+    def snapped_put(self, key, data, context=None):
+        stored.append((data, snapshot(data)))
         return put(self, key, data, context)
 
-    monkeypatch.setattr(WeakDriver, "_fold", checked)
-    monkeypatch.setattr(DCStore, "put", checked_put)
-    monkeypatch.setattr(strategies, "_encode", lambda *a: full.append(a) or encode(*a))
-    cfg = dataclasses.replace(GOLDEN_CONFIGS[name](Strategy.WEAK), seed=seed)
-    run(cfg)
-    assert widest > 1
-    assert len(puts) > 100 and len(full) == len(cfg.counters)
+    def snapped_seed(self, key, data, mode):
+        stored.append((data, snapshot(data)))
+        seed(self, key, data, mode)
+
+    monkeypatch.setattr(DCStore, "put", snapped_put)
+    monkeypatch.setattr(DCStore, "seed", snapped_seed)
+    run(weak_golden("single-counter"))
+    assert len(stored) > 100
+    assert all(snapshot(tally) == snap for tally, snap in stored)
 
 
-def test_weak_sync_sends_a_lone_siblings_own_bytes(monkeypatch):
+def test_weak_sync_sends_the_lone_sibling_itself(monkeypatch):
     driver = Run(small(Strategy.WEAK)).driver
     driver.seed(CounterSpec("x", bound=0, initial=100))
     store, sent, puts, rng = driver.stores[0], [], [], random.Random(0)
-    # deliver each sync at once and keep the blob it carries
+    # deliver each sync at once and keep the tally it carries
     monkeypatch.setattr(driver.net, "broadcast", lambda dc, deliver: deliver(1) or 1)
-    monkeypatch.setattr(driver, "_on_sync", lambda dc, key, blob: sent.append(blob))
+    monkeypatch.setattr(driver, "_on_sync", lambda dc, key, tally: sent.append(tally))
     sync = driver._sync_loop(0)
 
     def sync_once():
@@ -413,18 +395,18 @@ def test_weak_sync_sends_a_lone_siblings_own_bytes(monkeypatch):
             next(sync)
         assert sent[-1] is store.peek("x").siblings[0]
 
-    sync_once()  # the seed, decoded by the first fold
+    sync_once()  # the seed
     for actor in ("0:0", "0:1", "0:0"):
         step_all([driver.client_op(0, actor, "x", "dec", 1, "global")], rng)
         assert len(store.peek("x").siblings) == 1
-        sync_once()  # the driver's own put, folded from _written
-    put = driver._put
+        sync_once()  # the driver's own put
+    put = DCStore.put
 
-    def recorded_put(dc, key, tally, version):
-        puts.append(tally)
-        yield from put(dc, key, tally, version)
+    def recorded_put(self, key, data, context=None):
+        puts.append(data)
+        return put(self, key, data, context)
 
-    monkeypatch.setattr(driver, "_put", recorded_put)
+    monkeypatch.setattr(DCStore, "put", recorded_put)
     # a merge that raises nothing writes nothing; one that raises an entry does
     for incoming in (TallyCounter({"_init": 100}, {"0:0": 1}), TallyCounter({}, {"1:0": 1})):
         step_all([driver._merge_in(0, "x", incoming)], rng)
