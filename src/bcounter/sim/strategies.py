@@ -48,6 +48,9 @@ def _threshold(cfg: SimConfig, spec: CounterSpec) -> int:
     return default_threshold(abs(spec.initial - spec.bound), cfg.n_dcs)
 
 
+Stamp = tuple[int, str, int] | None  # (dc, key, version) of a weak put's parent fold
+
+
 class TallyCounter:
     """Grow-only per-actor tallies; value = sum(incs) - sum(decs).
 
@@ -55,36 +58,89 @@ class TallyCounter:
     sharing any section dict they leave alone. The weak driver stores them
     as they are, so one tally may sit in several DCs' stores and in a fold
     cache at once; writing into its dicts would rewrite all of those.
+
+    Each tally keeps ``sums``, the running (sum(incs), sum(decs)), so
+    ``value`` is O(1) and tallies of different sums compare unequal without
+    a walk. A tally made by ``apply`` or ``merge`` keeps ``raised``, the
+    entries by which it exceeds the tally it was made from, as (incs, decs);
+    one built directly has none. ``stamp`` is given by the weak driver to
+    its own puts as it builds them, so before any store or DC can see them:
+    the (dc, key, version) of the fold the put was made from. Every other
+    tally has none.
     """
 
-    __slots__ = ("incs", "decs")
+    __slots__ = ("incs", "decs", "sums", "raised", "stamp")
 
-    def __init__(self, incs: dict[str, int] | None = None, decs: dict[str, int] | None = None):
+    def __init__(
+        self,
+        incs: dict[str, int] | None = None,
+        decs: dict[str, int] | None = None,
+        *,
+        sums: tuple[int, int] | None = None,
+        raised: tuple[dict[str, int], dict[str, int]] | None = None,
+        stamp: Stamp = None,
+    ):
         self.incs = incs or {}
         self.decs = decs or {}
+        if sums is None:
+            sums = sum(self.incs.values()), sum(self.decs.values())
+        self.sums = sums
+        self.raised = raised
+        self.stamp = stamp
 
     def value(self) -> int:
-        return sum(self.incs.values()) - sum(self.decs.values())
+        return self.sums[0] - self.sums[1]
 
-    def apply(self, actor: str, kind: str, delta: int) -> "TallyCounter":
+    def apply(self, actor: str, kind: str, delta: int, stamp: Stamp = None) -> "TallyCounter":
+        inc, dec = self.sums
         if kind == "inc":
-            return TallyCounter({**self.incs, actor: self.incs.get(actor, 0) + delta}, self.decs)
-        return TallyCounter(self.incs, {**self.decs, actor: self.decs.get(actor, 0) + delta})
+            n = self.incs.get(actor, 0) + delta
+            return TallyCounter(
+                {**self.incs, actor: n},
+                self.decs,
+                sums=(inc + delta, dec),
+                raised=({actor: n}, {}),
+                stamp=stamp,
+            )
+        n = self.decs.get(actor, 0) + delta
+        return TallyCounter(
+            self.incs,
+            {**self.decs, actor: n},
+            sums=(inc, dec + delta),
+            raised=({}, {actor: n}),
+            stamp=stamp,
+        )
 
-    def merge(self, other: "TallyCounter") -> "TallyCounter":
-        """The entrywise max; ``self`` itself when no entry of ``other`` is above it."""
-        incs = _entrywise_max(self.incs, other.incs)
-        decs = _entrywise_max(self.decs, other.decs)
+    def merge(self, other: "TallyCounter", stamp: Stamp = None) -> "TallyCounter":
+        """The entrywise max; ``self`` itself, unstamped, when no entry of
+        ``other`` is above it."""
+        return self._join(other.incs, other.decs, stamp)
+
+    def join_raised(self, other: "TallyCounter") -> "TallyCounter":
+        """``self.merge(other)`` for an ``other`` made by ``apply`` or
+        ``merge`` from a tally ``self`` dominates: every entry of ``other``
+        but its raised ones is at most its parent's, so at most ``self``'s."""
+        return self._join(*other.raised, None)
+
+    def _join(self, incs: dict[str, int], decs: dict[str, int], stamp: Stamp) -> "TallyCounter":
+        incs = _entrywise_max(self.incs, incs)
+        decs = _entrywise_max(self.decs, decs)
         if not incs and not decs:
             return self
+        inc, dec = self.sums
         return TallyCounter(
             {**self.incs, **incs} if incs else self.incs,
             {**self.decs, **decs} if decs else self.decs,
+            sums=(inc + _rise(self.incs, incs), dec + _rise(self.decs, decs)),
+            raised=(incs, decs),
+            stamp=stamp,
         )
 
     def __eq__(self, other) -> bool:
+        # equal tallies have equal sums, so the sums settle most pairs
         return (
             isinstance(other, TallyCounter)
+            and self.sums == other.sums
             and self.incs == other.incs
             and self.decs == other.decs
         )
@@ -94,6 +150,11 @@ def _entrywise_max(mine: dict[str, int], theirs: dict[str, int]) -> dict[str, in
     """The entries of ``theirs`` above ``mine``'s. Tallies are >= 0, so an
     actor only ``theirs`` has is always one of them."""
     return {actor: n for actor, n in theirs.items() if n > mine.get(actor, -1)}
+
+
+def _rise(mine: dict[str, int], raised: dict[str, int]) -> int:
+    """How much ``raised``, entries above ``mine``'s, adds to its sum."""
+    return sum(n - mine.get(actor, 0) for actor, n in raised.items())
 
 
 def _fresh_fold(siblings: tuple[TallyCounter, ...]) -> TallyCounter:
@@ -176,13 +237,21 @@ class WeakDriver(Driver):
         (``apply`` in ``client_op``, ``merge`` in ``_merge_in``) and the
         store drops only siblings born by the put's context: each sibling
         that leaves the tuple is below one that stays, so below the new
-        merge. A lone sibling is folded whole: it is its own merge, so the
-        merge is that sibling itself (``_sync_loop`` sends it as is). An
-        earlier version, whose read was overtaken on the way back by a
-        later one, may merge to less than the last merge, so it is folded
-        whole and the cache is left as it is.
+        merge. So the fold of a version is below the fold of any later one.
+        A lone sibling is folded whole: it is its own merge, so the merge is
+        that sibling itself (``_sync_loop`` sends it as is). An earlier
+        version, whose read was overtaken on the way back by a later one,
+        may merge to less than the last merge, so it is folded whole and
+        the cache is left as it is.
+
+        A new sibling this driver put from this (dc, key)'s fold of a
+        version no later than the cached one joins only its raised entries.
+        This too is exact: the put is its parent fold raised by those
+        entries, and the last merge is at least the cached version's fold,
+        so at least the parent. Every other sibling is merged whole.
         """
-        version, folded, merged = self._folds.get((dc, rec.key), (0, (), None))
+        key = rec.key
+        version, folded, merged = self._folds.get((dc, key), (0, (), None))
         if rec.version == version:
             return merged
         if rec.version < version:
@@ -190,9 +259,16 @@ class WeakDriver(Driver):
         if len(rec.siblings) == 1:
             folded, merged = (), None
         for tally in rec.siblings:
-            if tally not in folded:
-                merged = tally if merged is None else merged.merge(tally)
-        self._folds[(dc, rec.key)] = (rec.version, rec.siblings, merged)
+            if tally in folded:
+                continue
+            stamp = tally.stamp
+            if merged is None:
+                merged = tally
+            elif stamp is not None and stamp[2] <= version and stamp[:2] == (dc, key):
+                merged = merged.join_raised(tally)
+            else:
+                merged = merged.merge(tally)
+        self._folds[(dc, key)] = (rec.version, rec.siblings, merged)
         return merged
 
     def _merged_at(self, dc: int, key: str):
@@ -209,7 +285,8 @@ class WeakDriver(Driver):
         spec = self.specs[key]
         if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
-        yield from self.stores[dc].put(key, tally.apply(actor, kind, delta), context=version)
+        new = tally.apply(actor, kind, delta, stamp=(dc, key, version))
+        yield from self.stores[dc].put(key, new, context=version)
         return "ok", "ok", False
 
     def _sync_loop(self, dc: int):
@@ -233,7 +310,7 @@ class WeakDriver(Driver):
         if got is None:
             return
         tally, version = got
-        merged = tally.merge(incoming)
+        merged = tally.merge(incoming, stamp=(dc, key, version))
         if merged is tally:
             return
         yield from self.stores[dc].put(key, merged, context=version)
@@ -249,29 +326,30 @@ class StrongDriver(Driver):
         self.stores[self.HOME].seed(spec.key, spec.initial, Consistency.STRONG)
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
+        """A round trip to the home DC, which reads, checks the bound and
+        writes conditionally, retrying on conflict."""
         if dc != self.HOME:
             yield self.net.delay(dc, self.HOME)
-        result = yield from self._home_op(key, kind, delta)
-        if dc != self.HOME:
-            yield self.net.delay(self.HOME, dc)
-        return result
-
-    def _home_op(self, key: str, kind: str, delta: int):
-        """Runs at the home DC: read, bound check, conditional write, retry."""
         store = self.stores[self.HOME]
         spec = self.specs[key]
+        result = "failed", "retries", False
         for _ in range(self.cfg.retry_limit):
             rec = yield from store.get(key)
             if rec is None:
-                return "failed", "notfound", False
+                result = "failed", "notfound", False
+                break
             value = rec.siblings[0]
             if _would_violate(spec, value, kind, delta):
-                return "failed", "bound", False
+                result = "failed", "bound", False
+                break
             new_value = value + delta if kind == "inc" else value - delta
             res = yield from store.put_conditional(key, new_value, rec.version)
             if res is not CONFLICT:
-                return "ok", "ok", False
-        return "failed", "retries", False
+                result = "ok", "ok", False
+                break
+        if dc != self.HOME:
+            yield self.net.delay(self.HOME, dc)
+        return result
 
     def converged(self) -> bool:
         return True  # single copy

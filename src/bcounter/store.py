@@ -12,9 +12,10 @@ mode is fixed by its first write:
   inside the data; it trusts the writer to have read and merged the siblings
   it replaces. The weak driver's fold relies on this: a sibling that leaves
   is below a sibling that stays, so a reader may join only the new siblings
-  into its last merge. A put with no context dominates nothing and simply
-  joins the sibling set. Readers see all siblings and are expected to merge
-  them.
+  into its last merge, and of a new sibling it put itself from an earlier
+  fold, only the entries that put raised. A put with no context dominates
+  nothing and simply joins the sibling set. Readers see all siblings and are
+  expected to merge them.
 * STRONG: only conditional writes, which install iff the caller's expected
   version is still current. Exactly one sibling at all times. Strong keys are
   never replicated across DCs by the store; any cross-DC movement of their

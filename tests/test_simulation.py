@@ -211,6 +211,59 @@ def test_tally_merge_is_the_per_actor_max(a, b, c):
     assert a.merge(TallyCounter()) == a
 
 
+def apply_to(tally: TallyCounter, ops):
+    for actor, kind, delta in ops:
+        tally = tally.apply(actor, kind, delta)
+    return tally
+
+
+# a few updates, each an actor, a kind and a delta
+_updates = st.lists(
+    st.tuples(st.sampled_from("abcdef"), st.sampled_from(["inc", "dec"]), st.integers(0, 3)),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tally_counters,
+    tally_counters,
+    tally_counters,
+    _updates,
+    st.sampled_from("abcdef"),
+    st.sampled_from(["inc", "dec"]),
+    st.integers(0, 3),
+)
+def test_tally_join_raised_is_the_merge_over_a_dominated_parent(p, q, r, ups, actor, kind, delta):
+    """A tally that dominates the parent of an ``apply`` or ``merge`` joins
+    only its raised entries and gets the whole merge."""
+    m = apply_to(p.merge(r), ups)  # any m >= p
+    for child in (p.apply(actor, kind, delta), p.merge(q)):
+        if child is not p:
+            assert m.join_raised(child) == m.merge(child)
+
+
+def sums_hold(tally: TallyCounter) -> bool:
+    return tally.sums == (sum(tally.incs.values()), sum(tally.decs.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tally_counters, st.lists(st.one_of(_updates, tally_counters), max_size=6))
+def test_tally_running_sums_follow_apply_and_merge(tally, steps):
+    for step in steps:
+        tally = tally.merge(step) if isinstance(step, TallyCounter) else apply_to(tally, step)
+        assert sums_hold(tally)
+        assert tally.value() == sum(tally.incs.values()) - sum(tally.decs.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tally_counters, tally_counters, _updates)
+def test_tally_equality_is_dict_equality(a, b, ups):
+    for x, y in ((a, b), (a, apply_to(b, ups)), (a.merge(b), b.merge(a))):
+        assert (x == y) == (snapshot(x) == snapshot(y))
+        assert (x != y) == (snapshot(x) != snapshot(y))
+
+
 def snapshot(tally: TallyCounter):
     return dict(tally.incs), dict(tally.decs)
 
@@ -268,6 +321,8 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
     rng = random.Random(7)
     merge = TallyCounter.merge
 
+    outside = []  # the tallies outside_put wrote
+
     def fresh(siblings):
         return reduce(merge, siblings)
 
@@ -276,6 +331,7 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
         # its read as context, as every weak writer does
         rec = yield from stores[dc].get(key)
         tally = fresh(rec.siblings).apply(f"x{dc}", rng.choice(["inc", "dec"]), 1)
+        outside.append(tally)
         yield from stores[dc].put(key, tally, context=rec.version)
 
     def merge_in(dc, key):
@@ -287,10 +343,11 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
         yield from driver.client_op(dc, f"c{rng.randrange(6)}", key, kind, 1, "global")
 
     # the test's own model of the fold contract, per (dc, key): the version
-    # and tuple last folded; joined collects the tallies a fold merges in
+    # and tuple last folded; joined collects the tallies a fold merges in,
+    # whole or by their raised entries
     last, joined = {}, []
     fold = driver._fold
-    stats = {"widest": 0, "cached": 0, "joined": 0, "overtaken": 0}
+    stats = {"widest": 0, "cached": 0, "joined": 0, "overtaken": 0, "raised": 0, "outside": 0}
 
     def checked_fold(dc, rec):
         joined.clear()
@@ -315,14 +372,25 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
         stats["widest"] = max(stats["widest"], len(rec.siblings))
         stats["cached"] += len(rec.siblings) - len(new)
         stats["joined"] += len(seen)
+        stats["outside"] += sum(any(s is t for t in outside) for s in seen)
         return got
 
-    def recorded_merge(self, other):
+    def recorded_merge(self, other, stamp=None):
         joined.append(other)
-        return merge(self, other)
+        return merge(self, other, stamp)
+
+    join_raised = TallyCounter.join_raised
+
+    def recorded_join_raised(self, other):
+        # only the driver's own puts are joined by their raised entries
+        assert other.stamp is not None and not any(other is t for t in outside)
+        joined.append(other)
+        stats["raised"] += 1
+        return join_raised(self, other)
 
     monkeypatch.setattr(driver, "_fold", checked_fold)
     monkeypatch.setattr(TallyCounter, "merge", recorded_merge)
+    monkeypatch.setattr(TallyCounter, "join_raised", recorded_join_raised)
     ops = [client_op] * 6 + [outside_put, merge_in]
     for _ in range(60):
         gens = [rng.choice(ops)(rng.randrange(len(stores)), rng.choice(keys))
@@ -332,6 +400,8 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
     # folds both joined new siblings and skipped ones already in the cache
     assert stats["widest"] >= 4 and stats["overtaken"] > 0
     assert stats["cached"] > 0 and stats["joined"] > 0
+    # outside puts were merged whole, and driver puts joined by raised entries
+    assert stats["outside"] > 0 and stats["raised"] > 0
 
 
 def weak_golden(name, seed=None):
