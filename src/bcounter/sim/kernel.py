@@ -24,6 +24,14 @@ float rounding absorbs (``now + delay == now``). A future keeps its waiting
 processes, not callbacks; a ``(Future, timeout)`` wait is one record that is
 both among the future's waiters and on the heap, and whichever runs first
 resumes the process.
+
+A wait that its future served leaves its timeout entry behind, dead. The
+loop counts these entries, and once they are more than half of the heap (and
+more than a fixed floor) it filters them out and re-heapifies the rest. Every
+``(time, seq)`` key is unique, so the live entries run in the same order as
+before. A served timeout's entry may thus be dropped before its time:
+``events`` and ``pending()`` then leave it out, and ``run()`` without
+``until`` can stop at the last live entry rather than at a dead deadline.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ from collections import deque
 from typing import Any, Callable, Generator
 
 _INF = float("inf")
+# Dead timeout entries are filtered out of the heap only past this many: below
+# it a rebuild saves less than it costs.
+_STALE_FLOOR = 512
 
 
 class Sentinel:
@@ -49,6 +60,9 @@ class Sentinel:
 
 
 TIMEOUT = Sentinel("TIMEOUT")
+# The value of a timed wait's own timeout entry. A future may be resolved with
+# TIMEOUT itself, so only this marks the entry that the deadline queued.
+_EXPIRED = Sentinel("EXPIRED")
 
 
 class Future:
@@ -88,7 +102,8 @@ class Process:
 
 class _TimedWait:
     """One ``(Future, timeout)`` wait; the first of its two entries to run
-    resumes the process and the other finds it fired."""
+    resumes the process and the other finds it fired (or, if it is the
+    timeout entry, may be dropped from the heap unrun)."""
 
     __slots__ = ("proc", "fired")
 
@@ -102,13 +117,23 @@ class Simulator:
 
     def __init__(self):
         self.now = 0.0
-        self.events = 0  # entries dispatched so far
+        # entries dispatched so far; a served timeout's entry dropped from the
+        # heap before its time is never dispatched, so it is not counted
+        self.events = 0
         self._heap: list[tuple[float, int, Any, Any]] = []  # due after now
         self._ready: deque[tuple[Any, Any]] = deque()  # due at now
+        self._stale = 0  # served timed waits whose timeout entry is still queued
         self._seq = itertools.count(1).__next__
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        self._push(delay, fn, None)
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        now = self.now
+        t = now + delay
+        if t == now:
+            self._ready.append((fn, None))
+        else:
+            heapq.heappush(self._heap, (t, self._seq(), fn, None))
 
     def spawn(self, gen: Generator) -> Process:
         p = Process(self, gen)
@@ -130,7 +155,9 @@ class Simulator:
         seq = self._seq
         # names the loop tests once per event, bound locally
         timed_wait, process, future_type, number, integer = _TimedWait, Process, Future, float, int
+        expired, timeout, floor = _EXPIRED, TIMEOUT, _STALE_FLOOR
         events = 0
+        stale = self._stale
         try:
             while True:
                 if ready:
@@ -151,8 +178,20 @@ class Simulator:
                 kind = target.__class__
                 if kind is timed_wait:
                     if target.fired:
+                        if value is expired:
+                            stale -= 1
                         continue
                     target.fired = True
+                    if value is expired:
+                        value = timeout
+                    else:
+                        stale += 1
+                        if stale > floor:
+                            # entries in the ready FIFO cannot be filtered, so
+                            # only those surely on the heap count towards a rebuild
+                            sure = stale - len(ready)
+                            if sure > floor and sure + sure > len(heap):
+                                stale -= self._drop_stale()
                     target = target.proc
                 elif kind is not process:
                     target()
@@ -179,21 +218,68 @@ class Simulator:
                         make_ready((target, yielded.value))
                     else:
                         yielded._waiters.append(target)
+                elif kind is tuple and len(yielded) == 2:
+                    future, delay = yielded
+                    kind = delay.__class__
+                    if (
+                        future.__class__ is future_type
+                        and (kind is number or kind is integer)
+                        and delay >= 0
+                    ):
+                        waiter = timed_wait(target)
+                        if future.done:
+                            make_ready((waiter, future.value))
+                        else:
+                            future._waiters.append(waiter)
+                        t = now + delay
+                        if t == now:
+                            make_ready((waiter, expired))
+                        else:
+                            heappush(heap, (t, seq(), waiter, expired))
+                    else:
+                        self._wait(target, yielded)
                 else:
                     self._wait(target, yielded)
         finally:
             self.events += events
+            self._stale = stale
         if until is not None and until > self.now:
             self.now = until
 
     def pending(self) -> int:
         return len(self._heap) + len(self._ready)
 
-    # -- queueing -----------------------------------------------------------
+    def _drop_stale(self) -> int:
+        """Filter served waits' timeout entries out of the heap; returns how
+        many went. Only a timeout entry of a timed wait is ever on the heap."""
+        heap = self._heap
+        live = [e for e in heap if not (e[2].__class__ is _TimedWait and e[2].fired)]
+        dropped = len(heap) - len(live)
+        heap[:] = live
+        heapq.heapify(heap)
+        return dropped
 
-    def _push(self, delay: float, target: Any, value: Any) -> None:
+    # -- the yields run does not handle inline --------------------------------
+
+    def _wait(self, p: Process, yielded: Any) -> None:
+        """Subclasses of the number, Future and tuple types, and negative,
+        NaN or malformed waits, which raise."""
+        if isinstance(yielded, Future):
+            self._await(yielded, p)
+            return
+        if isinstance(yielded, tuple) and len(yielded) == 2:
+            future, delay = yielded
+            if not (isinstance(future, Future) and isinstance(delay, (int, float))):
+                raise TypeError(f"process yielded unsupported value: {yielded!r}")
+            target, value = _TimedWait(p), _EXPIRED
+        elif isinstance(yielded, (int, float)):
+            future, delay, target, value = None, yielded, p, None
+        else:
+            raise TypeError(f"process yielded unsupported value: {yielded!r}")
         if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if future is not None:
+            self._await(future, target)
         now = self.now
         t = now + delay
         if t == now:
@@ -206,22 +292,3 @@ class Simulator:
             self._ready.append((waiter, future.value))
         else:
             future._waiters.append(waiter)
-
-    def _wait(self, p: Process, yielded: Any) -> None:
-        """The yields ``run`` does not handle inline: ``(Future, timeout)``
-        pairs, and subclasses of the number and Future types."""
-        if isinstance(yielded, tuple):
-            if len(yielded) == 2:
-                future, timeout = yielded
-                if isinstance(future, Future) and isinstance(timeout, (int, float)):
-                    waiter = _TimedWait(p)
-                    self._await(future, waiter)
-                    self._push(timeout, waiter, TIMEOUT)
-                    return
-        elif isinstance(yielded, (int, float)):
-            self._push(yielded, p, None)
-            return
-        elif isinstance(yielded, Future):
-            self._await(yielded, p)
-            return
-        raise TypeError(f"process yielded unsupported value: {yielded!r}")

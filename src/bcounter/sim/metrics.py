@@ -250,7 +250,8 @@ class Metrics:
         violated = obs.apply(kind, delta)
         if violated > 0:
             self.counts["violations"] += violated
-        if self.depletion_time_ms is None:
+        # the scan can pass only once this key's own slack is spent
+        if self.depletion_time_ms is None and obs.slack() == 0:
             if all(o.slack() == 0 for o in self._observers.values()):
                 self.depletion_time_ms = t
 

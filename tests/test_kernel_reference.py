@@ -8,7 +8,13 @@ programs mix zero and tied delays, delays that float rounding absorbs at
 than once, timed waits with timeout 0 and with a value that lands at the
 deadline, kills before the first step and while waiting, and callbacks
 scheduled by processes.
+
+Those worlds are too small for the kernel to drop served timeouts' entries
+from its heap, so ``crowd`` runs one large enough: over a thousand timed
+waits, most served long before their deadlines.
 """
+
+import random
 
 import kernel_reference
 from hypothesis import given, seed, settings
@@ -135,3 +141,85 @@ def test_reference_world_exercises_every_instruction():
     log, checkpoints, alive = play(kernel, world)
     assert (log, checkpoints, alive) == play(kernel_reference, world)
     assert {entry[2] for entry in log} >= {"TIMEOUT", "call", "sleep", "wait", "timed"}
+
+
+FLOOR = kernel._STALE_FLOOR
+CROWD, CROWD_STEPS = 50, 30
+CROWD_KILLED = (3, 17, 29, 41)
+
+
+def crowd(k, check=None):
+    """``CROWD`` processes of ``CROWD_STEPS`` waits each on kernel module
+    ``k``, run in chunks; returns the ``(now, tag, value)`` log.
+
+    Most waits are served within 3 ms and time out after 40 to 60 ms, on
+    whole milliseconds, so deadlines tie. The rest wait with timeout 0 on a
+    resolved and on a pending future, wait for a value that lands at the
+    deadline, or sleep. Four processes are killed while they wait.
+    ``check(sim, False)`` runs whenever a timed wait resumes with a value,
+    and ``check(sim, True)`` after each chunk.
+    """
+    sim = k.Simulator()
+    resolved, pending = k.Future(sim), k.Future(sim)
+    resolved.resolve("pre")
+    log = []
+
+    def show(v):
+        return "TIMEOUT" if v is k.TIMEOUT else v
+
+    def worker(pid):
+        rng = random.Random(pid)
+        for step in range(CROWD_STEPS):
+            tag = (pid, step)
+            roll = rng.random()
+            f = k.Future(sim)
+            if roll < 0.75:
+                sim.schedule(rng.randint(0, 3), lambda f=f, tag=tag: f.resolve(tag))
+                got = yield (f, rng.choice([40, 50, 60]))
+            elif roll < 0.8:
+                got = yield (resolved, 0)
+            elif roll < 0.85:
+                got = yield (pending, 0)
+            elif roll < 0.9:
+                d = rng.randint(1, 3)
+                sim.schedule(d, lambda f=f, tag=tag: f.resolve(tag))
+                got = yield (f, d)
+            else:
+                got = yield rng.randint(0, 2)
+            if check is not None and roll < 0.9 and got is not k.TIMEOUT:
+                check(sim, False)
+            log.append((sim.now, tag, show(got)))
+
+    procs = [sim.spawn(worker(pid)) for pid in range(CROWD)]
+    for i, pid in enumerate(CROWD_KILLED):
+        sim.schedule(5 + 7 * i, procs[pid].kill)
+    for until in range(0, 120, 9):
+        sim.run(until=until)
+        if check is not None:
+            check(sim, True)
+    sim.run()
+    return log
+
+
+def test_crowd_of_served_timeouts_runs_as_in_reference_kernel(monkeypatch):
+    dropped = []
+    drop_stale = kernel.Simulator._drop_stale
+    monkeypatch.setattr(
+        kernel.Simulator, "_drop_stale", lambda sim: dropped.append(drop_stale(sim)) or dropped[-1]
+    )
+
+    def check(sim, between_runs):
+        queued = [e[2:] for e in sim._heap] + list(sim._ready)
+        served = [(t, v) for t, v in queued if t.__class__ is kernel._TimedWait and t.fired]
+        if between_runs:
+            # the count is stored when run() returns, and it is exact
+            assert sim._stale == sum(1 for _, v in served if v is kernel._EXPIRED)
+        else:
+            # just after a wait is served, dead entries are at most about
+            # half the heap, or fewer than the floor
+            assert len(sim._heap) <= 2 * (len(queued) - len(served)) + FLOOR
+
+    log = crowd(kernel, check)
+    assert log == crowd(kernel_reference)
+    assert len(log) > 1000
+    assert len(dropped) > 1 and sum(dropped) > 2 * FLOOR
