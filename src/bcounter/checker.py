@@ -16,13 +16,15 @@ budget. At every reachable state the checker verifies:
 Exploration interns replica views (the collapse compression of explicit-state
 checkers; Holzmann, "State Compression in SPIN", 1997). A view's canonical
 byte encoding maps to a small integer id, assigned when the view is first
-seen, and a world is the tuple of its views' ids. Each distinct (view,
-update) step, pair merge, bound check and local-rights vector is computed
-once with the counter's own code and then looked up, so a transition costs a
-few dictionary lookups and no encoding. Worlds are deduplicated on that id
-tuple plus the remaining budgets, with Pareto subsumption: re-reaching a
-configuration with component-wise fewer moves left cannot uncover anything
-new.
+seen, and a world packs its views' ids into one int, replica i's in bits
+[32 i, 32 (i + 1)). Each distinct (view, update) step, pair merge, bound
+check and local-rights vector is computed once with the counter's own code
+and then looked up, so a transition costs a few shifts and lookups and no
+encoding. The remaining budgets pack into one int too, each count in a field
+with a spare top bit, so one subtraction tells whether a budget vector
+dominates another. Worlds are deduplicated on their int with Pareto
+subsumption of budgets: re-reaching a configuration with component-wise
+fewer moves left cannot uncover anything new.
 
 Transfer amounts default to 1: rights arithmetic is linear, so unit
 transfers already exercise every precondition boundary.
@@ -40,7 +42,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from operator import ge
 
 from .crdt import INT64_MAX, INT64_MIN, BoundedCounter, NotEnoughRights, Polarity
 
@@ -309,6 +310,37 @@ def _moves(spec: ExploreSpec, budget: tuple[int, ...]):
                     yield spend(3 * n, ("merge", i, j))
 
 
+# A packed world holds replica i's view id in bits [_W * i, _W * (i + 1)).
+_W = 32
+_ID_MASK = (1 << _W) - 1
+
+
+def _pack(values, width: int) -> int:
+    """The values as ``width``-bit fields of one int, the first in the lowest bits."""
+    return sum(v << width * k for k, v in enumerate(values))
+
+
+def _unpack(packed: int, width: int, count: int) -> tuple[int, ...]:
+    return tuple((packed >> width * k) & ((1 << width) - 1) for k in range(count))
+
+
+def _budget_packing(budget0: tuple[int, ...]) -> tuple[int, int]:
+    """Field width and guard mask for budgets with components in [0, max(budget0)].
+
+    The guard sets each field's top bit, which no component uses. So a field
+    of ``old | guard`` minus the same field of ``new`` lies in (0, 2**width):
+    no field borrows from the next, and the difference keeps the top bit
+    exactly when old's component is at least new's.
+    """
+    width = max(budget0).bit_length() + 1
+    return width, _pack((1 << width - 1,) * len(budget0), width)
+
+
+def _dominates(old: int, new: int, guard: int) -> bool:
+    """Whether packed budget ``old`` is component-wise at least ``new``."""
+    return ((old | guard) - new) & guard == guard
+
+
 def explore(spec: ExploreSpec) -> Verified | Counterexample:
     """Breadth-first search over every reachable world within the budgets."""
     spec.validate()
@@ -322,129 +354,137 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
     if bad is not None:
         return Counterexample(bad, make_trace((), world0), tuple(v.value() for v in world0))
 
-    # interned views, indexed by id; worlds below are tuples of ids
+    budget0 = _initial_budget(spec)
+    width, guard = _budget_packing(budget0)
+    depth0 = budget0[-1]
+    # every update action by code; a smaller budget only disables some
+    actions = [action for action, _ in _moves(spec, budget0) if action[0] != "merge"]
+    code_of = {action: code for code, action in enumerate(actions)}
+
+    # interned views, indexed by id; a world packs its views' ids into one int
     views: list[BoundedCounter] = []
     ids: dict[bytes, int] = {}  # canonical encoding -> id
     within: list[bool] = []  # id -> the view satisfies the bound
     rights: list[tuple[int, ...]] = []  # id -> every replica's local rights
-    merged: dict[tuple[int, int], int] = {}  # (a, b) -> id of views[a].merge(views[b])
-    updated: dict[tuple[int, Action], int | None] = {}  # (id, update) -> id or None
+    merged: dict[int, int] = {}  # (a << _W) | b -> id of views[a].merge(views[b])
+    stepped: list[list] = []  # id -> per update code: next id, -1 if refused, None if unknown
 
     def intern(view: BoundedCounter) -> int:
         key = view.encode()
         vid = ids.get(key)
         if vid is None:
             vid = ids[key] = len(views)
+            if vid > _ID_MASK:
+                raise OverflowError(f"more than {_ID_MASK + 1} distinct views")
             views.append(view)
             within.append(_within_bound(view))
             rights.append(tuple(view.local_rights(i) for i in range(n)))
+            stepped.append([None] * len(actions))
         return vid
 
     def merge(a: int, b: int) -> int:
-        vid = merged.get((a, b))
+        key = a << _W | b
+        vid = merged.get(key)
         if vid is None:
-            vid = merged[(a, b)] = intern(views[a].merge(views[b]))
+            vid = merged[key] = intern(views[a].merge(views[b]))
         return vid
 
-    def step(world, action):
-        """apply_action on a world of ids; a merge that leaves the id unchanged is a no-op."""
-        i = action[1]
-        if action[0] == "merge":
-            vid = merge(world[i], world[action[2]])
-            if vid == world[i]:
-                return None
-        else:
-            key = (world[i], action)
-            if key in updated:
-                vid = updated[key]
+    def table(budget: int) -> list[tuple]:
+        # one row per move the budget allows: (action, acting replica, its shift,
+        # update code or -1 for a merge, merge partner's shift, next budget, depth used)
+        rows = []
+        for action, nbudget in _moves(spec, _unpack(budget, width, len(budget0))):
+            i = action[1]
+            if action[0] == "merge":
+                code, other = -1, _W * action[2]
             else:
-                new = _update(views[world[i]], action, spec)
-                vid = updated[key] = None if new is None else intern(new)
-            if vid is None:
-                return None
-        return world[:i] + (vid,) + world[i + 1 :]
+                code, other = code_of[action], 0
+            nb = _pack(nbudget, width)
+            rows.append((action, i, _W * i, code, other, nb, depth0 - nbudget[-1]))
+        return rows
 
-    def holds(world) -> bool:
-        """Whether check_invariants(concrete(world)) is None, from the cached parts."""
-        for i, v in enumerate(world):
-            if not within[v] or rights[v][i] < 0:
-                return False
-        join = reduce(merge, world)
-        if not within[join]:
-            return False
-        joined = rights[join]
-        if any(rights[v][i] > joined[i] for i, v in enumerate(world)):
-            return False
-        return reduce(merge, reversed(world)) == join
-
-    def concrete(world) -> tuple[BoundedCounter, ...]:
-        return tuple(views[v] for v in world)
-
-    # per world: Pareto frontier of budget vectors already explored
-    seen: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def subsumed(key, budget) -> bool:
-        for old in seen.get(key, ()):
-            if all(map(ge, old, budget)):
-                return True
-        return False
-
-    def remember(key, budget) -> None:
-        frontier = seen.setdefault(key, [])
-        frontier[:] = [old for old in frontier if not all(map(ge, budget, old))]
-        frontier.append(budget)
-
-    # few distinct budget vectors recur across many worlds
-    moves_of: dict[tuple[int, ...], list] = {}
-
-    budget0 = _initial_budget(spec)
-    w0 = tuple(intern(v) for v in world0)
-    remember(w0, budget0)
-    # ancestry as shared cons cells: node trace = (action, parent_cons)
-    queue = deque([(w0, budget0, None)])
-    states = 1
-    transitions = 0
-    deepest = None  # (depth, cons, world) probe candidate
+    def concrete(world: int) -> tuple[BoundedCounter, ...]:
+        return tuple(views[v] for v in _unpack(world, _W, n))
 
     def rebuild(cons) -> list[Action]:
         steps = []
         while cons is not None:
             action, cons = cons
             steps.append(action)
-        steps.reverse()
-        return steps
+        return steps[::-1]
 
-    depth0 = budget0[-1]
+    shifts = range(0, _W * n, _W)
+    b0 = _pack(budget0, width)
+    w0 = _pack([intern(v) for v in world0], _W)
+    # packed world -> Pareto frontier of its packed budgets: one int, or a
+    # list once a second, incomparable budget arrives
+    seen: dict[int, int | list[int]] = {w0: b0}
+    tables: dict[int, list[tuple]] = {}  # few distinct budgets recur across many worlds
+    # ancestry as shared cons cells: node trace = (action, parent_cons)
+    queue = deque([(w0, b0, None)])
+    states = 1
+    transitions = 0
+    deepest = None  # (depth, cons, world) probe candidate
     while queue:
         world, budget, cons = queue.popleft()
-        moves = moves_of.get(budget)
-        if moves is None:
-            moves = moves_of[budget] = list(_moves(spec, budget))
-        for action, nbudget in moves:
-            nxt = step(world, action)
-            if nxt is None:
-                continue
+        rows = tables.get(budget)
+        if rows is None:
+            rows = tables[budget] = table(budget)
+        for action, i, shift, code, other, nb, used in rows:
+            v = world >> shift & _ID_MASK
+            if code < 0:
+                u = world >> other & _ID_MASK
+                nv = merged.get(v << _W | u)
+                if nv is None:
+                    nv = merge(v, u)
+                if nv == v:
+                    continue  # no-op merge; skip to keep the frontier tight
+            else:
+                nv = stepped[v][code]
+                if nv is None:
+                    new = _update(views[v], actions[code], spec)
+                    nv = stepped[v][code] = -1 if new is None else intern(new)
+                if nv < 0:
+                    continue
             transitions += 1
-            if subsumed(nxt, nbudget):
-                continue
-            remember(nxt, nbudget)
+            nxt = world + (nv - v << shift)
+            old = seen.get(nxt)
+            if old is None:
+                seen[nxt] = nb
+            elif type(old) is int:
+                if _dominates(old, nb, guard):
+                    continue
+                seen[nxt] = nb if _dominates(nb, old, guard) else [old, nb]
+            else:
+                if any(_dominates(o, nb, guard) for o in old):
+                    continue
+                old[:] = [o for o in old if not _dominates(nb, o, guard)]
+                old.append(nb)
             states += 1
             if states > spec.max_states:
-                raise BudgetTooLarge(
-                    f"more than {spec.max_states} states; shrink the budgets"
-                )
+                raise BudgetTooLarge(f"more than {spec.max_states} states; shrink the budgets")
             ncons = (action, cons)
-            if not holds(nxt):
+            # the parent passed every check, so of the per-view checks only
+            # replica i's runs; the join checks fold through the merge cache
+            vids = [nxt >> s & _ID_MASK for s in shifts]
+            join = reduce(merge, vids)
+            joined = rights[join]
+            if not (
+                within[nv]
+                and rights[nv][i] >= 0
+                and within[join]
+                and all(rights[w][k] <= joined[k] for k, w in enumerate(vids))
+                and reduce(merge, reversed(vids)) == join
+            ):
                 full = concrete(nxt)
                 return Counterexample(
                     check_invariants(full),
                     make_trace(rebuild(ncons), full),
                     tuple(v.value() for v in full),
                 )
-            depth_used = depth0 - nbudget[-1]
-            if deepest is None or depth_used > deepest[0]:
-                deepest = (depth_used, ncons, nxt)
-            queue.append((nxt, nbudget, ncons))
+            if deepest is None or used > deepest[0]:
+                deepest = (used, ncons, nxt)
+            queue.append((nxt, nb, ncons))
     if deepest is None:
         probe = make_trace((), world0)
     else:

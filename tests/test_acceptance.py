@@ -132,7 +132,7 @@ def test_03_model_check_verified_and_mutant_caught(capsys):
     elapsed = time.monotonic() - t0
     ok = (
         code_ok == 0
-        and "Verified" in out_ok
+        and "Verified: states=493608 transitions=2953352" in out_ok
         and code_bad == 1
         and "Counterexample" in out_bad
         and elapsed < 300.0

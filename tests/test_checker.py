@@ -10,8 +10,11 @@ import dataclasses
 import itertools
 import json
 from collections import deque
+from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcounter.checker import (
     BudgetTooLarge,
@@ -21,8 +24,13 @@ from bcounter.checker import (
     Trace,
     Verified,
     _CODECS,
+    _W,
+    _budget_packing,
+    _dominates,
     _initial_budget,
     _moves,
+    _pack,
+    _unpack,
     apply_action,
     check_invariants,
     explore,
@@ -409,6 +417,91 @@ def test_interned_explore_matches_reference(spec):
         assert got.invariant == want.invariant
         assert got.trace == want.trace
         assert got.values == want.values
+
+
+def _verdict(result):
+    if isinstance(result, Verified):
+        return "verified", result.states, result.transitions, result.probe
+    return "counterexample", result.invariant, result.trace, result.values
+
+
+# The one Verified spec whose worlds keep incomparable budgets: an inc and an
+# unchecked dec both spend `used`, so the same world is reached with more incs
+# or more decs left. Three of its five worlds end with a frontier of two or
+# three budgets, a path that check-n3 never takes.
+_MULTI_BUDGET = ExploreSpec(n=1, polarity=Polarity.UPPER, bound=10, initial=0, incs=2, decs=2,
+                            max_merges=0, unchecked_decrement=True)
+# a 42-bit budget field, wider than the 32 bits of an uncapped depth
+_WIDE_BUDGET = ExploreSpec(n=2, initial=3, incs=2**40, decs=1, transfers=1, max_merges=2,
+                           max_depth=4)
+
+
+def _beyond_the_grid():
+    for polarity, unchecked in itertools.product(Polarity, (False, True)):
+        lower = polarity is Polarity.LOWER
+        spec = ExploreSpec(n=4, polarity=polarity, bound=0 if lower else 6, initial=3, incs=1,
+                           decs=1, transfers=1, max_merges=3, max_updates=3, max_depth=4,
+                           unchecked_decrement=unchecked)
+        yield pytest.param(spec, id=f"n4-{polarity.value}" + ("-unchecked" if unchecked else ""))
+    yield pytest.param(_MULTI_BUDGET, id="multi-budget")
+    yield pytest.param(_WIDE_BUDGET, id="wide-budget")
+
+
+@pytest.mark.parametrize("spec", _beyond_the_grid())
+def test_packed_explore_matches_reference_beyond_the_grid(spec):
+    assert _verdict(explore(spec)) == _verdict(reference_explore(spec))
+
+
+def test_multi_and_wide_budget_specs_are_verified():
+    assert _verdict(explore(_MULTI_BUDGET))[:3] == ("verified", 9, 12)
+    assert _verdict(explore(_WIDE_BUDGET))[:2] == ("verified", 183)
+
+
+def _budgets(initial):
+    """Vectors with each component in [0, initial[k]], its ends drawn often."""
+    return st.tuples(
+        *(st.one_of(st.just(0), st.just(b), st.integers(0, b)) for b in initial)
+    )
+
+
+_INITIALS = st.lists(
+    st.one_of(st.integers(0, 9), st.just(1 << 30), st.just(2**40), st.integers(0, 2**40)),
+    min_size=1,
+    max_size=15,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_dominance_is_componentwise_ge(data):
+    initial = data.draw(_INITIALS)
+    width, guard = _budget_packing(tuple(initial))
+    old = data.draw(_budgets(initial))
+    new = data.draw(st.one_of(st.just(old), _budgets(initial)))
+    packed_old, packed_new = _pack(old, width), _pack(new, width)
+    assert _unpack(packed_old, width, len(old)) == old
+    assert _dominates(packed_old, packed_new, guard) == all(map(ge, old, new))
+    assert _dominates(packed_new, packed_old, guard) == all(map(ge, new, old))
+
+
+def test_packed_dominance_at_the_field_ends():
+    initial = (2**40, 0, 1, 2**40)
+    width, guard = _budget_packing(initial)
+    assert width == 42
+    for old, new, want in [
+        ((0, 0, 0, 0), (0, 0, 0, 0), True),
+        (initial, initial, True),
+        (initial, (0, 0, 0, 0), True),
+        ((0, 0, 0, 0), initial, False),
+        ((2**40, 0, 0, 0), (0, 0, 0, 2**40), False),
+        ((2**40 - 1, 0, 1, 2**40), initial, False),
+    ]:
+        assert _dominates(_pack(old, width), _pack(new, width), guard) is want
+
+
+@given(st.lists(st.integers(0, 2**_W - 1), min_size=1, max_size=8))
+def test_world_ids_roundtrip_through_the_packing(ids):
+    assert _unpack(_pack(ids, _W), _W, len(ids)) == tuple(ids)
 
 
 def test_frozen_three_replica_instance():
