@@ -21,12 +21,13 @@ never mutates its input, and no code writes to a counter's ``rights`` or
 ``used`` maps after construction; serializing updates to one logical counter
 is the caller's job.
 
-That contract lets one decoded state be shared. A :class:`StateTable`, one
-per simulated run, maps canonical bytes to their decoded counter and each
-(bytes, update) to the bytes of the next state, so the middlewares decode
-each stored version and compute each update once however many clients read
-it. The codec's fixed layout is precompiled into ``struct.Struct`` objects
-for the misses.
+That contract lets one counter be shared. The simulated stores hold the
+counter itself, so every reader of a stored version gets the same object,
+and a :class:`StateTable`, one per client-middleware run, maps each (stored
+counter, update) to its result, so an update is computed once however many
+clients apply it to that version. The canonical byte encoding is the wire
+format of the library; its fixed layout is precompiled into
+``struct.Struct`` objects.
 """
 
 from __future__ import annotations
@@ -356,49 +357,38 @@ class BoundedCounter:
 
 
 class StateTable:
-    """Per-run memo of the codec over canonical encodings.
+    """The client middleware's step memo over stored counters.
 
     Under contention many clients read the same stored version and compute
-    the same update, so each distinct blob is decoded once and each distinct
-    (blob, update) stepped once. A memo that reaches ``TABLE_LIMIT`` entries
-    is cleared wholesale: memory stays bounded, and since a miss recomputes
-    exactly what a hit returns, clearing never changes a result.
-
-    Decoded states are shared by every caller that reads the same bytes,
-    which is safe only because counters are never mutated (see the module
-    docstring). The step memo stores bytes or an int, never a state.
+    the same update, so each distinct (state, update) is stepped once. The
+    store hands every reader of a version the same object, so entries are
+    keyed on the state's identity. Each entry holds its key state, so no
+    other object can take that id while the entry is live. A memo that
+    reaches ``TABLE_LIMIT`` entries is cleared wholesale: memory stays
+    bounded, and since a miss recomputes exactly what a hit returns,
+    clearing never changes a result. Sharing results between callers is
+    safe only because counters are never mutated (see the module docstring).
     """
 
-    __slots__ = ("_states", "_steps")
+    __slots__ = ("_steps",)
 
     def __init__(self):
-        self._states: dict[bytes, BoundedCounter] = {}
-        self._steps: dict[tuple[bytes, str, int, int], bytes | int] = {}
+        # (id(state), kind, i, delta) -> (state, next state or rights held)
+        self._steps: dict[tuple, tuple[BoundedCounter, BoundedCounter | int]] = {}
 
-    def decode(self, blob: bytes) -> BoundedCounter:
-        """The counter ``blob`` encodes; one shared object per blob between
-        clearings."""
-        state = self._states.get(blob)
-        if state is None:
-            if len(self._states) >= TABLE_LIMIT:
-                self._states.clear()
-            state = self._states[blob] = BoundedCounter.decode(blob)
-        return state
-
-    def step(self, blob: bytes, kind: str, i: int, delta: int) -> bytes | int:
+    def step(self, state: BoundedCounter, kind: str, i: int, delta: int) -> BoundedCounter | int:
         """Apply ``kind`` ("inc" or "dec") by ``delta`` at replica ``i`` to
-        the state ``blob`` encodes. Returns the encoded next state, or, when
-        the update raises :class:`NotEnoughRights`, the rights ``i`` holds."""
-        key = (blob, kind, i, delta)
-        out = self._steps.get(key)
-        if out is None:
-            state = self.decode(blob)
-            try:
-                nxt = state.increment(i, delta) if kind == "inc" else state.decrement(i, delta)
-                out = nxt.encode()
-            except NotEnoughRights:
-                out = state.local_rights(i)
-            if len(self._steps) >= TABLE_LIMIT:
-                self._steps.clear()
-            self._steps[key] = out
+        ``state``. Returns the next state, or, when the update raises
+        :class:`NotEnoughRights`, the rights ``i`` holds."""
+        key = (id(state), kind, i, delta)
+        hit = self._steps.get(key)
+        if hit is not None:
+            return hit[1]
+        try:
+            out = state.increment(i, delta) if kind == "inc" else state.decrement(i, delta)
+        except NotEnoughRights:
+            out = state.local_rights(i)
+        if len(self._steps) >= TABLE_LIMIT:
+            self._steps.clear()
+        self._steps[key] = (state, out)
         return out

@@ -1,13 +1,12 @@
 """Client-library middleware for bounded counters.
 
 One instance serves one data center. Counters live in that DC's store as
-strong keys holding the canonical counter encoding, one sibling each; every
+strong keys holding the immutable counter state, one sibling each; every
 update is a read, a CRDT update applied at this DC's replica id, and a
 conditional write, retried on conflict, each one store round trip, hops
-included. Reads decode and updates step through a ``StateTable`` shared by
-every middleware of a run: clients that read the same stored bytes share one
-decoded state and one computed next state, and a blob that is read is sent
-on as it is, never re-encoded.
+included. Updates step through a ``StateTable`` shared by every middleware
+of a run: clients that read the same stored state share one computed next
+state.
 
 Cross-DC replication is a periodic push of locally modified counters to
 every other DC, merged in at the receiver through the same conditional-write
@@ -59,7 +58,8 @@ class ClientMiddleware(Replica):
         rebalance_period_ms: float = 100.0,
         table: StateTable | None = None,
     ):
-        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms, table)
+        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms)
+        self.table = StateTable() if table is None else table
         self.n_dcs = n_dcs
         self.retry_limit = retry_limit
         self._dirty: set[str] = set()
@@ -73,20 +73,19 @@ class ClientMiddleware(Replica):
     # -- store access ---------------------------------------------------------
 
     def _fetch(self, key: str):
-        """Read the locally stored counter: (state, version, blob), or None.
-        A strong key holds exactly one sibling, decoded through the table."""
+        """Read the locally stored counter: (state, version), or None.
+        A strong key holds exactly one sibling."""
         rec = yield from self.store.get(key)
         if rec is None:
             return None
-        blob = rec.siblings[0]
-        return self.table.decode(blob), rec.version, blob
+        return rec.siblings[0], rec.version
 
     # -- counter operations ------------------------------------------------------
 
     def create(self, key: str, polarity: Polarity, bound: int, initial: int | None = None):
         """Install a fresh counter; fails if the key already exists."""
         state = BoundedCounter.new(polarity, bound, self.n_dcs, self.dc, initial)
-        res = yield from self.store.put_conditional(key, state.encode(), ABSENT)
+        res = yield from self.store.put_conditional(key, state, ABSENT)
         if res is CONFLICT:
             return "exists"
         self._dirty.add(key)
@@ -105,10 +104,10 @@ class ClientMiddleware(Replica):
             got = yield from self._fetch(key)
             if got is None:
                 return "failed", "notfound", used_sync
-            state, version, blob = got
-            new_blob = self.table.step(blob, kind, self.dc, delta)
-            if type(new_blob) is int:  # not enough rights; these are held here
-                deficit = delta - new_blob
+            state, version = got
+            new_state = self.table.step(state, kind, self.dc, delta)
+            if type(new_state) is int:  # not enough rights; these are held here
+                deficit = delta - new_state
                 if flag == "local":
                     hint = rights_elsewhere(state, self.dc, deficit)
                     return ("retry" if hint else "failed"), "rights", used_sync
@@ -118,7 +117,7 @@ class ClientMiddleware(Replica):
                     return "failed", "rights", used_sync
                 continue  # fresh read sees the merged-in rights
             self.metrics.op_write()
-            res = yield from self.store.put_conditional(key, new_blob, version)
+            res = yield from self.store.put_conditional(key, new_state, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -133,9 +132,8 @@ class ClientMiddleware(Replica):
 
         def merge(resp: TransferResponse):
             nonlocal state
-            granted = self.table.decode(resp.state)
-            yield from self._merge_into_store(key, granted)
-            state = state.merge(granted)
+            yield from self._merge_into_store(key, resp.state)
+            state = state.merge(resp.state)
 
         threshold = self.thresholds[key]
         ask = self._ask(key)
@@ -150,14 +148,12 @@ class ClientMiddleware(Replica):
             got = yield from self._fetch(key)
             if got is None:
                 return
-            state, version, _ = got
+            state, version = got
             new_state, resp = handle_request(state, req)
             if resp.status is not TransferStatus.GRANTED:
                 self._respond(req, reply, resp)
                 return
-            # a SYNC grant already carries the encoded new state
-            blob = resp.state if resp.state is not None else new_state.encode()
-            res = yield from self.store.put_conditional(key, blob, version)
+            res = yield from self.store.put_conditional(key, new_state, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -180,10 +176,10 @@ class ClientMiddleware(Replica):
                 got = yield from self._fetch(key)
                 if got is None:
                     continue
-                self._push_state(key, got[2])
+                self._push_state(key, got[0])
 
-    def on_state(self, key: str, blob: bytes) -> None:
-        self.sim.spawn(self._merge_into_store(key, self.table.decode(blob)))
+    def on_state(self, key: str, state: BoundedCounter) -> None:
+        self.sim.spawn(self._merge_into_store(key, state))
 
     def _merge_into_store(self, key: str, incoming: BoundedCounter):
         """Fold a remote state into the local durable copy."""
@@ -191,11 +187,11 @@ class ClientMiddleware(Replica):
             got = yield from self._fetch(key)
             if got is None:
                 return False
-            state, version, _ = got
+            state, version = got
             merged = state.merge(incoming)
             if merged == state:
                 return True
-            res = yield from self.store.put_conditional(key, merged.encode(), version)
+            res = yield from self.store.put_conditional(key, merged, version)
             if res is not CONFLICT:
                 return True
         return False  # the next sync tick delivers it again

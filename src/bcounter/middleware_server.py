@@ -41,7 +41,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
-from .crdt import BoundedCounter, NotEnoughRights, StateTable
+from .crdt import BoundedCounter, NotEnoughRights
 from .sim.kernel import Process, Simulator
 from .sim.net import Network
 from .store import CONFLICT, DCStore
@@ -113,7 +113,7 @@ class _GrantWaiter:
         self.granted = granted
 
     def on_ok(self, written: BoundedCounter) -> None:
-        resp = TransferResponse(TransferStatus.GRANTED, self.granted, written.encode())
+        resp = TransferResponse(TransferStatus.GRANTED, self.granted, written)
         self.cluster._respond(self.req, self.reply, resp)
 
     def on_conflict(self) -> None:
@@ -232,7 +232,7 @@ class Node:
                     payload.reply(OwnerReply("failed", "notfound"))
             p.arrivals = []
             return
-        p.base_state = self.cluster.table.decode(rec.siblings[0])
+        p.base_state = rec.siblings[0]
         p.base_version = rec.version
         p.working = p.base_state
         p.state = _Pipeline.WARM
@@ -312,7 +312,7 @@ class Node:
             snapshot = p.working
             if any(type(w) is _OpItem for w in p.batch):
                 self.metrics.op_write()
-            res = yield from self.store.put_conditional(p.key, snapshot.encode(), p.base_version)
+            res = yield from self.store.put_conditional(p.key, snapshot, p.base_version)
             if res is CONFLICT:
                 # nothing in the working copy is durable; drop all of it
                 waiters, p.batch = p.batch, []
@@ -367,7 +367,7 @@ class Node:
         re-read before every request; each grant is admitted as a merge."""
 
         def merge(resp: TransferResponse):
-            self._admit(p, "merge", self.cluster.table.decode(resp.state))
+            self._admit(p, "merge", resp.state)
             yield from ()
 
         threshold = self.cluster.thresholds[p.key]
@@ -390,7 +390,7 @@ class Node:
                 if p.base_state is None or not (p.dirty or send_all):
                     continue
                 p.dirty = False
-                self.cluster._push_state(key, p.base_state.encode())  # only durable state leaves
+                self.cluster._push_state(key, p.base_state)  # only durable state leaves
 
     def _rebalance_loop(self):
         while True:
@@ -418,9 +418,8 @@ class ServerCluster(Replica):
         batching: bool = True,
         sync_period_ms: float = 50.0,
         rebalance_period_ms: float = 100.0,
-        table: StateTable | None = None,
     ):
-        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms, table)
+        super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms)
         self.batching = batching
         self.epoch = 0
         self.nodes: list[Node] = [Node(self, i) for i in range(n_nodes)]
@@ -468,8 +467,8 @@ class ServerCluster(Replica):
     ) -> None:
         self.route(key).handle_op(key, _OpItem(kind, delta, flag, reply, deadline_ms))
 
-    def on_state(self, key: str, blob: bytes) -> None:
-        self.route(key).handle_merge(key, self.table.decode(blob))
+    def on_state(self, key: str, state: BoundedCounter) -> None:
+        self.route(key).handle_merge(key, state)
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
         self.route(key).handle_transfer(key, req, reply)

@@ -8,6 +8,9 @@ that yield what they are waiting for:
 * a ``(Future, timeout_ms)`` pair: as above, but resume with :data:`TIMEOUT`
   if the deadline passes first.
 
+A number is an ``int`` or a ``float``. Anything else, a subclass of these
+types included (``True``, say), raises ``TypeError``.
+
 Ties in simulated time are broken by scheduling order, so a run is fully
 deterministic. Killing a process models a crash: it is never resumed, not
 even by futures it was already waiting on.
@@ -221,25 +224,24 @@ class Simulator:
                 elif kind is tuple and len(yielded) == 2:
                     future, delay = yielded
                     kind = delay.__class__
-                    if (
-                        future.__class__ is future_type
-                        and (kind is number or kind is integer)
-                        and delay >= 0
+                    if future.__class__ is not future_type or not (
+                        kind is number or kind is integer
                     ):
-                        waiter = timed_wait(target)
-                        if future.done:
-                            make_ready((waiter, future.value))
-                        else:
-                            future._waiters.append(waiter)
-                        t = now + delay
-                        if t == now:
-                            make_ready((waiter, expired))
-                        else:
-                            heappush(heap, (t, seq(), waiter, expired))
+                        raise TypeError(f"process yielded unsupported value: {yielded!r}")
+                    if not delay >= 0:
+                        raise ValueError(f"delay must be >= 0, got {delay!r}")
+                    waiter = timed_wait(target)
+                    if future.done:
+                        make_ready((waiter, future.value))
                     else:
-                        self._wait(target, yielded)
+                        future._waiters.append(waiter)
+                    t = now + delay
+                    if t == now:
+                        make_ready((waiter, expired))
+                    else:
+                        heappush(heap, (t, seq(), waiter, expired))
                 else:
-                    self._wait(target, yielded)
+                    raise TypeError(f"process yielded unsupported value: {yielded!r}")
         finally:
             self.events += events
             self._stale = stale
@@ -258,37 +260,3 @@ class Simulator:
         heap[:] = live
         heapq.heapify(heap)
         return dropped
-
-    # -- the yields run does not handle inline --------------------------------
-
-    def _wait(self, p: Process, yielded: Any) -> None:
-        """Subclasses of the number, Future and tuple types, and negative,
-        NaN or malformed waits, which raise."""
-        if isinstance(yielded, Future):
-            self._await(yielded, p)
-            return
-        if isinstance(yielded, tuple) and len(yielded) == 2:
-            future, delay = yielded
-            if not (isinstance(future, Future) and isinstance(delay, (int, float))):
-                raise TypeError(f"process yielded unsupported value: {yielded!r}")
-            target, value = _TimedWait(p), _EXPIRED
-        elif isinstance(yielded, (int, float)):
-            future, delay, target, value = None, yielded, p, None
-        else:
-            raise TypeError(f"process yielded unsupported value: {yielded!r}")
-        if not delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {delay!r}")
-        if future is not None:
-            self._await(future, target)
-        now = self.now
-        t = now + delay
-        if t == now:
-            self._ready.append((target, value))
-        else:
-            heapq.heappush(self._heap, (t, self._seq(), target, value))
-
-    def _await(self, future: Future, waiter: Any) -> None:
-        if future.done:
-            self._ready.append((waiter, future.value))
-        else:
-            future._waiters.append(waiter)

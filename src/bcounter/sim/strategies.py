@@ -359,13 +359,11 @@ class StrongDriver(Driver):
 
 
 class _BoundedDriver(Driver):
-    """Shared seeding, state table and per-DC replicas for the two middleware
-    designs; a subclass builds its replica for one DC in ``_replica``."""
+    """Shared seeding and per-DC replicas for the two middleware designs; a
+    subclass builds its replica for one DC in ``_replica``."""
 
     def __init__(self, cfg, sim, net, stores, metrics):
         super().__init__(cfg, sim, net, stores, metrics)
-        # the run's one table: every middleware decodes and steps through it
-        self.table = StateTable()
         self.replicas = [self._replica(dc) for dc in range(cfg.n_dcs)]
         for replica in self.replicas:
             replica.peers = self.replicas
@@ -378,11 +376,10 @@ class _BoundedDriver(Driver):
         state = BoundedCounter.new(
             Polarity(spec.polarity), spec.bound, self.cfg.n_dcs, 0, spec.initial
         )
-        blob = state.encode()
         # the counter exists everywhere before clients start: create-once at
         # DC 0 plus one fully delivered synchronization round
         for store in self.stores:
-            store.seed(spec.key, blob, Consistency.STRONG)
+            store.seed(spec.key, state, Consistency.STRONG)
         threshold = _threshold(self.cfg, spec)
         for replica in self.replicas:
             replica.register(spec.key, threshold)
@@ -394,11 +391,16 @@ class _BoundedDriver(Driver):
     def _merged_at(self, dc: int, key: str):
         rec = self.stores[dc].peek(key)
         # a strong key holds exactly one sibling
-        return None if rec is None else self.table.decode(rec.siblings[0])
+        return None if rec is None else rec.siblings[0]
 
 
 class ClientDriver(_BoundedDriver):
     """Bounded counter through the client-library middleware."""
+
+    def __init__(self, cfg, sim, net, stores, metrics):
+        # the run's one step memo: every DC's middleware steps through it
+        self.table = StateTable()
+        super().__init__(cfg, sim, net, stores, metrics)
 
     def _replica(self, dc: int) -> ClientMiddleware:
         cfg = self.cfg
@@ -434,7 +436,6 @@ class ServerDriver(_BoundedDriver):
             batching=cfg.strategy is not Strategy.BCSRV_NOBATCH,
             sync_period_ms=cfg.sync_period_ms,
             rebalance_period_ms=cfg.rebalance_period_ms,
-            table=self.table,
         )
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):

@@ -2,9 +2,10 @@
 
 Models the storage substrate the middleware runs against: opaque immutable
 values, a configurable service latency per operation, and two consistency
-modes. Bounded counters store their canonical encoding, the weak and strong
-baselines their value; the store compares values only for equality. A key's
-mode is fixed by its first write:
+modes. Every strategy stores its value as it is: the bounded counters their
+immutable ``BoundedCounter``, the weak baseline its tallies and the strong
+one an int. The store compares values only for equality, and only on weak
+keys. A key's mode is fixed by its first write:
 
 * WEAK: puts always succeed. A put carries the version its writer read
   (its causal context): it replaces every sibling that existed by then and

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Generator
 
-from .crdt import BoundedCounter, StateTable
+from .crdt import BoundedCounter
 from .sim.kernel import Future, Simulator
 from .sim.net import Network
 from .store import DCStore
@@ -60,7 +60,7 @@ class TransferRequest:
 class TransferResponse:
     status: TransferStatus
     granted: int = 0
-    state: bytes | None = None  # grantor's new state, attached to SYNC grants
+    state: BoundedCounter | None = None  # grantor's new state, attached to SYNC grants
 
 
 def rights_elsewhere(state: BoundedCounter, me: int, deficit: int) -> bool:
@@ -142,8 +142,8 @@ def handle_request(
     if grant <= 0:
         return state, TransferResponse(TransferStatus.DENIED)
     new_state = state.transfer(req.grantor, req.requester, grant)
-    payload = new_state.encode() if req.mode is TransferMode.SYNC else None
-    return new_state, TransferResponse(TransferStatus.GRANTED, grant, payload)
+    attached = new_state if req.mode is TransferMode.SYNC else None
+    return new_state, TransferResponse(TransferStatus.GRANTED, grant, attached)
 
 
 def acquire(
@@ -195,10 +195,10 @@ class Replica:
     """One DC's bounded-counter replica: what both middlewares wire the same way.
 
     It holds the run's kernel and network, this DC's store, the metrics, the
-    sync and rebalance periods, the run's state table, ``peers`` (every DC's
-    replica by dc id, set by wiring) and each registered key's rebalance
-    threshold. A subclass serves ``on_transfer_request(key, req, reply)`` and
-    ``on_state(key, blob)``, the receiving end of ``_push_state``.
+    sync and rebalance periods, ``peers`` (every DC's replica by dc id, set
+    by wiring) and each registered key's rebalance threshold. A subclass
+    serves ``on_transfer_request(key, req, reply)`` and ``on_state(key,
+    state)``, the receiving end of ``_push_state``.
     """
 
     def __init__(
@@ -210,7 +210,6 @@ class Replica:
         metrics,
         sync_period_ms: float,
         rebalance_period_ms: float,
-        table: StateTable | None,
     ):
         self.sim = sim
         self.net = net
@@ -219,7 +218,6 @@ class Replica:
         self.metrics = metrics
         self.sync_period_ms = sync_period_ms
         self.rebalance_period_ms = rebalance_period_ms
-        self.table = StateTable() if table is None else table
         self.peers: list[Replica] = []
         self.thresholds: dict[str, int] = {}
 
@@ -244,10 +242,10 @@ class Replica:
 
         return ask
 
-    def _push_state(self, key: str, blob: bytes) -> None:
-        """Send ``blob``, this DC's encoded state of ``key``, to every other DC."""
+    def _push_state(self, key: str, state: BoundedCounter) -> None:
+        """Send ``state``, this DC's state of ``key``, to every other DC."""
         peers = self.peers
-        sent = self.net.broadcast(self.dc, lambda dst: peers[dst].on_state(key, blob))
+        sent = self.net.broadcast(self.dc, lambda dst: peers[dst].on_state(key, state))
         self.metrics.sync_msg(sent)
 
     def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:

@@ -280,11 +280,12 @@ def test_yield_from_delegation():
     assert log == [(10, "inner")]
 
 
-def test_unsupported_yield_raises():
+@pytest.mark.parametrize("value", ["nope", True], ids=["str", "bool"])
+def test_unsupported_yield_raises(value):
     sim = Simulator()
 
     def bad():
-        yield "nope"
+        yield value
 
     sim.spawn(bad())
     with pytest.raises(TypeError):

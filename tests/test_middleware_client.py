@@ -31,7 +31,7 @@ def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None):
     if state is None:
         state = BoundedCounter.new(Polarity.LOWER, 0, n_dcs, 0, initial)
     for store in stores:
-        store.seed("k", state.encode(), Consistency.STRONG)
+        store.seed("k", state, Consistency.STRONG)
     for mw in mws:
         mw.start()
     return sim, net, stores, metrics, mws
@@ -131,8 +131,7 @@ def test_grant_is_durable_before_response_arrives():
         def spy(resp):
             rec = stores[0].peek("k")
             merged = None
-            for blob in rec.siblings:
-                st = BoundedCounter.decode(blob)
+            for st in rec.siblings:
                 merged = st if merged is None else merged.merge(st)
             grantor_rights_at_reply.append(merged.local_rights(0))
             reply(resp)
@@ -148,7 +147,7 @@ def test_grant_is_durable_before_response_arrives():
 
 def merged_at(store, key="k"):
     rec = store.peek(key)
-    states = [BoundedCounter.decode(blob) for blob in rec.siblings]
+    states = list(rec.siblings)
     merged = states[0]
     for st in states[1:]:
         merged = merged.merge(st)

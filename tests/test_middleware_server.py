@@ -30,7 +30,7 @@ def wire(n_dcs=1, n_nodes=3, batching=True, initial=1000, threshold=5):
         c.register("k", threshold)
     state = BoundedCounter.new(Polarity.LOWER, 0, n_dcs, 0, initial)
     for store in stores:
-        store.seed("k", state.encode(), Consistency.STRONG)
+        store.seed("k", state, Consistency.STRONG)
     for c in clusters:
         c.start()
     return sim, net, stores, metrics, clusters
@@ -53,8 +53,7 @@ def drain(sim, futures, horizon_ms=30_000.0):
 def durable_value(store, key="k"):
     rec = store.peek(key)
     merged = None
-    for blob in rec.siblings:
-        st = BoundedCounter.decode(blob)
+    for st in rec.siblings:
         merged = st if merged is None else merged.merge(st)
     return merged.value()
 
@@ -259,8 +258,7 @@ def test_sync_transfer_grant_durable_before_reply():
     assert seen and seen[0] == 100  # value unchanged; rights moved, not spent
     rec = stores[0].peek("k")
     merged = None
-    for blob in rec.siblings:
-        st = BoundedCounter.decode(blob)
+    for st in rec.siblings:
         merged = st if merged is None else merged.merge(st)
     assert merged.local_rights(0) < 100  # the deduction was already durable
 
@@ -298,8 +296,7 @@ def test_late_grant_is_dropped_and_arrives_by_sync():
     for store in stores:
         rec = store.peek("k")
         merged = None
-        for blob in rec.siblings:
-            st = BoundedCounter.decode(blob)
+        for st in rec.siblings:
             merged = st if merged is None else merged.merge(st)
         states.append(merged)
     assert states[0] == states[1]
@@ -344,7 +341,7 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
             for kind, f in futs.items()
             if f.done and f.value.status == "ok"
         )
-        state = BoundedCounter.decode(stores[1].peek("k").siblings[0])
+        state = stores[1].peek("k").siblings[0]
         durable = state.rights.get((1, 1), 0) - state.used.get(1, 0)
         assert durable == acked, (t, {kind: f.value for kind, f in futs.items()})
     assert reloads > 0

@@ -57,7 +57,7 @@ class TestHandleRequest:
         assert resp.status is TransferStatus.GRANTED
         assert resp.granted == 3
         assert new.local_rights(0) == 0
-        assert BoundedCounter.decode(resp.state) == new
+        assert resp.state == new
 
     def test_sync_grant_capped_by_available(self):
         state = counter_with({(0, 0): 2})
@@ -341,7 +341,7 @@ def grantor(design, state):
     for replica in replicas:
         replica.peers = replicas
         replica.register("k", 1)
-        stores[replica.dc].seed("k", state.encode(), Consistency.STRONG)
+        stores[replica.dc].seed("k", state, Consistency.STRONG)
     return sim, net, stores[0], metrics, replicas[0]
 
 
@@ -366,7 +366,7 @@ def test_refused_sync_request_is_answered_once_without_a_write(design, state, re
     assert [resp.status for resp in answers] == [status]
     assert answers[0].granted == 0 and answers[0].state is None
     assert store.cond_writes == 0
-    assert store.peek("k").siblings == (state.encode(),)
+    assert store.peek("k").siblings == (state,)
     assert metrics.counts["transfer_responses"] == 1
     assert net.sent == 1  # the reply hop
 
@@ -380,5 +380,5 @@ def test_async_grant_sends_no_reply_but_becomes_durable(design):
     assert metrics.counts["transfer_responses"] == 0
     assert net.sent == 0
     assert store.cond_writes == 1
-    durable = BoundedCounter.decode(store.peek("k").siblings[0])
+    durable = store.peek("k").siblings[0]
     assert durable == FULL.transfer(0, 1, 4)
