@@ -182,15 +182,16 @@ class ClientMiddleware(Replica):
         self.sim.spawn(self._merge_into_store(key, state))
 
     def _merge_into_store(self, key: str, incoming: BoundedCounter):
-        """Fold a remote state into the local durable copy."""
+        """Fold a remote state into the local durable copy, or install it."""
         for _ in range(self.retry_limit):
             got = yield from self._fetch(key)
             if got is None:
-                return False
-            state, version = got
-            merged = state.merge(incoming)
-            if merged == state:
-                return True
+                merged, version = incoming, ABSENT
+            else:
+                state, version = got
+                merged = state.merge(incoming)
+                if merged == state:
+                    return True
             res = yield from self.store.put_conditional(key, merged, version)
             if res is not CONFLICT:
                 return True

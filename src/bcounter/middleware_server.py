@@ -188,20 +188,10 @@ class Node:
             p = self.pipelines[key] = _Pipeline(key)
         return p
 
-    def handle_op(self, key: str, item: _OpItem) -> None:
-        if self.dead:
-            return
-        self._admit(self._pipeline(key), "op", item)
-
-    def handle_merge(self, key: str, incoming: BoundedCounter) -> None:
-        if self.dead:
-            return
-        self._admit(self._pipeline(key), "merge", incoming)
-
-    def handle_transfer(self, key: str, req: TransferRequest, reply) -> None:
-        if self.dead:
-            return
-        self._admit(self._pipeline(key), "transfer", (req, reply))
+    def handle(self, key: str, tag: str, payload) -> None:
+        """Admit an ``"op"``, a ``"merge"`` or a ``"transfer"``; a crashed node drops it."""
+        if not self.dead:
+            self._admit(self._pipeline(key), tag, payload)
 
     def _admit(self, p: _Pipeline, tag: str, payload) -> None:
         """The one admission gate. Work waits in ``arrivals`` while the cache
@@ -224,14 +214,8 @@ class Node:
             self._admit_transfer(p, *payload)
 
     def _load(self, p: _Pipeline):
+        # owner nodes create no counter: a key they serve was seeded
         rec = yield from self.store.get(p.key)
-        if rec is None:
-            p.state = _Pipeline.COLD
-            for tag, payload in p.arrivals:
-                if tag == "op":
-                    payload.reply(OwnerReply("failed", "notfound"))
-            p.arrivals = []
-            return
         p.base_state = rec.siblings[0]
         p.base_version = rec.version
         p.working = p.base_state
@@ -465,10 +449,10 @@ class ServerCluster(Replica):
     def client_request(
         self, key: str, kind: str, delta: int, flag: str, reply, deadline_ms: float | None = None
     ) -> None:
-        self.route(key).handle_op(key, _OpItem(kind, delta, flag, reply, deadline_ms))
+        self.route(key).handle(key, "op", _OpItem(kind, delta, flag, reply, deadline_ms))
 
     def on_state(self, key: str, state: BoundedCounter) -> None:
-        self.route(key).handle_merge(key, state)
+        self.route(key).handle(key, "merge", state)
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
-        self.route(key).handle_transfer(key, req, reply)
+        self.route(key).handle(key, "transfer", (req, reply))

@@ -13,7 +13,9 @@ types included (``True``, say), raises ``TypeError``.
 
 Ties in simulated time are broken by scheduling order, so a run is fully
 deterministic. Killing a process models a crash: it is never resumed, not
-even by futures it was already waiting on.
+even by futures it was already waiting on. A process's return value is
+dropped: to wait for a process, wrap its generator in one that resolves a
+:class:`Future` as it ends.
 
 Each event is one queue entry and allocates no closure. An entry names its
 target, a :class:`Process` to resume with a value or a callable to call, so a
@@ -89,15 +91,14 @@ class Future:
 
 
 class Process:
-    """A spawned generator, driven only through its ``send`` method;
-    ``kill()`` models a crash (no further steps)."""
+    """A spawned generator, driven only through its ``send`` method, whose
+    return value is dropped; ``kill()`` models a crash (no further steps)."""
 
-    __slots__ = ("_send", "alive", "done")
+    __slots__ = ("_send", "alive")
 
-    def __init__(self, sim: "Simulator", gen: Generator):
+    def __init__(self, gen: Generator):
         self._send = gen.send
         self.alive = True
-        self.done = Future(sim)
 
     def kill(self) -> None:
         self.alive = False
@@ -139,7 +140,7 @@ class Simulator:
             heapq.heappush(self._heap, (t, self._seq(), fn, None))
 
     def spawn(self, gen: Generator) -> Process:
-        p = Process(self, gen)
+        p = Process(gen)
         self._ready.append((p, None))
         return p
 
@@ -203,9 +204,8 @@ class Simulator:
                     continue
                 try:
                     yielded = target._send(value)
-                except StopIteration as stop:
+                except StopIteration:
                     target.alive = False
-                    target.done.resolve(stop.value)
                     continue
                 kind = yielded.__class__
                 if kind is number or kind is integer:

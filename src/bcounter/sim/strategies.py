@@ -189,13 +189,13 @@ class Driver:
         raise NotImplementedError
 
     def _merged_at(self, dc: int, key: str):
-        """The durable state at ``dc``, siblings merged; None if absent."""
+        """The durable state at ``dc``, siblings merged."""
         raise NotImplementedError
 
     def converged(self) -> bool:
         for key in self.specs:
             states = [self._merged_at(dc, key) for dc in range(self.cfg.n_dcs)]
-            if any(s is None for s in states) or any(s != states[0] for s in states[1:]):
+            if any(s != states[0] for s in states[1:]):
                 return False
         return True
 
@@ -223,8 +223,6 @@ class WeakDriver(Driver):
 
     def _read_merged(self, dc: int, key: str):
         rec = yield from self.stores[dc].get(key)
-        if rec is None:
-            return None
         return self._fold(dc, rec), rec.version
 
     def _fold(self, dc: int, rec: VersionedRecord) -> TallyCounter:
@@ -272,16 +270,10 @@ class WeakDriver(Driver):
         return merged
 
     def _merged_at(self, dc: int, key: str):
-        rec = self.stores[dc].peek(key)
-        if rec is None:
-            return None
-        return _fresh_fold(rec.siblings)
+        return _fresh_fold(self.stores[dc].peek(key).siblings)
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
-        got = yield from self._read_merged(dc, key)
-        if got is None:
-            return "failed", "notfound", False
-        tally, version = got
+        tally, version = yield from self._read_merged(dc, key)
         spec = self.specs[key]
         if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
@@ -293,10 +285,7 @@ class WeakDriver(Driver):
         while True:
             yield self.cfg.sync_period_ms
             for key in sorted(self.specs):
-                got = yield from self._read_merged(dc, key)
-                if got is None:
-                    continue
-                tally = got[0]
+                tally, _ = yield from self._read_merged(dc, key)
                 sent = self.net.broadcast(
                     dc, lambda other, key=key, tally=tally: self._on_sync(other, key, tally)
                 )
@@ -306,10 +295,7 @@ class WeakDriver(Driver):
         self.sim.spawn(self._merge_in(dc, key, tally))
 
     def _merge_in(self, dc: int, key: str, incoming: TallyCounter):
-        got = yield from self._read_merged(dc, key)
-        if got is None:
-            return
-        tally, version = got
+        tally, version = yield from self._read_merged(dc, key)
         merged = tally.merge(incoming, stamp=(dc, key, version))
         if merged is tally:
             return
@@ -335,9 +321,6 @@ class StrongDriver(Driver):
         result = "failed", "retries", False
         for _ in range(self.cfg.retry_limit):
             rec = yield from store.get(key)
-            if rec is None:
-                result = "failed", "notfound", False
-                break
             value = rec.siblings[0]
             if _would_violate(spec, value, kind, delta):
                 result = "failed", "bound", False
@@ -389,9 +372,8 @@ class _BoundedDriver(Driver):
             replica.start()
 
     def _merged_at(self, dc: int, key: str):
-        rec = self.stores[dc].peek(key)
         # a strong key holds exactly one sibling
-        return None if rec is None else rec.siblings[0]
+        return self.stores[dc].peek(key).siblings[0]
 
 
 class ClientDriver(_BoundedDriver):

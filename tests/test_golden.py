@@ -34,6 +34,26 @@ def violation_count(strategy):
     return point.config
 
 
+def multi_counter(strategy):
+    (point,) = expand("multi-counter-100", strategies=(strategy,), clients=(10,), seed=0,
+                      duration_ms=3_000.0)
+    return point.config
+
+
+def upper(strategy):
+    # the only pins of an upper bound and of a set rebalance threshold
+    return SimConfig(
+        strategy=strategy,
+        clients_per_dc=10,
+        duration_ms=3_000.0,
+        think_ms=50.0,
+        inc_fraction=0.8,
+        counters=[CounterSpec("u", "upper", bound=400, initial=0)],
+        rebalance_threshold=5,
+        seed=1,
+    )
+
+
 def faults(strategy):
     # only the owner-node strategies have nodes to crash; the others run
     # under the partition alone
@@ -97,12 +117,42 @@ GOLDEN = {
         "a25fd1c78bfd17f50ab1ee598d14e10008350e155130c50b6f0ca29796d637cf",
     ("faults", Strategy.BCSRV_NOBATCH):
         "f82dd85b6b0acbe524207920d0745c842093051cf9faff679de1c779da92bc40",
+    # multi-counter-100 at seed 0 records ops that fail for `rights` on
+    # counters of 10^9 units (bcclt 22, bcsrv and bcsrv-nobatch 2 each): a
+    # synchronous request that meets an in-flight grant is refused. Mending
+    # that moves these pins
+    ("multi-counter-100", Strategy.WEAK):
+        "21f93f49f06421009790bdbbb32a578c1aee062341cc4af772738a2d6a9a7abd",
+    ("multi-counter-100", Strategy.STRONG):
+        "3d03c51879ba0911612b83766743b90c2eaf1035a510695c893268821244eb21",
+    ("multi-counter-100", Strategy.BCCLT):
+        "b59b1c473b8d51039226431bdf1ed1a54aa03587143820bd8501f87dcc1be52e",
+    ("multi-counter-100", Strategy.BCSRV):
+        "448a3d94d9848aa6703709ac64a59d60600541be8e11fed42fbfc2ef98fe0407",
+    ("multi-counter-100", Strategy.BCSRV_NOBATCH):
+        "9c4be21737a9f99e0c96463bfcdd4973cf803fb3d99ee540d062fe9401099d24",
+    # weak reports 115 violations. bcsrv reports 1 with the observer ending
+    # at 400: the observer applies ops in reply order, not in the order they
+    # became durable, so a reply overtaken by a later one reads as crossing
+    # the bound; mending that moves the bcsrv pin
+    ("upper", Strategy.WEAK):
+        "00e135a4bca08cd5c6856fcd2b3b2ba83806e8f3dcd7812b8a9c1c6311ae4564",
+    ("upper", Strategy.STRONG):
+        "471a5863d56a27d448b15f678e78e5e0edd8be2c4ab396c82ad7384f8d8e3e32",
+    ("upper", Strategy.BCCLT):
+        "2a3edf9c0fc7f5bca73fe853a3af9add8f1edf5ce05bdae7850eaa275423fe60",
+    ("upper", Strategy.BCSRV):
+        "893ac283d351f4280a1571d0347a0b6cfd2d822aae60eb04220aafdf9ba19579",
+    ("upper", Strategy.BCSRV_NOBATCH):
+        "7b4a3c3d6c431d8af7fb79ce71606d985eb599c0d3639bbb6f8fe60871cb341a",
 }
 
 CONFIGS = {
     "single-counter": single_counter,
     "violation-count": violation_count,
     "faults": faults,
+    "multi-counter-100": multi_counter,
+    "upper": upper,
 }
 
 

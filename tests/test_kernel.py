@@ -246,23 +246,6 @@ def test_kill_before_first_step():
     assert log == []
 
 
-def test_process_done_future_carries_return_value():
-    sim = Simulator()
-    got = []
-
-    def worker():
-        yield 5
-        return 42
-
-    def waiter(p):
-        got.append((yield p.done))
-
-    p = sim.spawn(worker())
-    sim.spawn(waiter(p))
-    sim.run()
-    assert got == [42]
-
-
 def test_yield_from_delegation():
     sim = Simulator()
     log = []

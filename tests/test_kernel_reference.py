@@ -6,8 +6,9 @@ of queued entries after every ``run(until=...)`` chunk must be equal. The
 programs mix zero and tied delays, delays that float rounding absorbs at
 ``now = 2**53``, futures resolved before they are awaited and resolved more
 than once, timed waits with timeout 0 and with a value that lands at the
-deadline, kills before the first step and while waiting, and callbacks
-scheduled by processes.
+deadline, kills before the first step and while waiting, joins, and
+callbacks scheduled by processes. The kernel keeps no return value, so a
+join waits on a future that the process's wrapper resolves with it.
 
 Those worlds are too small for the kernel to drop served timeouts' entries
 from its heap, so ``crowd`` runs one large enough: over a thousand timed
@@ -60,6 +61,7 @@ def play(k, world):
     sim.now = world["start"]
     futs = [k.Future(sim) for _ in range(N_FUTURES)]
     procs = []
+    joins = []  # per process: resolved with its return value
     log = []
     budget = [SPAWN_BUDGET]
     programs = world["programs"]
@@ -72,13 +74,17 @@ def play(k, world):
             return
         budget[0] -= 1
         pid = len(procs)
-        procs.append(sim.spawn(proc(pid, programs[index % len(programs)])))
+        joins.append(k.Future(sim))
+        procs.append(sim.spawn(joined(pid, programs[index % len(programs)])))
         if kill:
             procs[pid].kill()
 
     def call(tag, f, v):
         log.append((sim.now, tag, "call"))
         futs[f].resolve(v)
+
+    def joined(pid, program):
+        joins[pid].resolve((yield from proc(pid, program)))
 
     def proc(pid, program):
         for step, ins in enumerate(program):
@@ -97,7 +103,7 @@ def play(k, world):
             elif op == "kill":
                 procs[ins[1] % len(procs)].kill()
             elif op == "join":
-                log.append((sim.now, tag, show((yield procs[ins[1] % len(procs)].done))))
+                log.append((sim.now, tag, show((yield joins[ins[1] % len(procs)]))))
             else:
                 sim.schedule(ins[1], lambda tag=tag, f=ins[2], v=ins[3]: call(tag, f, v))
             log.append((sim.now, tag, op))

@@ -44,12 +44,12 @@ def run_op(sim, gen, horizon_ms=60_000.0):
     def wrapper():
         out["result"] = yield from gen
 
-    proc = sim.spawn(wrapper())
+    sim.spawn(wrapper())
     deadline = sim.now + horizon_ms
-    while not proc.done.done and sim.now < deadline:
+    while "result" not in out and sim.now < deadline:
         sim.run(until=min(sim.now + 100.0, deadline))
-    assert proc.done.done, "op did not finish within the horizon"
-    return out.get("result")
+    assert "result" in out, "op did not finish within the horizon"
+    return out["result"]
 
 
 def test_create_then_read():
@@ -64,6 +64,23 @@ def test_create_then_read():
         return v
 
     assert run_op(sim, script()) == 7
+
+
+def test_created_counter_reaches_every_dc():
+    # a DC that has never seen the key installs the first state pushed to it
+    sim, net, stores, metrics, mws = wire()
+    for mw in mws:
+        mw.register("fresh", 1)
+    assert run_op(sim, mws[1].create("fresh", Polarity.LOWER, 0, 7)) == "ok"
+
+    def settle():
+        yield 2_000.0
+
+    run_op(sim, settle())
+    assert [run_op(sim, mw.read("fresh")) for mw in mws] == [7, 7, 7]
+    # DC 0 holds no rights of its own, so its dec pulls some from DC 1
+    assert run_op(sim, mws[0].update("fresh", "dec", 1)) == ("ok", "ok", True)
+    assert run_op(sim, mws[0].read("fresh")) == 6
 
 
 def test_read_missing_key_returns_none():

@@ -330,11 +330,17 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
         sim.run(until=t)
         # issued before the inc, the outside write lands ahead of the owner's
         rec = stores[1].peek("k")
-        outside = sim.spawn(stores[1].put_conditional("k", rec.siblings[0], rec.version))
+        outside = Future(sim)
+
+        def write():
+            res = yield from stores[1].put_conditional("k", rec.siblings[0], rec.version)
+            outside.resolve(res)
+
+        sim.spawn(write())
         futs["inc"] = submit(sim, clusters[1], kind="inc")
         drain(sim, list(futs.values()))
-        assert outside.done.done
-        owner_conflicts = stores[1].conflicts - (outside.done.value is CONFLICT)
+        assert outside.done
+        owner_conflicts = stores[1].conflicts - (outside.value is CONFLICT)
         reloads += owner_conflicts > 0
         acked = sum(
             (1 if kind == "inc" else -1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcounter.sim.kernel import Simulator
+from bcounter.sim.kernel import Future, Simulator
 from bcounter.sim.strategies import TallyCounter
 from bcounter.store import ABSENT, CONFLICT, Consistency, DCStore, WrongMode
 
@@ -17,12 +17,23 @@ def new_store(read_ms=1.0, write_ms=5.0, hop_ms=1.0):
     return DCStore(0, read_ms, write_ms, lambda: hop_ms)
 
 
+def joined(sim, gen):
+    """Spawn ``gen``; returns a future its return value resolves."""
+    done = Future(sim)
+
+    def wrapper():
+        done.resolve((yield from gen))
+
+    sim.spawn(wrapper())
+    return done
+
+
 def run_ops(sim, gen):
     """Drive a script coroutine to completion and return its value."""
-    p = sim.spawn(gen)
+    done = joined(sim, gen)
     sim.run()
-    assert p.done.done, "script did not finish"
-    return p.done.value
+    assert done.done, "script did not finish"
+    return done.value
 
 
 def test_put_get_round_trip():
@@ -107,10 +118,10 @@ class TestWeakSiblings:
         def script():
             yield from store.put("k", b"base")
             rec = yield from store.get("k")
-            p1 = sim.spawn(writer(b"one", rec.version))
-            p2 = sim.spawn(writer(b"two", rec.version))
-            yield p1.done
-            yield p2.done
+            p1 = joined(sim, writer(b"one", rec.version))
+            p2 = joined(sim, writer(b"two", rec.version))
+            yield p1
+            yield p2
             return (yield from store.get("k"))
 
         rec = run_ops(sim, script())
