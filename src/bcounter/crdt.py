@@ -23,11 +23,9 @@ is the caller's job.
 
 That contract lets one counter be shared. The simulated stores hold the
 counter itself, so every reader of a stored version gets the same object,
-and a :class:`StateTable`, one per client-middleware run, maps each (stored
-counter, update) to its result, so an update is computed once however many
-clients apply it to that version. The canonical byte encoding is the wire
-format of the library; its fixed layout is precompiled into
-``struct.Struct`` objects.
+and the client middleware hands one computed update to every client that
+read that version. The canonical byte encoding is the wire format of the
+library; its fixed layout is precompiled into ``struct.Struct`` objects.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ INT64_MAX = 2**63 - 1
 
 _MAGIC = b"BCT1"
 
-# entries a StateTable memo holds before it is cleared wholesale
-TABLE_LIMIT = 1024
 # header (magic, polarity, bound, n, rights count), one rights entry
 # (i, j, v), the used count, one used entry (i, v)
 _HEAD = struct.Struct(">4sBqII")
@@ -354,41 +350,3 @@ class BoundedCounter:
                 f"({self.polarity.value}, {self.bound}, n={self.n}) vs "
                 f"({other.polarity.value}, {other.bound}, n={other.n})"
             )
-
-
-class StateTable:
-    """The client middleware's step memo over stored counters.
-
-    Under contention many clients read the same stored version and compute
-    the same update, so each distinct (state, update) is stepped once. The
-    store hands every reader of a version the same object, so entries are
-    keyed on the state's identity. Each entry holds its key state, so no
-    other object can take that id while the entry is live. A memo that
-    reaches ``TABLE_LIMIT`` entries is cleared wholesale: memory stays
-    bounded, and since a miss recomputes exactly what a hit returns,
-    clearing never changes a result. Sharing results between callers is
-    safe only because counters are never mutated (see the module docstring).
-    """
-
-    __slots__ = ("_steps",)
-
-    def __init__(self):
-        # (id(state), kind, i, delta) -> (state, next state or rights held)
-        self._steps: dict[tuple, tuple[BoundedCounter, BoundedCounter | int]] = {}
-
-    def step(self, state: BoundedCounter, kind: str, i: int, delta: int) -> BoundedCounter | int:
-        """Apply ``kind`` ("inc" or "dec") by ``delta`` at replica ``i`` to
-        ``state``. Returns the next state, or, when the update raises
-        :class:`NotEnoughRights`, the rights ``i`` holds."""
-        key = (id(state), kind, i, delta)
-        hit = self._steps.get(key)
-        if hit is not None:
-            return hit[1]
-        try:
-            out = state.increment(i, delta) if kind == "inc" else state.decrement(i, delta)
-        except NotEnoughRights:
-            out = state.local_rights(i)
-        if len(self._steps) >= TABLE_LIMIT:
-            self._steps.clear()
-        self._steps[key] = (state, out)
-        return out

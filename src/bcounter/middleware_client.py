@@ -4,16 +4,17 @@ One instance serves one data center. Counters live in that DC's store as
 strong keys holding the immutable counter state, one sibling each; every
 update is a read, a CRDT update applied at this DC's replica id, and a
 conditional write, retried on conflict, each one store round trip, hops
-included. Updates step through a ``StateTable`` shared by every middleware
-of a run: clients that read the same stored state share one computed next
-state.
+included. The conditional write already names the stored version it read, and
+at one DC a strong key's version names exactly one stored state, so updates
+are memoized by (key, version): clients that read the same version share one
+computed next state. Only the newest version stepped per key is kept.
 
 Cross-DC replication is a periodic push of locally modified counters to
 every other DC, merged in at the receiver through the same conditional-write
 loop. Rights movement uses the transfer policy: a background rebalancer tops
 up this replica when it runs low, and operations flagged GLOBAL may
 synchronously pull rights before giving up. That pull is
-``transfer.acquire``, the loop the owner nodes run too; here its view is the
+``Replica._acquire``, the loop the owner nodes run too; here its view is the
 state the operation read plus the grants merged so far, and each grant is
 written to the local store before the next request.
 
@@ -26,7 +27,7 @@ reply that arrives after the requester stopped waiting is dropped.
 
 from __future__ import annotations
 
-from .crdt import BoundedCounter, Polarity, StateTable
+from .crdt import BoundedCounter, NotEnoughRights, Polarity
 from .sim.kernel import Simulator
 from .sim.net import Network
 from .store import ABSENT, CONFLICT, DCStore
@@ -35,9 +36,7 @@ from .transfer import (
     TransferRequest,
     TransferResponse,
     TransferStatus,
-    acquire,
     handle_request,
-    rebalance_tick,
     rights_elsewhere,
 )
 
@@ -56,10 +55,10 @@ class ClientMiddleware(Replica):
         retry_limit: int = 16,
         sync_period_ms: float = 50.0,
         rebalance_period_ms: float = 100.0,
-        table: StateTable | None = None,
     ):
         super().__init__(sim, net, store, dc, metrics, sync_period_ms, rebalance_period_ms)
-        self.table = StateTable() if table is None else table
+        # key -> (newest version stepped, {(kind, delta): next state or rights held})
+        self._steps: dict[str, tuple[int, dict]] = {}
         self.n_dcs = n_dcs
         self.retry_limit = retry_limit
         self._dirty: set[str] = set()
@@ -105,7 +104,7 @@ class ClientMiddleware(Replica):
             if got is None:
                 return "failed", "notfound", used_sync
             state, version = got
-            new_state = self.table.step(state, kind, self.dc, delta)
+            new_state = self._step(key, state, version, kind, delta)
             if type(new_state) is int:  # not enough rights; these are held here
                 deficit = delta - new_state
                 if flag == "local":
@@ -124,6 +123,25 @@ class ClientMiddleware(Replica):
             return "ok", "ok", used_sync
         return "failed", "retries", used_sync
 
+    def _step(self, key: str, state: BoundedCounter, version: int, kind: str, delta: int):
+        """Apply ``kind`` ("inc" or "dec") by ``delta`` here to ``state``, the
+        stored ``version`` of ``key``: the next state, or the rights held here
+        if they are too few. Clients that read one version share one result,
+        which is safe only because counters are never mutated. A read older
+        than the newest version stepped is computed fresh and not kept."""
+        newest = self._steps.get(key)
+        if newest is None or newest[0] < version:
+            newest = self._steps[key] = (version, {})
+        steps = newest[1] if newest[0] == version else {}
+        out = steps.get((kind, delta))
+        if out is None:
+            try:
+                out = (state.increment if kind == "inc" else state.decrement)(self.dc, delta)
+            except NotEnoughRights:
+                out = state.local_rights(self.dc)
+            steps[(kind, delta)] = out
+        return out
+
     # -- transfer requests ---------------------------------------------------
 
     def _acquire_sync(self, key: str, state: BoundedCounter, deficit: int):
@@ -135,9 +153,7 @@ class ClientMiddleware(Replica):
             yield from self._merge_into_store(key, resp.state)
             state = state.merge(resp.state)
 
-        threshold = self.thresholds[key]
-        ask = self._ask(key)
-        return (yield from acquire(lambda: state, self.dc, deficit, threshold, ask, merge))
+        return (yield from self._acquire(key, lambda: state, deficit, merge))
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply):
         self.sim.spawn(self._serve_transfer(key, req, reply))
@@ -202,10 +218,7 @@ class ClientMiddleware(Replica):
     def _rebalance_loop(self):
         while True:
             yield self.rebalance_period_ms
-            for key, threshold in sorted(self.thresholds.items()):
+            for key in sorted(self.thresholds):
                 got = yield from self._fetch(key)
-                if got is None:
-                    continue
-                state = got[0]
-                for req in rebalance_tick(state, self.dc, threshold):
-                    self._send_request(key, req, state)
+                if got is not None:
+                    self._rebalance(key, got[0])

@@ -22,7 +22,7 @@ the durable base in the store is what the next owner starts from, and
 unacknowledged clients time out.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
-owner pulls rights with ``transfer.acquire``, the loop the client library
+owner pulls rights with ``Replica._acquire``, the loop the client library
 runs too: each request is built from the working copy as it is when sent,
 carries the owner's reply callback, and each grant is admitted like a
 propagated state. Rights this owner grants are answered only once the write
@@ -50,9 +50,7 @@ from .transfer import (
     TransferRequest,
     TransferResponse,
     TransferStatus,
-    acquire,
     handle_request,
-    rebalance_tick,
     rights_elsewhere,
 )
 
@@ -354,9 +352,7 @@ class Node:
             self._admit(p, "merge", resp.state)
             yield from ()
 
-        threshold = self.cluster.thresholds[p.key]
-        ask = self.cluster._ask(p.key)
-        return (yield from acquire(lambda: p.working, self.dc, deficit, threshold, ask, merge))
+        return (yield from self.cluster._acquire(p.key, lambda: p.working, deficit, merge))
 
     # -- periodic loops -----------------------------------------------------------
 
@@ -381,11 +377,8 @@ class Node:
             yield self.cluster.rebalance_period_ms
             for key in sorted(self.pipelines):
                 p = self.pipelines[key]
-                if p.state != _Pipeline.WARM:
-                    continue
-                view = p.working
-                for req in rebalance_tick(view, self.dc, self.cluster.thresholds[key]):
-                    self.cluster._send_request(key, req, view)
+                if p.state == _Pipeline.WARM:
+                    self.cluster._rebalance(key, p.working)
 
 
 class ServerCluster(Replica):
@@ -418,7 +411,8 @@ class ServerCluster(Replica):
     # -- routing ----------------------------------------------------------------
 
     def route(self, key: str) -> Node:
-        alive = self._alive
+        # with every node failed, a key still routes, and its dead owner drops it
+        alive = self._alive or range(len(self.nodes))
         idx = alive[_route_hash(key, self.epoch) % len(alive)]
         return self.nodes[idx]
 

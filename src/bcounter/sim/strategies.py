@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from ..crdt import BoundedCounter, Polarity, StateTable
+from ..crdt import BoundedCounter, Polarity
 from ..middleware_client import ClientMiddleware
 from ..middleware_server import ServerCluster
 from ..store import CONFLICT, Consistency, DCStore, VersionedRecord
@@ -379,11 +379,6 @@ class _BoundedDriver(Driver):
 class ClientDriver(_BoundedDriver):
     """Bounded counter through the client-library middleware."""
 
-    def __init__(self, cfg, sim, net, stores, metrics):
-        # the run's one step memo: every DC's middleware steps through it
-        self.table = StateTable()
-        super().__init__(cfg, sim, net, stores, metrics)
-
     def _replica(self, dc: int) -> ClientMiddleware:
         cfg = self.cfg
         return ClientMiddleware(
@@ -396,7 +391,6 @@ class ClientDriver(_BoundedDriver):
             retry_limit=cfg.retry_limit,
             sync_period_ms=cfg.sync_period_ms,
             rebalance_period_ms=cfg.rebalance_period_ms,
-            table=self.table,
         )
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):

@@ -15,11 +15,11 @@ already sent it; the grantor ignores any request whose witness is behind its
 own record, so replayed requests grant nothing twice.
 
 The policy functions are pure functions of a counter state. ``acquire`` is
-the requester's side of on-demand acquisition, shared by both middlewares: a
-generator that runs the request/grant loop, with sending, waiting and merging
-granted states back in left to its callbacks. :class:`Replica` is one DC's
-endpoint for these messages, the base of both middlewares: it sends requests,
-builds ``acquire``'s ask callback, and hops replies back to the requester.
+the requester's side of on-demand acquisition: a generator that runs the
+request/grant loop, with sending, waiting and merging granted states back in
+left to its callbacks. :class:`Replica`, the base of both middlewares, is one
+DC's endpoint for these messages: it runs ``acquire`` and rebalance ticks,
+sends requests, and hops replies back to the requester.
 """
 
 from __future__ import annotations
@@ -231,16 +231,21 @@ class Replica:
         peer = self.peers[req.grantor]
         self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
 
-    def _ask(self, key: str):
-        """``acquire``'s ask for ``key``: send the request with a reply future
-        and wait on it for two round trips to the grantor."""
+    def _acquire(self, key: str, view: Callable[[], BoundedCounter], deficit: int, merge):
+        """``acquire`` for ``key`` at this DC; returns (acquired, requested).
+        Each request carries a reply future, waited on for two grantor RTTs."""
 
-        def ask(req: TransferRequest, view: BoundedCounter):
+        def ask(req: TransferRequest, state: BoundedCounter):
             reply = Future(self.sim)
-            self._send_request(key, req, view, reply.resolve)
+            self._send_request(key, req, state, reply.resolve)
             return reply, 2 * self.net.rtt(self.dc, req.grantor)
 
-        return ask
+        return (yield from acquire(view, self.dc, deficit, self.thresholds[key], ask, merge))
+
+    def _rebalance(self, key: str, view: BoundedCounter) -> None:
+        """Send one rebalance tick's requests for ``key``, built from ``view``."""
+        for req in rebalance_tick(view, self.dc, self.thresholds[key]):
+            self._send_request(key, req, view)
 
     def _push_state(self, key: str, state: BoundedCounter) -> None:
         """Send ``state``, this DC's state of ``key``, to every other DC."""

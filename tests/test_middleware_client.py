@@ -282,3 +282,38 @@ def test_concurrent_same_dc_updates_both_land():
         sim.run(until=sim.now + 100.0)
     assert [r[0] for r in results] == ["ok", "ok"]
     assert run_op(sim, mws[0].read("k")) == 10
+
+
+def test_grant_whose_write_conflicts_out_is_denied_and_never_spent():
+    # DC 0 tries its grant's write once; an outside write issued as the
+    # request arrives lands between DC 0's read and its write, so the grant
+    # never becomes durable and must not be answered GRANTED
+    sim, net, stores, metrics, mws = wire(initial=12)
+    mws[0].retry_limit = 1
+    heard = []
+    original = mws[0].on_transfer_request
+
+    def conflicting(key, req, reply):
+        rec = stores[0].peek(key)
+        sim.spawn(stores[0].put_conditional(key, rec.siblings[0], rec.version))
+
+        def spy(resp):
+            heard.append(resp.status.value)
+            reply(resp)
+
+        original(key, req, spy)
+
+    mws[0].on_transfer_request = conflicting
+    assert run_op(sim, mws[1].update("k", "dec", 1)) == ("failed", "rights", True)
+    assert heard == ["denied"]
+    assert stores[0].conflicts == 1
+
+    def settle():
+        yield 1_000.0
+
+    run_op(sim, settle())
+    for store in stores:
+        state = store.peek("k").siblings[0]
+        assert state.rights.get((0, 1), 0) == 0
+        assert state.used.get(1, 0) == 0
+    assert stores[0].peek("k").siblings[0].local_rights(0) == 12

@@ -133,6 +133,28 @@ def test_crash_fault_preserves_correctness():
     assert report.converged_values == report.observer_values
 
 
+@pytest.mark.parametrize("nodes", [1, 2])
+@pytest.mark.parametrize(
+    "strategy", [Strategy.BCSRV, Strategy.BCSRV_NOBATCH], ids=lambda s: s.value
+)
+def test_a_dc_whose_owner_nodes_all_fail_runs_on(strategy, nodes):
+    # every owner node at DC 0 is down and detected for 2 s; its keys still
+    # route, to a dead node that drops what it is sent, until they recover
+    cfg = SimConfig(
+        strategy=strategy,
+        nodes_per_dc=nodes,
+        crashes=[CrashFault(0, node, 1_000.0, 3_000.0) for node in range(nodes)],
+        clients_per_dc=3,
+        duration_ms=4_000.0,
+        seed=1,
+    )
+    metrics, report = run(cfg)
+    assert report.per_dc[0].retry > 0  # DC 0's clients timed out meanwhile
+    assert report.violations == 0
+    assert report.converged is True
+    assert report.converged_values == report.observer_values
+
+
 @pytest.mark.parametrize("strategy", [Strategy.BCCLT, Strategy.BCSRV], ids=lambda s: s.value)
 def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch):
     # DC 0 starts with every right, and its writes outlast any requester's
