@@ -26,6 +26,30 @@ dominates another. Worlds are deduplicated on their int with Pareto
 subsumption of budgets: re-reaching a configuration with component-wise
 fewer moves left cannot uncover anything new.
 
+Worlds are also deduplicated up to renaming replicas (symmetry reduction;
+Ip & Dill, "Better Verification Through Symmetry", FMSD 1996). The group is
+every permutation of replicas 1..n-1 that fixes replica 0, (n - 1)! of them,
+up to five replicas; larger groups cost more than they save, so above five
+the group is the identity alone and every world counts. Each world is keyed on its canonical pair: the least (world int, packed
+budget) among its images under the group, budgets renamed together with
+their replicas. The search keeps one world per orbit, so ``states`` and the
+``max_states`` cap count orbit representatives, and ``transitions`` the moves
+out of them. The frontier holds concrete worlds, so the checks, the probe and
+counterexample traces use real schedules that replay unchanged. The
+reduction is sound because:
+
+* renaming commutes with the counter: the renamed view's increment,
+  decrement, transfer (refusals included), merge, value and local rights
+  are those of the original under the renamed replicas;
+* the invariants hold in a renamed world exactly when they hold in the
+  original;
+* the initial world and budgets are fixed by the group: replica 0 alone
+  creates the counter, and replicas 1..n-1 start identical with equal
+  budgets.
+
+So everything reachable from a world is, up to renaming, reachable from its
+representative with at least as many moves left.
+
 Transfer amounts default to 1: rights arithmetic is linear, so unit
 transfers already exercise every precondition boundary.
 
@@ -38,6 +62,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -72,7 +97,7 @@ class ExploreSpec:
     deltas: tuple[int, ...] = (1,)
     transfer_amounts: tuple[int, ...] = (1,)
     unchecked_decrement: bool = False  # fault injection: skip the rights gate
-    max_states: int = 5_000_000
+    max_states: int = 5_000_000  # caps the worlds explored, one per symmetry orbit
 
     def validate(self) -> None:
         if self.n < 1:
@@ -341,8 +366,53 @@ def _dominates(old: int, new: int, guard: int) -> bool:
     return ((old | guard) - new) & guard == guard
 
 
+# Every view carries its image under each renaming: n lanes of (n - 1)!
+# images per orbit member. Past this many replicas that costs more than the
+# states it saves (BENCH_checker-symmetry.json), so larger groups search
+# unreduced.
+_SYMMETRY_MAX_N = 5
+
+
+def symmetries(n: int) -> list[tuple[int, ...]]:
+    """The renamings of n replicas the search reduces by, the identity first.
+
+    ``perm[i]`` is replica i's new name. Replica 0 creates the counter, and
+    replicas 1..n-1 start identical with equal budgets, so every renaming
+    that fixes replica 0 maps the initial world and budgets to themselves.
+    Up to ``_SYMMETRY_MAX_N`` replicas these are all (n - 1)! of them; above
+    it the identity alone.
+    """
+    if n > _SYMMETRY_MAX_N:
+        return [tuple(range(n))]
+    return [(0,) + p for p in itertools.permutations(range(1, n))]
+
+
+def _permute(view: BoundedCounter, perm: tuple[int, ...]) -> BoundedCounter:
+    """The view with every replica i renamed ``perm[i]``."""
+    return dataclasses.replace(
+        view,
+        rights={(perm[i], perm[j]): v for (i, j), v in view.rights.items()},
+        used={perm[i]: v for i, v in view.used.items()},
+    )
+
+
+def _permute_budget(budget: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The budget vector with replica i's inc, dec and transfer counts moved to ``perm[i]``."""
+    n = len(perm)
+    out = list(budget)
+    for base in range(0, 3 * n, n):
+        for i, p in enumerate(perm):
+            out[base + p] = budget[base + i]
+    return tuple(out)
+
+
 def explore(spec: ExploreSpec) -> Verified | Counterexample:
-    """Breadth-first search over every reachable world within the budgets."""
+    """Breadth-first search over every reachable world within the budgets.
+
+    The search keeps one world per orbit of ``symmetries(spec.n)``:
+    ``states`` counts orbit representatives and ``transitions`` the moves
+    out of them.
+    """
     spec.validate()
     n = spec.n
     world0 = initial_world(spec)
@@ -354,6 +424,10 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
     if bad is not None:
         return Counterexample(bad, make_trace((), world0), tuple(v.value() for v in world0))
 
+    group = symmetries(n)
+    # renaming by group[k], then by group[j], is renaming by group[after[j][k]]
+    position = {perm: k for k, perm in enumerate(group)}
+    after = [[position[tuple(q[p[i]] for i in range(n))] for p in group] for q in group]
     budget0 = _initial_budget(spec)
     width, guard = _budget_packing(budget0)
     depth0 = budget0[-1]
@@ -368,18 +442,41 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
     rights: list[tuple[int, ...]] = []  # id -> every replica's local rights
     merged: dict[int, int] = {}  # (a << _W) | b -> id of views[a].merge(views[b])
     stepped: list[list] = []  # id -> per update code: next id, -1 if refused, None if unknown
+    # A frontier entry packs its world's image under renaming k in bits
+    # [k * span, (k + 1) * span), the concrete world (k = 0) lowest. placed[i]
+    # maps a view id to that view held by replica i, renamed in every image.
+    span = _W * n
+    placed: list[list[int]] = [[] for _ in range(n)]
 
     def intern(view: BoundedCounter) -> int:
-        key = view.encode()
-        vid = ids.get(key)
+        vid = ids.get(view.encode())
         if vid is None:
-            vid = ids[key] = len(views)
-            if vid > _ID_MASK:
-                raise OverflowError(f"more than {_ID_MASK + 1} distinct views")
-            views.append(view)
-            within.append(_within_bound(view))
-            rights.append(tuple(view.local_rights(i) for i in range(n)))
-            stepped.append([None] * len(actions))
+            # the ids stay closed under renaming, so the view's whole orbit is
+            # new; orbit[k] is its image under group[k], and images coincide
+            # where a renaming fixes the view
+            vid = len(views)
+            orbit = []
+            for perm in group:
+                image = _permute(view, perm)
+                key = image.encode()
+                x = ids.get(key)
+                if x is None:
+                    x = ids[key] = len(views)
+                    if x > _ID_MASK:
+                        raise OverflowError(f"more than {_ID_MASK + 1} distinct views")
+                    views.append(image)
+                    within.append(_within_bound(image))
+                    rights.append(tuple(image.local_rights(i) for i in range(n)))
+                    stepped.append([None] * len(actions))
+                orbit.append(x)
+            for k, x in enumerate(orbit):
+                if x < len(placed[0]):
+                    continue  # an image met earlier in the orbit
+                for i, lane in enumerate(placed):
+                    lane.append(sum(
+                        orbit[after[j][k]] << j * span + _W * perm[i]
+                        for j, perm in enumerate(group)
+                    ))
         return vid
 
     def merge(a: int, b: int) -> int:
@@ -389,9 +486,14 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
             vid = merged[key] = intern(views[a].merge(views[b]))
         return vid
 
+    # next budget -> per renaming k > 0, its image's offset and the budget renamed alike
+    renamings: dict[int, tuple] = {}
+
     def table(budget: int) -> list[tuple]:
         # one row per move the budget allows: (action, acting replica, its shift,
-        # update code or -1 for a merge, merge partner's shift, next budget, depth used)
+        # update code or -1 for a merge, merge partner's shift, next budget,
+        # depth used, placed[i], and per renaming k > 0 its image's offset and
+        # the next budget renamed alike)
         rows = []
         for action, nbudget in _moves(spec, _unpack(budget, width, len(budget0))):
             i = action[1]
@@ -400,7 +502,15 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
             else:
                 code, other = code_of[action], 0
             nb = _pack(nbudget, width)
-            rows.append((action, i, _W * i, code, other, nb, depth0 - nbudget[-1]))
+            renamed = renamings.get(nb)
+            if renamed is None:
+                renamed = renamings[nb] = tuple(
+                    (k * span, _pack(_permute_budget(nbudget, perm), width))
+                    for k, perm in enumerate(group)
+                    if k
+                )
+            rows.append((action, i, _W * i, code, other, nb, depth0 - nbudget[-1], placed[i],
+                         renamed))
         return rows
 
     def concrete(world: int) -> tuple[BoundedCounter, ...]:
@@ -413,12 +523,15 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
             steps.append(action)
         return steps[::-1]
 
-    shifts = range(0, _W * n, _W)
+    shifts = range(0, span, _W)
+    world_mask = (1 << span) - 1
     b0 = _pack(budget0, width)
-    w0 = _pack([intern(v) for v in world0], _W)
-    # packed world -> Pareto frontier of its packed budgets: one int, or a
-    # list once a second, incomparable budget arrives
-    seen: dict[int, int | list[int]] = {w0: b0}
+    w0 = sum(placed[i][intern(v)] for i, v in enumerate(world0))
+    # canonical world -> Pareto frontier of its canonical packed budgets: one
+    # int, or a list once a second, incomparable budget arrives. A world's
+    # canonical pair is the least (world, budget) among its images; the group
+    # fixes the initial world and budgets, so theirs is (w0, b0).
+    seen: dict[int, int | list[int]] = {w0 & world_mask: b0}
     tables: dict[int, list[tuple]] = {}  # few distinct budgets recur across many worlds
     # ancestry as shared cons cells: node trace = (action, parent_cons)
     queue = deque([(w0, b0, None)])
@@ -430,7 +543,7 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
         rows = tables.get(budget)
         if rows is None:
             rows = tables[budget] = table(budget)
-        for action, i, shift, code, other, nb, used in rows:
+        for action, i, shift, code, other, nb, used, lane, renamed in rows:
             v = world >> shift & _ID_MASK
             if code < 0:
                 u = world >> other & _ID_MASK
@@ -447,19 +560,26 @@ def explore(spec: ExploreSpec) -> Verified | Counterexample:
                 if nv < 0:
                     continue
             transitions += 1
-            nxt = world + (nv - v << shift)
-            old = seen.get(nxt)
+            # renaming commutes with the step, so every image moves at once
+            nxt = world + lane[nv] - lane[v]
+            key = nxt & world_mask
+            kb = nb
+            for offset, rb in renamed:
+                image = nxt >> offset & world_mask
+                if image < key or image == key and rb < kb:
+                    key, kb = image, rb
+            old = seen.get(key)
             if old is None:
-                seen[nxt] = nb
+                seen[key] = kb
             elif type(old) is int:
-                if _dominates(old, nb, guard):
+                if _dominates(old, kb, guard):
                     continue
-                seen[nxt] = nb if _dominates(nb, old, guard) else [old, nb]
+                seen[key] = kb if _dominates(kb, old, guard) else [old, kb]
             else:
-                if any(_dominates(o, nb, guard) for o in old):
+                if any(_dominates(o, kb, guard) for o in old):
                     continue
-                old[:] = [o for o in old if not _dominates(nb, o, guard)]
-                old.append(nb)
+                old[:] = [o for o in old if not _dominates(kb, o, guard)]
+                old.append(kb)
             states += 1
             if states > spec.max_states:
                 raise BudgetTooLarge(f"more than {spec.max_states} states; shrink the budgets")

@@ -25,6 +25,7 @@ from .checker import (
     Verified,
     explore,
     replay,
+    symmetries,
     world_hash,
 )
 from .crdt import Polarity
@@ -109,7 +110,8 @@ def _cmd_check(args) -> int:
         return 2
     wall = time.perf_counter() - started
     rate = f" states_per_s={result.states / wall:.0f}" if isinstance(result, Verified) else ""
-    print(f"check: wall_s={wall:.3f}{rate}", file=sys.stderr)
+    # the counts are of orbits under the renamings explore reduced by; say how many
+    print(f"check: wall_s={wall:.3f}{rate} symmetry={len(symmetries(spec.n))}", file=sys.stderr)
     if isinstance(result, Verified):
         print(f"Verified: states={result.states} transitions={result.transitions}")
         if args.trace_out:

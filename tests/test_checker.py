@@ -9,6 +9,8 @@ differential oracle.
 import dataclasses
 import itertools
 import json
+import re
+import time
 from collections import deque
 from operator import ge
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcounter import checker
 from bcounter.checker import (
     BudgetTooLarge,
     Counterexample,
@@ -30,15 +33,19 @@ from bcounter.checker import (
     _initial_budget,
     _moves,
     _pack,
+    _permute,
+    _permute_budget,
     _unpack,
+    _within_bound,
     apply_action,
     check_invariants,
     explore,
     initial_world,
     replay,
+    symmetries,
     world_hash,
 )
-from bcounter.crdt import BoundedCounter, Polarity
+from bcounter.crdt import BoundedCounter, NotEnoughRights, Polarity
 
 
 def test_single_replica_no_actions_is_trivially_verified():
@@ -249,17 +256,8 @@ def test_exhaustive_against_brute_force_enumeration():
     # Cross-check the explorer's reachable-value set against a dumb
     # enumerator that tries every interleaving directly (n=2, decs=2,
     # no transfers, merges up to 2). The explorer prunes by budget
-    # dominance; final per-replica value sets must still agree.
+    # dominance; the per-replica value sets must still agree.
     spec = ExploreSpec(n=2, initial=2, decs=2, max_merges=2)
-    result = explore(spec)
-    assert isinstance(result, Verified)
-
-    actions = []
-    for i in range(2):
-        actions += [("dec", i, 1)] * 2
-    actions += list(
-        itertools.permutations([("merge", 0, 1), ("merge", 1, 0)], 1)
-    )
     seen_values = set()
 
     def walk(world, decs_left, merges_left):
@@ -281,14 +279,14 @@ def test_exhaustive_against_brute_force_enumeration():
 
     walk(initial_world(spec), (2, 2), 2)
     assert all(v >= 0 for pair in seen_values for v in pair)
-    # the explorer visited at least every distinct value combination
     explored_values = set()
-
-    def collect(world, budget, depth=0):
-        explored_values.add(tuple(s.value() for s in world))
-
+    result = reference_explore(
+        spec, on_world=lambda world: explored_values.add(tuple(s.value() for s in world))
+    )
+    assert isinstance(result, Verified)
+    assert explored_values == seen_values
     # replaying the probe exercises one full-depth schedule
-    world = replay(result.probe)
+    world = replay(explore(spec).probe)
     assert tuple(s.value() for s in world) in seen_values
 
 
@@ -316,14 +314,23 @@ def test_transfer_moves_rights_between_replicas():
     assert merged[1].local_rights(1) == world[1].local_rights(1) + 2
 
 
-def reference_explore(spec):
-    """The explorer without view interning, kept as a differential oracle.
+def explore_unreduced(spec):
+    """The explorer with the identity as its only renaming: every concrete world counts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checker, "symmetries", lambda n: [tuple(range(n))])
+        return explore(spec)
+
+
+def reference_explore(spec, on_world=lambda world: None):
+    """The explorer without view interning or symmetry, kept as a differential oracle.
 
     Worlds are tuples of full views, deduplicated on their joined canonical
     encodings, and every new state is checked with check_invariants.
+    ``on_world`` sees the initial world and every world the search admits.
     """
     spec.validate()
     world0 = initial_world(spec)
+    on_world(world0)
 
     def make_trace(steps, world):
         return Trace(spec, tuple(steps), world_hash(world))
@@ -368,6 +375,7 @@ def reference_explore(spec):
             if subsumed(key, nbudget):
                 continue
             remember(key, nbudget)
+            on_world(nxt)
             states += 1
             ncons = (action, cons)
             bad = check_invariants(nxt)
@@ -408,7 +416,7 @@ def _differential_grid():
 
 @pytest.mark.parametrize("spec", _differential_grid())
 def test_interned_explore_matches_reference(spec):
-    got, want = explore(spec), reference_explore(spec)
+    got, want = explore_unreduced(spec), reference_explore(spec)
     assert type(got) is type(want)
     if isinstance(want, Verified):
         assert (got.states, got.transitions) == (want.states, want.transitions)
@@ -449,7 +457,7 @@ def _beyond_the_grid():
 
 @pytest.mark.parametrize("spec", _beyond_the_grid())
 def test_packed_explore_matches_reference_beyond_the_grid(spec):
-    assert _verdict(explore(spec)) == _verdict(reference_explore(spec))
+    assert _verdict(explore_unreduced(spec)) == _verdict(reference_explore(spec))
 
 
 def test_multi_and_wide_budget_specs_are_verified():
@@ -504,19 +512,74 @@ def test_world_ids_roundtrip_through_the_packing(ids):
     assert _unpack(_pack(ids, _W), _W, len(ids)) == tuple(ids)
 
 
+_CHECK_N3 = ExploreSpec(n=3, initial=5, incs=1, decs=1, transfers=1, max_merges=5,
+                        max_updates=5)
+
+
 def test_frozen_three_replica_instance():
     # the benchmark's check-n3 spec; counts and probe hash pinned before
     # views were interned
-    spec = ExploreSpec(
-        n=3, initial=5, incs=1, decs=1, transfers=1, max_merges=5, max_updates=5
-    )
-    result = explore(spec)
+    result = explore_unreduced(_CHECK_N3)
     assert isinstance(result, Verified)
     assert result.states == 68_590
     assert result.transitions == 343_424
     assert result.probe.state_hash == (
         "c3835c7ea053d3a318acba601821ddeed55ac5e357822fbb2467fa97091ec2e8"
     )
+
+
+def test_frozen_three_replica_instance_up_to_symmetry():
+    # one world per orbit of the renaming of replicas 1 and 2: about half the
+    # states, and the same deepest schedule as the unreduced search
+    result = explore(_CHECK_N3)
+    assert isinstance(result, Verified)
+    assert (result.states, result.transitions) == (34_385, 172_254)
+    assert result.probe.state_hash == (
+        "c3835c7ea053d3a318acba601821ddeed55ac5e357822fbb2467fa97091ec2e8"
+    )
+    assert world_hash(replay(result.probe)) == result.probe.state_hash
+
+
+def test_frozen_acceptance_instance_without_symmetry():
+    # the `bcounter check` run of the acceptance gate (6 merges, 8 updates);
+    # the gate itself now prints the reduced counts
+    spec = dataclasses.replace(_CHECK_N3, max_merges=6, max_updates=8)
+    result = explore_unreduced(spec)
+    assert isinstance(result, Verified)
+    assert (result.states, result.transitions) == (493_608, 2_953_352)
+
+
+def test_four_replicas_verify_up_to_symmetry():
+    # six renamings at n=4; unreduced, this spec reaches 493,838 states and
+    # 1,910,727 transitions
+    spec = ExploreSpec(n=4, initial=5, incs=1, decs=1, transfers=1, max_merges=4, max_updates=4)
+    result = explore(spec)
+    assert isinstance(result, Verified)
+    assert (result.states, result.transitions) == (83_589, 325_713)
+    assert world_hash(replay(result.probe)) == result.probe.state_hash
+
+
+def test_five_replicas_verify_up_to_symmetry():
+    # 24 renamings at n=5, the largest group the search reduces by
+    assert len(symmetries(5)) == 24
+    spec = ExploreSpec(n=5, initial=5, incs=1, decs=1, transfers=1, max_merges=2, max_updates=2)
+    result, full = explore(spec), explore_unreduced(spec)
+    assert isinstance(result, Verified)
+    assert (result.states, result.transitions) == (218, 685)
+    assert (full.states, full.transitions) == (2_716, 5_924)
+    assert world_hash(replay(result.probe)) == result.probe.state_hash
+
+
+def test_larger_groups_search_unreduced():
+    # past five replicas every view would carry (n - 1)! renamed images, so the
+    # search keeps the identity alone and a tiny budget stays quick
+    assert [len(symmetries(n)) for n in range(1, 11)] == [1, 1, 2, 6, 24, 1, 1, 1, 1, 1]
+    spec = ExploreSpec(n=8, initial=5, incs=1, decs=1, transfers=1, max_merges=1, max_updates=1)
+    started = time.perf_counter()
+    result = explore(spec)
+    assert isinstance(result, Verified)
+    assert (result.states, result.transitions) == (129, 128)
+    assert time.perf_counter() - started < 10.0
 
 
 _lattice_merge = BoundedCounter.merge
@@ -533,22 +596,127 @@ def _merge_keeping_own_used(self, other):
     return dataclasses.replace(_lattice_merge(self, other), used=dict(self.used))
 
 
-@pytest.mark.parametrize(
-    "planted, initial, invariant",
-    [
-        (_merge_summing_used, 1, "the join of all views breaks the bound"),
-        (_merge_summing_used, 2, "replica 0 overestimates its rights"),
-        (_merge_keeping_own_used, 2, "join depends on fold order"),
-    ],
-)
+_PLANTED = [
+    (_merge_summing_used, 1, "the join of all views breaks the bound"),
+    (_merge_summing_used, 2, "replica 0 overestimates its rights"),
+    (_merge_keeping_own_used, 2, "join depends on fold order"),
+]
+
+
+def _planted_spec(initial):
+    return ExploreSpec(n=3, initial=initial, decs=1, transfers=1, max_merges=3, max_depth=4)
+
+
+@pytest.mark.parametrize("planted, initial, invariant", _PLANTED)
 def test_interned_join_checks_match_reference_on_planted_merge(
     monkeypatch, planted, initial, invariant
 ):
     # a correct merge never breaks the join-level invariants, so plant a
     # broken one to compare the cached join checks with check_invariants
     monkeypatch.setattr(BoundedCounter, "merge", planted)
-    spec = ExploreSpec(n=3, initial=initial, decs=1, transfers=1, max_merges=3, max_depth=4)
-    got, want = explore(spec), reference_explore(spec)
+    spec = _planted_spec(initial)
+    got, want = explore_unreduced(spec), reference_explore(spec)
     assert isinstance(got, Counterexample)
     assert got.invariant == want.invariant == invariant
     assert (got.trace, got.values) == (want.trace, want.values)
+
+
+def _renamed(invariant, n):
+    """The invariant's name under every renaming of replicas 1..n-1."""
+    return {re.sub(r"\d+", lambda m: str(perm[int(m.group())]), invariant)
+            for perm in symmetries(n)}
+
+
+def _assert_reduction_agrees(spec):
+    reduced, full = explore(spec), explore_unreduced(spec)
+    if spec.n <= 2:  # the only renaming is the identity
+        assert _verdict(reduced) == _verdict(full)
+        return
+    assert type(reduced) is type(full)
+    if isinstance(full, Verified):
+        assert reduced.states <= full.states
+        assert world_hash(replay(reduced.probe)) == reduced.probe.state_hash
+    else:
+        assert len(reduced.trace.steps) == len(full.trace.steps)
+        assert reduced.invariant in _renamed(full.invariant, spec.n)
+        assert check_invariants(replay(reduced.trace)) == reduced.invariant
+
+
+@pytest.mark.parametrize("spec", [*_differential_grid(), *_beyond_the_grid()])
+def test_reduced_explore_agrees_with_the_unreduced_search(spec):
+    _assert_reduction_agrees(spec)
+
+
+@pytest.mark.parametrize("planted, initial, invariant", _PLANTED)
+def test_reduced_explore_agrees_on_planted_merge(monkeypatch, planted, initial, invariant):
+    monkeypatch.setattr(BoundedCounter, "merge", planted)
+    _assert_reduction_agrees(_planted_spec(initial))
+
+
+def _rename_action(action, perm):
+    kind, *rest = action
+    # a merge names two replicas; an update names its replicas, then an amount
+    named = rest if kind == "merge" else rest[:-1]
+    return (kind, *(perm[r] for r in named), *rest[len(named):])
+
+
+def _steps_alike(step, view, args, renamed_view, renamed_args, perm):
+    """Runs step on both views: both raise NotEnoughRights alike, or the results correspond."""
+    try:
+        want = getattr(view, step)(*args)
+    except NotEnoughRights as exc:
+        with pytest.raises(NotEnoughRights) as got:
+            getattr(renamed_view, step)(*renamed_args)
+        assert (got.value.available, got.value.requested) == (exc.available, exc.requested)
+        return
+    assert getattr(renamed_view, step)(*renamed_args) == _permute(want, perm)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_renaming_replicas_commutes_with_the_counter_and_the_invariants(data):
+    # the premise of the reduction: renaming replicas 1..n-1 commutes with
+    # every step and check the explorer runs, and fixes its initial world
+    n = data.draw(st.integers(2, 4), label="n")
+    lower = data.draw(st.booleans(), label="lower")
+    slack = data.draw(st.integers(0, 4), label="slack")
+    spec = ExploreSpec(n=n, polarity=Polarity.LOWER if lower else Polarity.UPPER,
+                       bound=0 if lower else 9, initial=slack if lower else 9 - slack,
+                       unchecked_decrement=data.draw(st.booleans(), label="unchecked"))
+    replica = st.integers(0, n - 1)
+    pair = st.tuples(replica, replica).filter(lambda p: p[0] != p[1])
+    action = st.one_of(
+        st.tuples(st.sampled_from(("inc", "dec")), replica, st.integers(1, 3)),
+        pair.map(lambda p: ("transfer", *p, 1)),
+        pair.map(lambda p: ("merge", *p)),
+    )
+    world = initial_world(spec)
+    for step in data.draw(st.lists(action, max_size=12), label="actions"):
+        world = apply_action(world, step, spec) or world
+    budget = data.draw(st.tuples(*[st.integers(0, 3)] * (3 * n + 3)), label="budget")
+    i, j = data.draw(pair, label="i, j")
+    delta = data.draw(st.integers(1, 6), label="delta")
+    for perm in symmetries(n):
+        assert tuple(_permute(v, perm) for v in initial_world(spec)) == initial_world(spec)
+        assert _permute_budget(_initial_budget(spec), perm) == _initial_budget(spec)
+        renamed = [None] * n
+        for k, view in enumerate(world):
+            renamed[perm[k]] = _permute(view, perm)
+        for k, view in enumerate(world):
+            image = renamed[perm[k]]
+            assert image.local_rights(perm[k]) == view.local_rights(k)
+            assert image.value() == view.value()
+            assert _within_bound(image) == _within_bound(view)
+            for step, args, renamed_args in (
+                ("increment", (i, delta), (perm[i], delta)),
+                ("decrement", (i, delta), (perm[i], delta)),
+                ("transfer", (i, j, delta), (perm[i], perm[j], delta)),
+            ):
+                _steps_alike(step, view, args, image, renamed_args, perm)
+            for other, other_view in enumerate(world):
+                assert _permute(view.merge(other_view), perm) == image.merge(renamed[perm[other]])
+        assert (check_invariants(tuple(renamed)) is None) == (check_invariants(world) is None)
+        renamed_moves = dict(_moves(spec, _permute_budget(budget, perm)))
+        assert renamed_moves == {
+            _rename_action(a, perm): _permute_budget(b, perm) for a, b in _moves(spec, budget)
+        }

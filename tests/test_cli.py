@@ -66,9 +66,18 @@ def test_check_reports_wall_time_on_stderr_only(capsys):
     assert main(flags) == 0
     first = capsys.readouterr()
     assert "wall_s=" in first.err and "states_per_s=" in first.err
+    assert first.err.endswith(" symmetry=1\n")  # n=2 has only the identity renaming
     assert "wall_s" not in first.out
     assert main(flags) == 0
     assert capsys.readouterr().out == first.out
+
+
+def test_check_counts_orbits_of_the_renamings(capsys):
+    flags = ["check", "--replicas", "3", "--initial", "2", "--decs", "1", "--merges", "2"]
+    assert main(flags) == 0
+    captured = capsys.readouterr()
+    assert captured.err.endswith(" symmetry=2\n")  # renaming replicas 1 and 2
+    assert "Verified: states=" in captured.out
 
 
 def test_check_state_budget_exceeded_exits_two(capsys):
