@@ -69,41 +69,31 @@ class ClientMiddleware(Replica):
         self.sim.spawn(self._sync_loop())
         self.sim.spawn(self._rebalance_loop())
 
-    # -- store access ---------------------------------------------------------
-
-    def _fetch(self, key: str):
-        """Read the locally stored counter: (state, version), or None.
-        A strong key holds exactly one sibling."""
-        rec = yield from self.store.get(key)
-        if rec is None:
-            return None
-        return rec.siblings[0], rec.version
-
     # -- counter operations ------------------------------------------------------
 
     def create(self, key: str, polarity: Polarity, bound: int, initial: int | None = None):
         """Install a fresh counter; fails if the key already exists."""
         state = BoundedCounter.new(polarity, bound, self.n_dcs, self.dc, initial)
-        res = yield from self.store.put_conditional(key, state, ABSENT)
+        res = yield self.store.put_conditional(key, state, ABSENT)
         if res is CONFLICT:
             return "exists"
         self._dirty.add(key)
         return "ok"
 
     def read(self, key: str):
-        got = yield from self._fetch(key)
-        if got is None:
+        rec = yield self.store.get(key)
+        if rec is None:
             return None
-        return got[0].value()
+        return rec.siblings[0].value()
 
     def update(self, key: str, kind: str, delta: int, flag: str = "global"):
         """inc/dec; returns (status, reason, used_sync)."""
         used_sync = False
         for _ in range(self.retry_limit):
-            got = yield from self._fetch(key)
-            if got is None:
+            rec = yield self.store.get(key)
+            if rec is None:
                 return "failed", "notfound", used_sync
-            state, version = got
+            state, version = rec.siblings[0], rec.version
             new_state = self._step(key, state, version, kind, delta)
             if type(new_state) is int:  # not enough rights; these are held here
                 deficit = delta - new_state
@@ -116,7 +106,7 @@ class ClientMiddleware(Replica):
                     return "failed", "rights", used_sync
                 continue  # fresh read sees the merged-in rights
             self.metrics.op_write()
-            res = yield from self.store.put_conditional(key, new_state, version)
+            res = yield self.store.put_conditional(key, new_state, version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -137,8 +127,8 @@ class ClientMiddleware(Replica):
         if out is None:
             try:
                 out = (state.increment if kind == "inc" else state.decrement)(self.dc, delta)
-            except NotEnoughRights:
-                out = state.local_rights(self.dc)
+            except NotEnoughRights as short:
+                out = short.available
             steps[(kind, delta)] = out
         return out
 
@@ -161,15 +151,14 @@ class ClientMiddleware(Replica):
     def _serve_transfer(self, key: str, req: TransferRequest, reply):
         """Grantor side; a GRANTED reply is sent only once the grant is durable."""
         for _ in range(self.retry_limit):
-            got = yield from self._fetch(key)
-            if got is None:
+            rec = yield self.store.get(key)
+            if rec is None:
                 return
-            state, version = got
-            new_state, resp = handle_request(state, req)
+            new_state, resp = handle_request(rec.siblings[0], req)
             if resp.status is not TransferStatus.GRANTED:
                 self._respond(req, reply, resp)
                 return
-            res = yield from self.store.put_conditional(key, new_state, version)
+            res = yield self.store.put_conditional(key, new_state, rec.version)
             if res is CONFLICT:
                 continue
             self._dirty.add(key)
@@ -189,10 +178,10 @@ class ClientMiddleware(Replica):
             keys = sorted(self.thresholds) if send_all else sorted(self._dirty)
             self._dirty.clear()
             for key in keys:
-                got = yield from self._fetch(key)
-                if got is None:
+                rec = yield self.store.get(key)
+                if rec is None:
                     continue
-                self._push_state(key, got[0])
+                self._push_state(key, rec.siblings[0])
 
     def on_state(self, key: str, state: BoundedCounter) -> None:
         self.sim.spawn(self._merge_into_store(key, state))
@@ -200,15 +189,15 @@ class ClientMiddleware(Replica):
     def _merge_into_store(self, key: str, incoming: BoundedCounter):
         """Fold a remote state into the local durable copy, or install it."""
         for _ in range(self.retry_limit):
-            got = yield from self._fetch(key)
-            if got is None:
+            rec = yield self.store.get(key)
+            if rec is None:
                 merged, version = incoming, ABSENT
             else:
-                state, version = got
+                state, version = rec.siblings[0], rec.version
                 merged = state.merge(incoming)
                 if merged == state:
                     return True
-            res = yield from self.store.put_conditional(key, merged, version)
+            res = yield self.store.put_conditional(key, merged, version)
             if res is not CONFLICT:
                 return True
         return False  # the next sync tick delivers it again
@@ -219,6 +208,6 @@ class ClientMiddleware(Replica):
         while True:
             yield self.rebalance_period_ms
             for key in sorted(self.thresholds):
-                got = yield from self._fetch(key)
-                if got is not None:
-                    self._rebalance(key, got[0])
+                rec = yield self.store.get(key)
+                if rec is not None:
+                    self._rebalance(key, rec.siblings[0])

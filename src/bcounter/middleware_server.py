@@ -213,7 +213,7 @@ class Node:
 
     def _load(self, p: _Pipeline):
         # owner nodes create no counter: a key they serve was seeded
-        rec = yield from self.store.get(p.key)
+        rec = yield self.store.get(p.key)
         p.base_state = rec.siblings[0]
         p.base_version = rec.version
         p.working = p.base_state
@@ -294,7 +294,7 @@ class Node:
             snapshot = p.working
             if any(type(w) is _OpItem for w in p.batch):
                 self.metrics.op_write()
-            res = yield from self.store.put_conditional(p.key, snapshot, p.base_version)
+            res = yield self.store.put_conditional(p.key, snapshot, p.base_version)
             if res is CONFLICT:
                 # nothing in the working copy is durable; drop all of it
                 waiters, p.batch = p.batch, []

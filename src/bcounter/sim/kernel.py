@@ -6,7 +6,12 @@ that yield what they are waiting for:
 * a number: sleep that many simulated milliseconds,
 * a :class:`Future`: park until someone resolves it, receive its value,
 * a ``(Future, timeout_ms)`` pair: as above, but resume with :data:`TIMEOUT`
-  if the deadline passes first.
+  if the deadline passes first,
+* a :class:`RoundTrip`: a request that takes effect ``out_ms`` from now and
+  whose result comes back ``back()`` ms after that. It is one entry in place
+  of sleep, effect, sleep: the kernel runs ``effect(*args)`` at the first
+  entry, unless the process was killed before it, and resumes the process
+  with its result at the second. The delays pass the checks of a sleep.
 
 A number is an ``int`` or a ``float``. Anything else, a subclass of these
 types included (``True``, say), raises ``TypeError``.
@@ -18,17 +23,22 @@ dropped: to wait for a process, wrap its generator in one that resolves a
 :class:`Future` as it ends.
 
 Each event is one queue entry and allocates no closure. An entry names its
-target, a :class:`Process` to resume with a value or a callable to call, so a
-process is resumed directly. Entries due later than ``now`` sit on a heap of
-``(time, seq, target, value)``. Entries due at ``now`` go to a FIFO of
-``(target, value)``, which runs after the heap's entries at ``now`` and
-before time advances: every entry made at ``now`` is younger than every heap
-entry due at ``now``, so this is exactly ``(time, seq)`` order. That covers a
+target: a :class:`Process` to resume with a value, a :class:`RoundTrip` whose
+effect is due, or a callable to call, so a process is resumed directly.
+Entries due later than ``now`` sit on a heap of ``(time, seq, target,
+value)``. Entries due at ``now`` go to a FIFO of ``(target, value)``, which
+runs after the heap's entries at ``now`` and before time advances: every
+entry made at ``now`` is younger than every heap entry due at ``now``, so
+this is exactly ``(time, seq)`` order. That covers a
 resolved future's waiters, a spawn, a zero sleep and a positive delay that
 float rounding absorbs (``now + delay == now``). A future keeps its waiting
 processes, not callbacks; a ``(Future, timeout)`` wait is one record that is
 both among the future's waiters and on the heap, and whichever runs first
-resumes the process.
+resumes the process. A round trip's first entry is ``(time, seq, trip,
+process)``: it runs the effect, draws ``back()`` and queues the process's
+resume with the result. Those are the entries, seqs and draws of a sleep, a
+step that runs the effect and a second sleep, so a round trip keeps their
+event order and ``events``.
 
 A wait that its future served leaves its timeout entry behind, dead. The
 loop counts these entries, and once they are more than half of the heap (and
@@ -116,6 +126,20 @@ class _TimedWait:
         self.fired = False
 
 
+class RoundTrip:
+    """A request a process yields: ``out_ms`` from now the kernel runs
+    ``effect(*args)``, unless the process was killed, and resumes the process
+    with its result ``back()`` ms later."""
+
+    __slots__ = ("out_ms", "effect", "args", "back")
+
+    def __init__(self, out_ms: float, effect: Callable, args: tuple, back: Callable[[], float]):
+        self.out_ms = out_ms
+        self.effect = effect
+        self.args = args
+        self.back = back
+
+
 class Simulator:
     """Event loop; all times are simulated milliseconds."""
 
@@ -158,7 +182,8 @@ class Simulator:
         make_ready = ready.append
         seq = self._seq
         # names the loop tests once per event, bound locally
-        timed_wait, process, future_type, number, integer = _TimedWait, Process, Future, float, int
+        round_trip, timed_wait, process = RoundTrip, _TimedWait, Process
+        future_type, number, integer = Future, float, int
         expired, timeout, floor = _EXPIRED, TIMEOUT, _STALE_FLOOR
         events = 0
         stale = self._stale
@@ -180,6 +205,23 @@ class Simulator:
                     break
                 events += 1
                 kind = target.__class__
+                if kind is round_trip:
+                    # value is the process; a killed one never lands its request
+                    if not value.alive:
+                        continue
+                    result = target.effect(*target.args)
+                    back = target.back()
+                    kind = back.__class__
+                    if not (kind is number or kind is integer):
+                        raise TypeError(f"process yielded unsupported value: {back!r}")
+                    if not back >= 0:
+                        raise ValueError(f"delay must be >= 0, got {back!r}")
+                    t = now + back
+                    if t == now:
+                        make_ready((value, result))
+                    else:
+                        heappush(heap, (t, seq(), value, result))
+                    continue
                 if kind is timed_wait:
                     if target.fired:
                         if value is expired:
@@ -208,7 +250,19 @@ class Simulator:
                     target.alive = False
                     continue
                 kind = yielded.__class__
-                if kind is number or kind is integer:
+                if kind is round_trip:
+                    delay = yielded.out_ms
+                    kind = delay.__class__
+                    if not (kind is number or kind is integer):
+                        raise TypeError(f"process yielded unsupported value: {delay!r}")
+                    if not delay >= 0:
+                        raise ValueError(f"delay must be >= 0, got {delay!r}")
+                    t = now + delay
+                    if t == now:
+                        make_ready((yielded, target))
+                    else:
+                        heappush(heap, (t, seq(), yielded, target))
+                elif kind is number or kind is integer:
                     if not yielded >= 0:
                         raise ValueError(f"delay must be >= 0, got {yielded!r}")
                     t = now + yielded

@@ -49,6 +49,10 @@ class Network:
         self.intra_ms = intra_ms
         self.jitter_frac = jitter_frac
         self.rng = rng or random.Random(0)
+        # the jitter's constants, bound once: each draw is lo + width * random()
+        self._lo = 1 - jitter_frac
+        self._width = 1 + jitter_frac - self._lo
+        self._random = self.rng.random
         self._group_of: dict[int, int] | None = None
         self.partition_epoch = 0
         self.sent = 0
@@ -60,18 +64,14 @@ class Network:
     # float expression uniform evaluates, so the samples are bit-identical.
 
     def _jittered(self, base: float) -> float:
-        j = self.jitter_frac
-        if j <= 0:
+        if self.jitter_frac <= 0:
             return base
-        lo = 1 - j
-        return base * (lo + (1 + j - lo) * self.rng.random())
+        return base * (self._lo + self._width * self._random())
 
     def intra_delay(self) -> float:
-        j = self.jitter_frac
-        if j <= 0:
+        if self.jitter_frac <= 0:
             return self.intra_ms
-        lo = 1 - j
-        return self.intra_ms * (lo + (1 + j - lo) * self.rng.random())
+        return self.intra_ms * (self._lo + self._width * self._random())
 
     def delay(self, src: int, dst: int) -> float:
         if src == dst:

@@ -222,7 +222,7 @@ class WeakDriver(Driver):
             self.sim.spawn(self._sync_loop(dc))
 
     def _read_merged(self, dc: int, key: str):
-        rec = yield from self.stores[dc].get(key)
+        rec = yield self.stores[dc].get(key)
         return self._fold(dc, rec), rec.version
 
     def _fold(self, dc: int, rec: VersionedRecord) -> TallyCounter:
@@ -278,7 +278,7 @@ class WeakDriver(Driver):
         if _would_violate(spec, tally.value(), kind, delta):
             return "failed", "bound", False
         new = tally.apply(actor, kind, delta, stamp=(dc, key, version))
-        yield from self.stores[dc].put(key, new, context=version)
+        yield self.stores[dc].put(key, new, context=version)
         return "ok", "ok", False
 
     def _sync_loop(self, dc: int):
@@ -299,7 +299,7 @@ class WeakDriver(Driver):
         merged = tally.merge(incoming, stamp=(dc, key, version))
         if merged is tally:
             return
-        yield from self.stores[dc].put(key, merged, context=version)
+        yield self.stores[dc].put(key, merged, context=version)
 
 
 class StrongDriver(Driver):
@@ -320,13 +320,13 @@ class StrongDriver(Driver):
         spec = self.specs[key]
         result = "failed", "retries", False
         for _ in range(self.cfg.retry_limit):
-            rec = yield from store.get(key)
+            rec = yield store.get(key)
             value = rec.siblings[0]
             if _would_violate(spec, value, kind, delta):
                 result = "failed", "bound", False
                 break
             new_value = value + delta if kind == "inc" else value - delta
-            res = yield from store.put_conditional(key, new_value, rec.version)
+            res = yield store.put_conditional(key, new_value, rec.version)
             if res is not CONFLICT:
                 result = "ok", "ok", False
                 break

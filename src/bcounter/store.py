@@ -27,12 +27,16 @@ the operation's service latency elapses, so of two in-flight conditional
 writes racing from the same version, exactly the first to complete wins.
 
 The store sits one intra-DC hop from its callers. An operation is its
-caller's whole round trip, run as ``rec = yield from store.get(key)``: one
-hop out, the service time, the effect, one hop back. An op is counted when
-issued, a conflict when it lands. The effect runs inside the caller's
-process, so a caller killed before it (a crashed owner node) is never
-resumed and its op never lands. That keeps "acknowledged" and "durable" the
-same thing for crashed middleware nodes.
+caller's whole round trip, a :class:`~.sim.kernel.RoundTrip` that the caller
+yields, as in ``rec = yield store.get(key)``: one hop out, the service time,
+the effect, one hop back. An op is counted when issued, a conflict when it
+lands. The kernel runs the effect only if the caller is still alive, so a
+caller killed before it (a crashed owner node) is never resumed and its op
+never lands. That keeps "acknowledged" and "durable" the same thing for
+crashed middleware nodes.
+
+A key's current record is built when a write lands; every read until the
+next write returns that same immutable record.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .sim.kernel import Sentinel
+from .sim.kernel import RoundTrip, Sentinel
 
 
 class Consistency(Enum):
@@ -65,27 +69,19 @@ class VersionedRecord:
     consistency: Consistency
 
 
-class _Entry:
-    __slots__ = ("mode", "siblings", "births", "version")
-
-    def __init__(self, mode: Consistency):
-        self.mode = mode
-        self.siblings: tuple[object, ...] = ()
-        self.births: tuple[int, ...] = ()  # version at which each sibling landed
-        self.version = 0
-
-
 class DCStore:
     """One DC's store, ``hop()`` ms from its callers. ``get``, ``put`` and
     ``put_conditional`` check modes and count when called, and return the
-    round trip for the caller to ``yield from``."""
+    round trip for the caller to ``yield``."""
 
     def __init__(self, dc: int, read_ms: float, write_ms: float, hop: Callable[[], float]):
         self.dc = dc
         self.read_ms = read_ms
         self.write_ms = write_ms
         self.hop = hop
-        self._entries: dict[str, _Entry] = {}
+        self._records: dict[str, VersionedRecord] = {}
+        # weak keys: the version at which each sibling landed
+        self._births: dict[str, tuple[int, ...]] = {}
         self.reads = 0
         self.weak_puts = 0
         self.cond_writes = 0
@@ -93,19 +89,12 @@ class DCStore:
 
     # -- modeled API -----------------------------------------------------------
 
-    def get(self, key: str):
+    def get(self, key: str) -> RoundTrip:
         """Round trip to a VersionedRecord, or None when the key is absent."""
         self.reads += 1
+        return RoundTrip(self.hop() + self.read_ms, self._records.get, (key,), self.hop)
 
-        def complete():
-            e = self._entries.get(key)
-            if e is None or e.version == 0:
-                return None
-            return VersionedRecord(key, e.siblings, e.version, e.mode)
-
-        return self._round_trip(self.read_ms, complete)
-
-    def put(self, key: str, data: object, context: int | None = None):
+    def put(self, key: str, data: object, context: int | None = None) -> RoundTrip:
         """Weak put; round trip to the new version token.
 
         ``context`` is the version the caller read before computing ``data``;
@@ -113,79 +102,72 @@ class DCStore:
         next to any sibling written after it. No context means the writer saw
         nothing, so nothing is replaced.
         """
-        e = self._entries.get(key)
-        if e is not None and e.mode is Consistency.STRONG:
+        rec = self._records.get(key)
+        if rec is not None and rec.consistency is Consistency.STRONG:
             raise WrongMode(f"weak put on strong key {key!r}")
         self.weak_puts += 1
+        return RoundTrip(self.hop() + self.write_ms, self._put, (key, data, context), self.hop)
 
-        def complete():
-            entry = self._entries.setdefault(key, _Entry(Consistency.WEAK))
-            if entry.mode is not Consistency.WEAK:
-                raise WrongMode(f"weak put on strong key {key!r}")
-            seen = entry.version if context is None else min(context, entry.version)
-            survivors = [
-                (b, s)
-                for b, s in zip(entry.births, entry.siblings)
-                if (context is None or b > seen) and s != data
-            ]
-            entry.version += 1
-            survivors.append((entry.version, data))
-            entry.births = tuple(b for b, _ in survivors)
-            entry.siblings = tuple(s for _, s in survivors)
-            return entry.version
-
-        return self._round_trip(self.write_ms, complete)
-
-    def put_conditional(self, key, data, expected):
+    def put_conditional(self, key, data, expected) -> RoundTrip:
         """Conditional write; round trip to the new version token, or CONFLICT.
 
         ``expected`` is a version token, or ABSENT to create the key. The
         version comparison happens when the write lands, so of concurrent
         writers from one version exactly the first to land succeeds.
         """
-        e = self._entries.get(key)
-        if e is not None and e.mode is Consistency.WEAK:
+        rec = self._records.get(key)
+        if rec is not None and rec.consistency is Consistency.WEAK:
             raise WrongMode(f"conditional write on weak key {key!r}")
         self.cond_writes += 1
+        return RoundTrip(
+            self.hop() + self.write_ms, self._put_conditional, (key, data, expected), self.hop
+        )
 
-        def complete():
-            entry = self._entries.get(key)
-            current = 0 if entry is None else entry.version
-            want = 0 if expected is ABSENT else expected
-            if want != current:
-                self.conflicts += 1
-                return CONFLICT
-            if entry is None:
-                entry = self._entries[key] = _Entry(Consistency.STRONG)
-            elif entry.mode is not Consistency.STRONG:
-                raise WrongMode(f"conditional write on weak key {key!r}")
-            entry.version += 1
-            entry.siblings = (data,)
-            entry.births = (entry.version,)
-            return entry.version
+    # -- effects, run by the kernel as a write lands -----------------------------
 
-        return self._round_trip(self.write_ms, complete)
+    def _put(self, key: str, data: object, context: int | None) -> int:
+        rec = self._records.get(key)
+        if rec is None:
+            version, births, siblings = 0, (), ()
+        elif rec.consistency is not Consistency.WEAK:
+            raise WrongMode(f"weak put on strong key {key!r}")
+        else:
+            version, births, siblings = rec.version, self._births[key], rec.siblings
+        seen = version if context is None else min(context, version)
+        survivors = [
+            (b, s)
+            for b, s in zip(births, siblings)
+            if (context is None or b > seen) and s != data
+        ]
+        version += 1
+        survivors.append((version, data))
+        self._births[key] = tuple(b for b, _ in survivors)
+        siblings = tuple(s for _, s in survivors)
+        self._records[key] = VersionedRecord(key, siblings, version, Consistency.WEAK)
+        return version
 
-    def _round_trip(self, service_ms: float, complete: Callable[[], object]):
-        yield self.hop() + service_ms
-        result = complete()
-        yield self.hop()
-        return result
+    def _put_conditional(self, key: str, data: object, expected) -> object:
+        rec = self._records.get(key)
+        current = 0 if rec is None else rec.version
+        want = 0 if expected is ABSENT else expected
+        if want != current:
+            self.conflicts += 1
+            return CONFLICT
+        if rec is not None and rec.consistency is not Consistency.STRONG:
+            raise WrongMode(f"conditional write on weak key {key!r}")
+        current += 1
+        self._records[key] = VersionedRecord(key, (data,), current, Consistency.STRONG)
+        return current
 
     # -- instrumentation (no latency, not part of the modeled API) -------------
 
     def peek(self, key: str) -> VersionedRecord | None:
-        e = self._entries.get(key)
-        if e is None or e.version == 0:
-            return None
-        return VersionedRecord(key, e.siblings, e.version, e.mode)
+        return self._records.get(key)
 
     def seed(self, key: str, data: object, mode: Consistency) -> None:
         """Install a key instantly at version 1, as experiment setup."""
-        if key in self._entries:
+        if key in self._records:
             raise ValueError(f"seed would clobber existing key {key!r}")
-        entry = _Entry(mode)
-        entry.siblings = (data,)
-        entry.births = (1,)
-        entry.version = 1
-        self._entries[key] = entry
+        self._records[key] = VersionedRecord(key, (data,), 1, mode)
+        if mode is Consistency.WEAK:
+            self._births[key] = (1,)

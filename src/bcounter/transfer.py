@@ -111,12 +111,8 @@ def sync_candidates(state: BoundedCounter, me: int) -> list[int]:
     Descending by visible rights, ties broken by id; replicas that look
     exhausted are excluded entirely.
     """
-    ranked = [
-        (state.local_rights(j), j)
-        for j in range(state.n)
-        if j != me and state.local_rights(j) > 0
-    ]
-    ranked.sort(key=lambda t: (-t[0], t[1]))
+    held = [(state.local_rights(j), j) for j in range(state.n) if j != me]
+    ranked = sorted((t for t in held if t[0] > 0), key=lambda t: (-t[0], t[1]))
     return [j for _, j in ranked]
 
 

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from bcounter.sim.config import CounterSpec, CrashFault, PartitionFault, SimConfig, Strategy
-from bcounter.sim.harness import run
+from bcounter.sim.harness import Run, run
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.scenarios import expand
 
@@ -147,6 +147,15 @@ GOLDEN = {
         "7b4a3c3d6c431d8af7fb79ce71606d985eb599c0d3639bbb6f8fe60871cb341a",
 }
 
+# The event stream behind two pins: the events the kernel dispatched and the
+# stores' totals of reads, conditional writes and conflicts, summed over the
+# DCs. A change that adds or drops a hop, or an op, moves these by name even
+# where the CSV keeps its bytes.
+EVENT_STREAM = {
+    ("single-counter", Strategy.BCCLT): (63_749, 15_439, 14_892, 13_671),
+    ("faults", Strategy.BCSRV): (12_165, 5, 1_649, 1),
+}
+
 CONFIGS = {
     "single-counter": single_counter,
     "violation-count": violation_count,
@@ -169,6 +178,21 @@ def digest(cfg: SimConfig) -> str:
 )
 def test_csv_digest_is_pinned(name, strategy):
     assert digest(CONFIGS[name](strategy)) == GOLDEN[(name, strategy)]
+
+
+@pytest.mark.parametrize(
+    "name,strategy", list(EVENT_STREAM), ids=[f"{n}-{s.value}" for n, s in EVENT_STREAM]
+)
+def test_event_stream_is_pinned(name, strategy):
+    r = Run(CONFIGS[name](strategy))
+    r.execute()
+    stores = r.stores
+    assert (
+        r.sim.events,
+        sum(s.reads for s in stores),
+        sum(s.cond_writes for s in stores),
+        sum(s.conflicts for s in stores),
+    ) == EVENT_STREAM[(name, strategy)]
 
 
 if __name__ == "__main__":

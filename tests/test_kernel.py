@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bcounter.sim.kernel import TIMEOUT, Future, Simulator
+from bcounter.sim.kernel import TIMEOUT, Future, RoundTrip, Simulator
 
 
 def test_events_run_in_time_order():
@@ -273,6 +273,55 @@ def test_unsupported_yield_raises(value):
     sim.spawn(bad())
     with pytest.raises(TypeError):
         sim.run()
+
+
+def test_round_trip_lands_then_returns():
+    sim = Simulator()
+    log = []
+
+    def effect(x):
+        log.append(("effect", sim.now, x))
+        return x * 2
+
+    def proc():
+        got = yield RoundTrip(3, effect, (21,), lambda: 2.5)
+        log.append(("back", sim.now, got))
+
+    sim.spawn(proc())
+    sim.run()
+    assert log == [("effect", 3, 21), ("back", 5.5, 42)]
+    # the spawn, the landing and the return
+    assert sim.events == 3
+
+
+def error_of(sim):
+    with pytest.raises((TypeError, ValueError)) as info:
+        sim.run()
+    return type(info.value), str(info.value)
+
+
+BAD_DELAYS = [-1, -0.5, float("nan"), "1", True, None]
+
+
+@pytest.mark.parametrize("bad", BAD_DELAYS, ids=repr)
+@pytest.mark.parametrize("leg", ["out", "back"])
+def test_round_trip_delays_are_checked_as_sleeps(leg, bad):
+    """A bad ``out_ms`` or ``back()`` raises what a sleep of it raises."""
+    landed = []
+
+    def trip_proc():
+        out, back = (bad, 1) if leg == "out" else (1, bad)
+        yield RoundTrip(out, landed.append, (leg,), lambda: back)
+
+    def sleep_proc():
+        yield bad
+
+    sleeps, trips = Simulator(), Simulator()
+    sleeps.spawn(sleep_proc())
+    trips.spawn(trip_proc())
+    assert error_of(trips) == error_of(sleeps)
+    # the hop back is drawn, and checked, once the effect has run
+    assert landed == ([] if leg == "out" else ["back"])
 
 
 def test_deterministic_interleaving():

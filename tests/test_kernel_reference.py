@@ -10,6 +10,12 @@ deadline, kills before the first step and while waiting, joins, and
 callbacks scheduled by processes. The kernel keeps no return value, so a
 join waits on a future that the process's wrapper resolves with it.
 
+A round trip, the kernel's fourth yieldable, runs on the reference kernel as
+the sleep, effect, sleep it stands for. Its effect logs itself and resolves a
+future, so a trip that lands or not, killed mid-trip, shows in the log. The
+fast kernel must also dispatch as many ``events`` with the round trip as it
+does with the three steps written out.
+
 Those worlds are too small for the kernel to drop served timeouts' entries
 from its heap, so ``crowd`` runs one large enough: over a thousand timed
 waits, most served long before their deadlines.
@@ -18,6 +24,7 @@ waits, most served long before their deadlines.
 import random
 
 import kernel_reference
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -41,6 +48,7 @@ instructions = st.one_of(
     st.tuples(st.just("kill"), procs),
     st.tuples(st.just("join"), procs),
     st.tuples(st.just("call"), delays, futures, values),
+    st.tuples(st.just("trip"), delays, delays, futures, values),
 )
 
 worlds = st.fixed_dictionaries(
@@ -55,8 +63,12 @@ worlds = st.fixed_dictionaries(
 )
 
 
-def play(k, world):
-    """Run ``world`` on kernel module ``k``; returns its log and checkpoints."""
+def play(k, world, trips=True):
+    """Run ``world`` on kernel module ``k``; returns its log, checkpoints, the
+    processes' liveness and the events dispatched (None on the reference
+    kernel, which does not count them). A round trip is the kernel's
+    primitive if ``trips`` and ``k`` has one, else sleep, effect, sleep."""
+    trips = trips and hasattr(k, "RoundTrip")
     sim = k.Simulator()
     sim.now = world["start"]
     futs = [k.Future(sim) for _ in range(N_FUTURES)]
@@ -83,6 +95,11 @@ def play(k, world):
         log.append((sim.now, tag, "call"))
         futs[f].resolve(v)
 
+    def effect(tag, f, v):
+        log.append((sim.now, tag, "effect"))
+        futs[f].resolve((tag, v))
+        return "landed", v
+
     def joined(pid, program):
         joins[pid].resolve((yield from proc(pid, program)))
 
@@ -104,6 +121,15 @@ def play(k, world):
                 procs[ins[1] % len(procs)].kill()
             elif op == "join":
                 log.append((sim.now, tag, show((yield joins[ins[1] % len(procs)]))))
+            elif op == "trip":
+                _, out, back, f, v = ins
+                if trips:
+                    got = yield k.RoundTrip(out, effect, (tag, f, v), lambda back=back: back)
+                else:
+                    yield out
+                    got = effect(tag, f, v)
+                    yield back
+                log.append((sim.now, tag, got))
             else:
                 sim.schedule(ins[1], lambda tag=tag, f=ins[2], v=ins[3]: call(tag, f, v))
             log.append((sim.now, tag, op))
@@ -121,14 +147,16 @@ def play(k, world):
         checkpoints.append((sim.now, sim.pending()))
     sim.run()
     checkpoints.append((sim.now, sim.pending()))
-    return log, checkpoints, [p.alive for p in procs]
+    return log, checkpoints, [p.alive for p in procs], getattr(sim, "events", None)
 
 
 @seed(20150415)
 @settings(max_examples=400, deadline=None)
 @given(worlds)
 def test_same_event_order_as_reference_kernel(world):
-    assert play(kernel, world) == play(kernel_reference, world)
+    fast = play(kernel, world)
+    assert fast[:3] == play(kernel_reference, world)[:3]
+    assert fast == play(kernel, world, trips=False)
 
 
 def test_reference_world_exercises_every_instruction():
@@ -136,17 +164,45 @@ def test_reference_world_exercises_every_instruction():
         "start": 2.0**53,
         "programs": [
             [("resolve", 0, 1), ("spawn", 1, False), ("sleep", 1), ("timed", 1, 0),
-             ("call", 0.5, 1, 4), ("wait", 1), ("join", 1), ("timed", 2, 2)],
-            [("wait", 0), ("sleep", 0.5), ("timed", 2, 1), ("kill", 0), ("resolve", 2, 3)],
+             ("call", 0.5, 1, 4), ("wait", 1), ("join", 1), ("timed", 2, 2),
+             ("trip", 1, 0.5, 2, 6)],
+            [("wait", 0), ("sleep", 0.5), ("timed", 2, 1), ("kill", 0), ("resolve", 2, 3),
+             ("trip", 0, 2, 1, 8)],
         ],
         "roots": [0, 1],
         "resolved": [(0, 5)],
         "killed": [],
         "chunks": [0, 1, 2],
     }
-    log, checkpoints, alive = play(kernel, world)
-    assert (log, checkpoints, alive) == play(kernel_reference, world)
-    assert {entry[2] for entry in log} >= {"TIMEOUT", "call", "sleep", "wait", "timed"}
+    fast = play(kernel, world)
+    assert fast[:3] == play(kernel_reference, world)[:3]
+    assert fast == play(kernel, world, trips=False)
+    log = fast[0]
+    assert {entry[2] for entry in log} >= {
+        "TIMEOUT", "call", "sleep", "wait", "timed", "effect", "trip"
+    }
+
+
+@pytest.mark.parametrize("kill_at", [0.5, 2, 2.5, 3])
+def test_a_process_killed_mid_trip_never_runs_its_effect(kill_at):
+    # process 0's trip lands at 2 and would return at 3; process 1 kills it
+    # at kill_at. The landing at 2 was queued before the kill's sleep, so a
+    # kill at 2 comes after the effect, and a kill at 3 before the return
+    world = {
+        "start": 0.0,
+        "programs": [[("trip", 2, 1, 0, 7)], [("sleep", kill_at), ("kill", 0)]],
+        "roots": [0, 1],
+        "resolved": [],
+        "killed": [],
+        "chunks": [],
+    }
+    fast = play(kernel, world)
+    assert fast[:3] == play(kernel_reference, world)[:3]
+    assert fast == play(kernel, world, trips=False)
+    log, _, alive, _ = fast
+    tripper = [entry for entry in log if entry[1] == (0, 0)]
+    assert tripper == ([] if kill_at < 2 else [(2, (0, 0), "effect")])
+    assert alive[0] is False
 
 
 FLOOR = kernel._STALE_FLOOR

@@ -295,7 +295,11 @@ def test_grant_whose_write_conflicts_out_is_denied_and_never_spent():
 
     def conflicting(key, req, reply):
         rec = stores[0].peek(key)
-        sim.spawn(stores[0].put_conditional(key, rec.siblings[0], rec.version))
+
+        def outside():
+            yield stores[0].put_conditional(key, rec.siblings[0], rec.version)
+
+        sim.spawn(outside())
 
         def spy(resp):
             heard.append(resp.status.value)

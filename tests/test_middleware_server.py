@@ -335,7 +335,7 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
         outside = Future(sim)
 
         def write():
-            res = yield from stores[1].put_conditional("k", rec.siblings[0], rec.version)
+            res = yield stores[1].put_conditional("k", rec.siblings[0], rec.version)
             outside.resolve(res)
 
         sim.spawn(write())
@@ -365,7 +365,11 @@ def test_grant_whose_write_conflicts_is_denied_and_never_spent():
 
     def conflicting(key, req, reply):
         rec = stores[0].peek(key)
-        sim.spawn(stores[0].put_conditional(key, rec.siblings[0], rec.version))
+
+        def outside():
+            yield stores[0].put_conditional(key, rec.siblings[0], rec.version)
+
+        sim.spawn(outside())
 
         def spy(resp):
             heard.append(resp.status.value)

@@ -18,6 +18,7 @@ from bcounter.sim.config import (
     Strategy,
 )
 from bcounter.sim.harness import Run, run
+from bcounter.sim.kernel import RoundTrip
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.strategies import TallyCounter, WeakDriver
 from bcounter.store import DCStore
@@ -320,11 +321,18 @@ def test_tally_shares_what_it_leaves():
 
 def step_all(gens, rng):
     """Step generators in a random interleaving until all finish. Driver ops
-    yield only their store round trips' delays, so no kernel is needed."""
+    yield only their store round trips, so no kernel is needed: a round
+    trip's effect is a step of its own, between the step that issued it and
+    the step that resumes its generator with the result."""
+    pending = {gen: (None, None) for gen in gens}  # gen -> (trip in flight, result to send)
     while gens:
         gen = rng.choice(gens)
+        trip, result = pending[gen]
+        if trip is not None:
+            pending[gen] = None, trip.effect(*trip.args)
+            continue
         try:
-            next(gen)
+            pending[gen] = gen.send(result), None
         except StopIteration:
             gens.remove(gen)
 
@@ -351,10 +359,10 @@ def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
     def outside_put(dc, key):
         # a writer other than the driver: reads, merges, bumps and puts with
         # its read as context, as every weak writer does
-        rec = yield from stores[dc].get(key)
+        rec = yield stores[dc].get(key)
         tally = fresh(rec.siblings).apply(f"x{dc}", rng.choice(["inc", "dec"]), 1)
         outside.append(tally)
-        yield from stores[dc].put(key, tally, context=rec.version)
+        yield stores[dc].put(key, tally, context=rec.version)
 
     def merge_in(dc, key):
         other = rng.choice([d for d in range(len(stores)) if d != dc])
@@ -482,9 +490,11 @@ def test_weak_sync_sends_the_lone_sibling_itself(monkeypatch):
     sync = driver._sync_loop(0)
 
     def sync_once():
-        n = len(sent)
+        # sleeps resume with nothing; a read's round trip lands at once
+        n, result = len(sent), None
         while len(sent) == n:
-            next(sync)
+            waited = sync.send(result)
+            result = waited.effect(*waited.args) if isinstance(waited, RoundTrip) else None
         assert sent[-1] is store.peek("x").siblings[0]
 
     sync_once()  # the seed

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcounter.sim.kernel import Future, Simulator
+from bcounter.sim.kernel import Future, RoundTrip, Simulator
 from bcounter.sim.strategies import TallyCounter
 from bcounter.store import ABSENT, CONFLICT, Consistency, DCStore, WrongMode
 
@@ -15,6 +15,11 @@ from bcounter.store import ABSENT, CONFLICT, Consistency, DCStore, WrongMode
 def new_store(read_ms=1.0, write_ms=5.0, hop_ms=1.0):
     """DC 0's store, a fixed ``hop_ms`` from its callers."""
     return DCStore(0, read_ms, write_ms, lambda: hop_ms)
+
+
+def one_op(op):
+    """A script that yields one store op and returns its result."""
+    return (yield op)
 
 
 def joined(sim, gen):
@@ -28,9 +33,12 @@ def joined(sim, gen):
     return done
 
 
-def run_ops(sim, gen):
-    """Drive a script coroutine to completion and return its value."""
-    done = joined(sim, gen)
+def run_ops(sim, script):
+    """Drive a script coroutine, or a single store op, to completion and
+    return its value."""
+    if isinstance(script, RoundTrip):
+        script = one_op(script)
+    done = joined(sim, script)
     sim.run()
     assert done.done, "script did not finish"
     return done.value
@@ -41,8 +49,8 @@ def test_put_get_round_trip():
     store = new_store()
 
     def script():
-        v = yield from store.put("k", b"hello")
-        rec = yield from store.get("k")
+        v = yield store.put("k", b"hello")
+        rec = yield store.get("k")
         return v, rec
 
     v, rec = run_ops(sim, script())
@@ -59,7 +67,7 @@ def test_get_absent_key():
 
 
 def iter_get(store):
-    rec = yield from store.get("nothing")
+    rec = yield store.get("nothing")
     return rec
 
 
@@ -70,9 +78,9 @@ def test_latencies_model_service_time():
     stamps = {}
 
     def script():
-        yield from store.put("k", b"x")
+        yield store.put("k", b"x")
         stamps["write"] = sim.now
-        yield from store.get("k")
+        yield store.get("k")
         stamps["read"] = sim.now
 
     run_ops(sim, script())
@@ -86,10 +94,10 @@ class TestWeakSiblings:
         store = new_store()
 
         def script():
-            yield from store.put("k", b"a")
-            rec = yield from store.get("k")
-            yield from store.put("k", b"b", context=rec.version)
-            return (yield from store.get("k"))
+            yield store.put("k", b"a")
+            rec = yield store.get("k")
+            yield store.put("k", b"b", context=rec.version)
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert rec.siblings == (b"b",)
@@ -99,11 +107,11 @@ class TestWeakSiblings:
         store = new_store()
 
         def script():
-            yield from store.put("k", b"a")
-            rec = yield from store.get("k")
-            yield from store.put("k", b"b", context=rec.version)
-            yield from store.put("k", b"c", context=rec.version)  # now stale
-            return (yield from store.get("k"))
+            yield store.put("k", b"a")
+            rec = yield store.get("k")
+            yield store.put("k", b"b", context=rec.version)
+            yield store.put("k", b"c", context=rec.version)  # now stale
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"b", b"c"}
@@ -113,16 +121,16 @@ class TestWeakSiblings:
         store = new_store()
 
         def writer(data, ctx):
-            yield from store.put("k", data, context=ctx)
+            yield store.put("k", data, context=ctx)
 
         def script():
-            yield from store.put("k", b"base")
-            rec = yield from store.get("k")
+            yield store.put("k", b"base")
+            rec = yield store.get("k")
             p1 = joined(sim, writer(b"one", rec.version))
             p2 = joined(sim, writer(b"two", rec.version))
             yield p1
             yield p2
-            return (yield from store.get("k"))
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"one", b"two"}
@@ -132,9 +140,9 @@ class TestWeakSiblings:
         store = new_store()
 
         def script():
-            yield from store.put("k", b"a")
-            yield from store.put("k", b"b")
-            return (yield from store.get("k"))
+            yield store.put("k", b"a")
+            yield store.put("k", b"b")
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert set(rec.siblings) == {b"a", b"b"}
@@ -144,9 +152,9 @@ class TestWeakSiblings:
         store = new_store()
 
         def script():
-            yield from store.put("k", b"a")
-            yield from store.put("k", b"a")
-            return (yield from store.get("k"))
+            yield store.put("k", b"a")
+            yield store.put("k", b"a")
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert rec.siblings == (b"a",)
@@ -194,8 +202,8 @@ class TestConditionalWrites:
         store = new_store()
 
         def script():
-            v = yield from store.put_conditional("k", b"x", ABSENT)
-            rec = yield from store.get("k")
+            v = yield store.put_conditional("k", b"x", ABSENT)
+            rec = yield store.get("k")
             return v, rec
 
         v, rec = run_ops(sim, script())
@@ -209,7 +217,7 @@ class TestConditionalWrites:
         results = []
 
         def writer(data):
-            r = yield from store.put_conditional("k", data, ABSENT)
+            r = yield store.put_conditional("k", data, ABSENT)
             results.append(r)
 
         sim.spawn(writer(b"a"))
@@ -222,9 +230,9 @@ class TestConditionalWrites:
         store = new_store()
 
         def script():
-            v1 = yield from store.put_conditional("k", b"a", ABSENT)
-            v2 = yield from store.put_conditional("k", b"b", v1)
-            v3 = yield from store.put_conditional("k", b"c", v2)
+            v1 = yield store.put_conditional("k", b"a", ABSENT)
+            v2 = yield store.put_conditional("k", b"b", v1)
+            v3 = yield store.put_conditional("k", b"c", v2)
             return [v1, v2, v3]
 
         assert run_ops(sim, script()) == [1, 2, 3]
@@ -234,10 +242,10 @@ class TestConditionalWrites:
         store = new_store()
 
         def script():
-            v1 = yield from store.put_conditional("k", b"a", ABSENT)
-            yield from store.put_conditional("k", b"b", v1)
-            r = yield from store.put_conditional("k", b"c", v1)
-            rec = yield from store.get("k")
+            v1 = yield store.put_conditional("k", b"a", ABSENT)
+            yield store.put_conditional("k", b"b", v1)
+            r = yield store.put_conditional("k", b"c", v1)
+            rec = yield store.get("k")
             return r, rec
 
         r, rec = run_ops(sim, script())
@@ -250,11 +258,11 @@ class TestConditionalWrites:
         results = []
 
         def writer(data, expected):
-            r = yield from store.put_conditional("k", data, expected)
+            r = yield store.put_conditional("k", data, expected)
             results.append((data, r))
 
         def script():
-            v = yield from store.put_conditional("k", b"base", ABSENT)
+            v = yield store.put_conditional("k", b"base", ABSENT)
             sim.spawn(writer(b"x", v))
             sim.spawn(writer(b"y", v))
 
@@ -269,9 +277,9 @@ class TestConditionalWrites:
         store = new_store()
 
         def script():
-            v = yield from store.put_conditional("k", b"a", ABSENT)
-            yield from store.put_conditional("k", b"b", v)
-            return (yield from store.get("k"))
+            v = yield store.put_conditional("k", b"a", ABSENT)
+            yield store.put_conditional("k", b"b", v)
+            return (yield store.get("k"))
 
         rec = run_ops(sim, script())
         assert len(rec.siblings) == 1
@@ -281,11 +289,11 @@ class TestConditionalWrites:
         store = new_store()
 
         def script():
-            yield from store.put_conditional("k", b"a", ABSENT)
-            r = yield from store.put_conditional("k", b"b", ABSENT)
+            yield store.put_conditional("k", b"a", ABSENT)
+            r = yield store.put_conditional("k", b"b", ABSENT)
             assert r is CONFLICT
-            rec = yield from store.get("k")
-            r2 = yield from store.put_conditional("k", b"b", rec.version)
+            rec = yield store.get("k")
+            r2 = yield store.put_conditional("k", b"b", rec.version)
             return r2
 
         assert run_ops(sim, script()) == 2
@@ -297,7 +305,7 @@ class TestModeSeparation:
         store = new_store()
 
         def script():
-            yield from store.put_conditional("k", b"a", ABSENT)
+            yield store.put_conditional("k", b"a", ABSENT)
 
         run_ops(sim, script())
         with pytest.raises(WrongMode):
@@ -308,7 +316,7 @@ class TestModeSeparation:
         store = new_store()
 
         def script():
-            yield from store.put("k", b"a")
+            yield store.put("k", b"a")
 
         run_ops(sim, script())
         with pytest.raises(WrongMode):
@@ -326,7 +334,7 @@ def run_killed_writers(kill_at_ms):
     resumed = []
 
     def writer(key):
-        resumed.append((yield from store.put_conditional(key, b"ghost", ABSENT)))
+        resumed.append((yield store.put_conditional(key, b"ghost", ABSENT)))
 
     for key in ("new", "old"):
         p = sim.spawn(writer(key))
@@ -352,7 +360,7 @@ def test_surviving_writer_installs():
     store = new_store()
 
     def writer():
-        return (yield from store.put_conditional("k", b"v", ABSENT))
+        return (yield store.put_conditional("k", b"v", ABSENT))
 
     assert run_ops(sim, writer()) == 1
     assert store.peek("k").siblings == (b"v",)
@@ -373,11 +381,11 @@ def test_stats_counted():
     store = new_store()
 
     def script():
-        yield from store.put("w", b"a")
-        yield from store.get("w")
-        v = yield from store.put_conditional("s", b"a", ABSENT)
-        yield from store.put_conditional("s", b"b", v)
-        yield from store.put_conditional("s", b"c", v)  # conflict
+        yield store.put("w", b"a")
+        yield store.get("w")
+        v = yield store.put_conditional("s", b"a", ABSENT)
+        yield store.put_conditional("s", b"b", v)
+        yield store.put_conditional("s", b"c", v)  # conflict
 
     run_ops(sim, script())
     assert store.weak_puts == 1

@@ -1,10 +1,12 @@
 """Every store op outside the store's own tests is driven.
 
-``DCStore.get``, ``put`` and ``put_conditional`` count the op and check the
-mode when called, but return the round trip as a generator: the op reaches
-the store only when a process runs it. So a call site must be the operand of
-``yield from`` or an argument of ``spawn``; a bare call counts an op that
-never happens. ``tests/test_store.py`` calls them bare on purpose.
+``DCStore.get``, ``put`` and ``put_conditional`` count the op, check the
+mode and draw the outbound hop when called, but return the round trip as a
+``RoundTrip``: the op reaches the store only when a process yields it to the
+kernel. So a call site must be the operand of ``yield``; a bare call counts
+an op that never happens, and so does one under ``yield from`` or passed to
+``spawn``, which both expect a generator. ``tests/test_store.py`` calls them
+bare on purpose.
 """
 
 import ast
@@ -19,16 +21,7 @@ EXEMPT = {Path("tests/test_store.py")}
 
 def undriven_store_calls(source: str) -> list[tuple[int, str]]:
     tree = ast.parse(source)
-    driven = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.YieldFrom):
-            driven.add(id(node.value))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "spawn"
-        ):
-            driven.update(id(arg) for arg in node.args)
+    driven = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Yield)}
     return [
         (node.lineno, ast.unparse(node.func))
         for node in ast.walk(tree)
@@ -46,9 +39,14 @@ def test_scan_flags_a_bare_store_call():
         "    stores[1].put_conditional('k', rec.siblings[0], rec.version)\n"
         "    sim.spawn(stores[1].put_conditional('k', rec.siblings[0], rec.version))\n"
         "    rec = yield from stores[0].get('k')\n"
+        "    rec = yield stores[0].get('k')\n"
         "    return {}.get('k')\n"
     )
-    assert undriven_store_calls(source) == [(2, "stores[1].put_conditional")]
+    assert undriven_store_calls(source) == [
+        (2, "stores[1].put_conditional"),
+        (3, "stores[1].put_conditional"),
+        (4, "stores[0].get"),
+    ]
 
 
 def test_every_store_call_is_driven():
