@@ -10,9 +10,11 @@ are memoized by (key, version): clients that read the same version share one
 computed next state. Only the newest version stepped per key is kept.
 
 Cross-DC replication is a periodic push of locally modified counters to
-every other DC, merged in at the receiver through the same conditional-write
-loop. Rights movement uses the transfer policy: a background rebalancer tops
-up this replica when it runs low, and operations flagged GLOBAL may
+every other DC, plus a full round of every counter every few ticks, merged in
+at the receiver through the same conditional-write loop; a merge that loses
+every race gives up, and the sender's next full round delivers it again.
+Rights movement uses the transfer policy: a background rebalancer tops up
+this replica when it runs low, and operations flagged GLOBAL may
 synchronously pull rights before giving up. That pull is
 ``Replica._acquire``, the loop the owner nodes run too; here its view is the
 state the operation read plus the grants merged so far, and each grant is
@@ -61,13 +63,21 @@ class ClientMiddleware(Replica):
         self._steps: dict[str, tuple[int, dict]] = {}
         self.n_dcs = n_dcs
         self.retry_limit = retry_limit
-        self._dirty: set[str] = set()
+        self.keys = self.thresholds.keys
+        self.dirty: set[str] = set()  # keys written here since the last sync tick
 
-    # -- wiring ------------------------------------------------------------
+    # -- wiring, and the hooks of the sync and rebalance loops -----------------
 
     def start(self) -> None:
-        self.sim.spawn(self._sync_loop())
-        self.sim.spawn(self._rebalance_loop())
+        self.sim.spawn(self._sync_loop(self))
+        self.sim.spawn(self._rebalance_loop(self))
+
+    def durable(self, key: str):
+        """This DC's stored state of ``key``; it is also the rebalance view."""
+        rec = yield self.store.get(key)
+        return None if rec is None else rec.siblings[0]
+
+    view = durable
 
     # -- counter operations ------------------------------------------------------
 
@@ -77,7 +87,7 @@ class ClientMiddleware(Replica):
         res = yield self.store.put_conditional(key, state, ABSENT)
         if res is CONFLICT:
             return "exists"
-        self._dirty.add(key)
+        self.dirty.add(key)
         return "ok"
 
     def read(self, key: str):
@@ -109,7 +119,7 @@ class ClientMiddleware(Replica):
             res = yield self.store.put_conditional(key, new_state, version)
             if res is CONFLICT:
                 continue
-            self._dirty.add(key)
+            self.dirty.add(key)
             return "ok", "ok", used_sync
         return "failed", "retries", used_sync
 
@@ -161,33 +171,19 @@ class ClientMiddleware(Replica):
             res = yield self.store.put_conditional(key, new_state, rec.version)
             if res is CONFLICT:
                 continue
-            self._dirty.add(key)
+            self.dirty.add(key)
             self._respond(req, reply, resp)
             return
         self._respond(req, reply, TransferResponse(TransferStatus.DENIED))
 
     # -- cross-DC state synchronization --------------------------------------
 
-    def _sync_loop(self):
-        last_epoch = self.net.partition_epoch
-        while True:
-            yield self.sync_period_ms
-            epoch = self.net.partition_epoch
-            send_all = epoch != last_epoch
-            last_epoch = epoch
-            keys = sorted(self.thresholds) if send_all else sorted(self._dirty)
-            self._dirty.clear()
-            for key in keys:
-                rec = yield self.store.get(key)
-                if rec is None:
-                    continue
-                self._push_state(key, rec.siblings[0])
-
     def on_state(self, key: str, state: BoundedCounter) -> None:
         self.sim.spawn(self._merge_into_store(key, state))
 
     def _merge_into_store(self, key: str, incoming: BoundedCounter):
-        """Fold a remote state into the local durable copy, or install it."""
+        """Fold a remote state into the local durable copy, or install it, and
+        give up after ``retry_limit`` lost races. It never marks the key dirty."""
         for _ in range(self.retry_limit):
             rec = yield self.store.get(key)
             if rec is None:
@@ -196,18 +192,7 @@ class ClientMiddleware(Replica):
                 state, version = rec.siblings[0], rec.version
                 merged = state.merge(incoming)
                 if merged == state:
-                    return True
+                    return
             res = yield self.store.put_conditional(key, merged, version)
             if res is not CONFLICT:
-                return True
-        return False  # the next sync tick delivers it again
-
-    # -- proactive rights rebalancing ------------------------------------------
-
-    def _rebalance_loop(self):
-        while True:
-            yield self.rebalance_period_ms
-            for key in sorted(self.thresholds):
-                rec = yield self.store.get(key)
-                if rec is not None:
-                    self._rebalance(key, rec.siblings[0])
+                return

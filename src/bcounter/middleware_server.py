@@ -54,10 +54,6 @@ from .transfer import (
     rights_elsewhere,
 )
 
-# a full (non-dirty-only) propagation round every this many ticks, so state
-# lost to crashed receivers is re-delivered without waiting for a new write
-FULL_RESYNC_TICKS = 10
-
 # ops older than their deadline minus this margin are shed un-applied, so a
 # timed-out client can be sure its operation did not land after the fact
 DEADLINE_MARGIN_MS = 20.0
@@ -132,7 +128,6 @@ class _Pipeline:
         "writer_running",
         "acquire_queue",
         "acquiring",
-        "dirty",
     )
 
     def __init__(self, key: str):
@@ -146,7 +141,6 @@ class _Pipeline:
         self.writer_running = False
         self.acquire_queue: list[_OpItem] = []
         self.acquiring = False
-        self.dirty = False
 
 
 class Node:
@@ -155,13 +149,14 @@ class Node:
     def __init__(self, cluster: "ServerCluster", idx: int):
         self.cluster = cluster
         self.sim = cluster.sim
-        self.net = cluster.net
         self.store = cluster.store
         self.dc = cluster.dc
         self.metrics = cluster.metrics
         self.idx = idx
         self.dead = False
         self.pipelines: dict[str, _Pipeline] = {}
+        self.keys = self.pipelines.keys
+        self.dirty: set[str] = set()  # keys written since the last sync tick
         self._procs: list[Process] = []
 
     def spawn(self, gen) -> Process:
@@ -170,8 +165,8 @@ class Node:
         return p
 
     def start(self) -> None:
-        self.spawn(self._propagate_loop())
-        self.spawn(self._rebalance_loop())
+        self.spawn(self.cluster._sync_loop(self))
+        self.spawn(self.cluster._rebalance_loop(self))
 
     def crash(self) -> None:
         self.dead = True
@@ -305,7 +300,7 @@ class Node:
                 continue
             p.base_version = res
             p.base_state = snapshot
-            p.dirty = True
+            self.dirty.add(p.key)
             waiters, p.batch = p.batch[:n], p.batch[n:]
             for w in waiters:
                 w.on_ok(snapshot)
@@ -354,31 +349,18 @@ class Node:
 
         return (yield from self.cluster._acquire(p.key, lambda: p.working, deficit, merge))
 
-    # -- periodic loops -----------------------------------------------------------
+    # -- the sync and rebalance loops' hooks; none of them yields ---------------
 
-    def _propagate_loop(self):
-        last_epoch = self.net.partition_epoch
-        ticks = 0
-        while True:
-            yield self.cluster.sync_period_ms
-            ticks += 1
-            epoch = self.net.partition_epoch
-            send_all = epoch != last_epoch or ticks % FULL_RESYNC_TICKS == 0
-            last_epoch = epoch
-            for key in sorted(self.pipelines):
-                p = self.pipelines[key]
-                if p.base_state is None or not (p.dirty or send_all):
-                    continue
-                p.dirty = False
-                self.cluster._push_state(key, p.base_state)  # only durable state leaves
+    def durable(self, key: str):
+        """The last state written of ``key``; only durable state leaves."""
+        yield from ()
+        return self.pipelines[key].base_state
 
-    def _rebalance_loop(self):
-        while True:
-            yield self.cluster.rebalance_period_ms
-            for key in sorted(self.pipelines):
-                p = self.pipelines[key]
-                if p.state == _Pipeline.WARM:
-                    self.cluster._rebalance(key, p.working)
+    def view(self, key: str):
+        """The working copy of ``key`` while the pipeline is warm."""
+        yield from ()
+        p = self.pipelines[key]
+        return p.working if p.state == _Pipeline.WARM else None
 
 
 class ServerCluster(Replica):

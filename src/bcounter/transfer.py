@@ -18,8 +18,9 @@ The policy functions are pure functions of a counter state. ``acquire`` is
 the requester's side of on-demand acquisition: a generator that runs the
 request/grant loop, with sending, waiting and merging granted states back in
 left to its callbacks. :class:`Replica`, the base of both middlewares, is one
-DC's endpoint for these messages: it runs ``acquire`` and rebalance ticks,
-sends requests, and hops replies back to the requester.
+DC's endpoint for these messages: it runs ``acquire``, sends requests and hops
+replies back to the requester. It also runs both designs' periodic jobs: the
+rebalance loop, and the sync loop that pushes durable states to the other DCs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .crdt import BoundedCounter
 from .sim.kernel import Future, Simulator
 from .sim.net import Network
 from .store import DCStore
+
+# a full sync round every this many ticks re-delivers a state that a crashed
+# receiver lost, or whose merge gave up, without waiting for a new write
+FULL_RESYNC_TICKS = 10
 
 
 class TransferMode(Enum):
@@ -195,6 +200,11 @@ class Replica:
     by wiring) and each registered key's rebalance threshold. A subclass
     serves ``on_transfer_request(key, req, reply)`` and ``on_state(key,
     state)``, the receiving end of ``_push_state``.
+
+    Its sync and rebalance loops run over a home, the client middleware or
+    one owner node, which supplies ``keys()``, the ``dirty`` keys written
+    since the last sync tick, and generators of a key's ``durable`` state and
+    rebalance ``view``, each None while the home holds no state of the key.
     """
 
     def __init__(
@@ -238,16 +248,38 @@ class Replica:
 
         return (yield from acquire(view, self.dc, deficit, self.thresholds[key], ask, merge))
 
-    def _rebalance(self, key: str, view: BoundedCounter) -> None:
-        """Send one rebalance tick's requests for ``key``, built from ``view``."""
-        for req in rebalance_tick(view, self.dc, self.thresholds[key]):
-            self._send_request(key, req, view)
-
     def _push_state(self, key: str, state: BoundedCounter) -> None:
         """Send ``state``, this DC's state of ``key``, to every other DC."""
         peers = self.peers
         sent = self.net.broadcast(self.dc, lambda dst: peers[dst].on_state(key, state))
         self.metrics.sync_msg(sent)
+
+    def _sync_loop(self, home):
+        """Each tick, push ``home``'s durable state of its dirty keys; of every
+        key every ``FULL_RESYNC_TICKS`` ticks and after a partition change."""
+        last_epoch = self.net.partition_epoch
+        ticks = 0
+        while True:
+            yield self.sync_period_ms
+            ticks += 1
+            epoch = self.net.partition_epoch
+            full = epoch != last_epoch or ticks % FULL_RESYNC_TICKS == 0
+            last_epoch = epoch
+            keys = sorted(home.keys() if full else home.dirty)
+            home.dirty.clear()
+            for key in keys:
+                state = yield from home.durable(key)
+                if state is not None:
+                    self._push_state(key, state)
+
+    def _rebalance_loop(self, home):
+        while True:
+            yield self.rebalance_period_ms
+            for key in sorted(home.keys()):
+                view = yield from home.view(key)
+                if view is not None:
+                    for req in rebalance_tick(view, self.dc, self.thresholds[key]):
+                        self._send_request(key, req, view)
 
     def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
         """Hop ``resp`` back to the requester; an ASYNC request has no reply,

@@ -86,13 +86,20 @@ def faults(strategy):
 # an op waits while another op is unanswered; a merge or a grant rides the
 # next write, as with batching. Their `# final:` lines moved (single-counter:
 # ok 951 -> 1316, failed 4 -> 0); the twelve other pins did not.
+#
+# The four bcclt pins marked "full resync" were re-pinned since, for one
+# cause: the client middleware's sync loop is now the owner's, so it also
+# pushes every key every FULL_RESYNC_TICKS ticks, and a merge that gave up is
+# delivered again. Its extra store reads and pushes move later jitter draws.
+# single-counter kept its `# final:` line (only bucket cells moved); the
+# other three moved theirs, named at each pin. faults bcclt held.
 GOLDEN = {
     ("single-counter", Strategy.WEAK):
         "b0c5b7fb5a68b8633ef7229c01e3fbbac530ce34d98b855eb69c4059ec8a18c5",
     ("single-counter", Strategy.STRONG):
         "bede92e4eec279bb9a138db299b90cb5d0aef2582c7a29287b73d5b6b62c8c54",
-    ("single-counter", Strategy.BCCLT):
-        "5a628efdafffcffc279824b6bc37c0e0e888156afebb2c804a523c7d199b97ae",
+    ("single-counter", Strategy.BCCLT):  # full resync
+        "c89f8f001734510e8b6134a687c2b7653d51a3e0e77f5ec40daf082b14ca23da",
     ("single-counter", Strategy.BCSRV):
         "316914795b355fc2f7a95d51a7d097dbe914833118373d930cd32de5496ad51b",
     ("single-counter", Strategy.BCSRV_NOBATCH):
@@ -101,8 +108,9 @@ GOLDEN = {
         "537a6545773cb30d91ebadedab3504a1186e51a64933a086d152d2ebda10ef79",
     ("violation-count", Strategy.STRONG):
         "fca8093d449f15623e92a821ce82459f69ce00c4989a3d551788f85471791c31",
+    # full resync: failed 870 -> 833, depletion_time_ms 2264.304 -> 2494.090
     ("violation-count", Strategy.BCCLT):
-        "43de3ffbd7a9a4796acf001c08ba4d95da944cef025049b6734eb6156e3b9414",
+        "61a8336fdb1b996c262c1235c7972f35a9de048c5165babcc40b8f3599c8c8ca",
     ("violation-count", Strategy.BCSRV):
         "d0ed4075a36ccc4f9e0f38ab472d6e1eea80ee9aa1da09841185589b4cb22662",
     ("violation-count", Strategy.BCSRV_NOBATCH):
@@ -125,8 +133,10 @@ GOLDEN = {
         "21f93f49f06421009790bdbbb32a578c1aee062341cc4af772738a2d6a9a7abd",
     ("multi-counter-100", Strategy.STRONG):
         "3d03c51879ba0911612b83766743b90c2eaf1035a510695c893268821244eb21",
+    # full resync: ok 752 and failed 22 held; store_cond_writes 2786 -> 2754,
+    # store_conflicts 109 -> 121
     ("multi-counter-100", Strategy.BCCLT):
-        "b59b1c473b8d51039226431bdf1ed1a54aa03587143820bd8501f87dcc1be52e",
+        "5ab752a708076889ebf7c5c5562f14987517bcd0b539d8914b49e87bfaee218a",
     ("multi-counter-100", Strategy.BCSRV):
         "448a3d94d9848aa6703709ac64a59d60600541be8e11fed42fbfc2ef98fe0407",
     ("multi-counter-100", Strategy.BCSRV_NOBATCH):
@@ -139,8 +149,9 @@ GOLDEN = {
         "00e135a4bca08cd5c6856fcd2b3b2ba83806e8f3dcd7812b8a9c1c6311ae4564",
     ("upper", Strategy.STRONG):
         "471a5863d56a27d448b15f678e78e5e0edd8be2c4ab396c82ad7384f8d8e3e32",
+    # full resync: store_cond_writes 4856 -> 4855
     ("upper", Strategy.BCCLT):
-        "2a3edf9c0fc7f5bca73fe853a3af9add8f1edf5ce05bdae7850eaa275423fe60",
+        "503811e9235ddb9d6a98d21665e0f7576fd040a743d97039385ed42ace743ec3",
     ("upper", Strategy.BCSRV):
         "893ac283d351f4280a1571d0347a0b6cfd2d822aae60eb04220aafdf9ba19579",
     ("upper", Strategy.BCSRV_NOBATCH):
@@ -150,9 +161,11 @@ GOLDEN = {
 # The event stream behind two pins: the events the kernel dispatched and the
 # stores' totals of reads, conditional writes and conflicts, summed over the
 # DCs. A change that adds or drops a hop, or an op, moves these by name even
-# where the CSV keeps its bytes.
+# where the CSV keeps its bytes. single-counter bcclt was re-pinned for the
+# full resync above: 63,749 events and 15,439 reads before, the same
+# conditional writes and conflicts.
 EVENT_STREAM = {
-    ("single-counter", Strategy.BCCLT): (63_749, 15_439, 14_892, 13_671),
+    ("single-counter", Strategy.BCCLT): (63_769, 15_445, 14_892, 13_671),
     ("faults", Strategy.BCSRV): (12_165, 5, 1_649, 1),
 }
 

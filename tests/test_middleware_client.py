@@ -3,25 +3,39 @@ grant durability, and the background state push."""
 
 import random
 
+import pytest
+
 from bcounter.crdt import BoundedCounter, Polarity
 from bcounter.middleware_client import ClientMiddleware
-from bcounter.sim.kernel import Simulator
+from bcounter.middleware_server import ServerCluster
+from bcounter.sim.kernel import Future, Simulator
 from bcounter.sim.metrics import Metrics
 from bcounter.sim.net import Network
 from bcounter.store import Consistency, DCStore
+from bcounter.transfer import FULL_RESYNC_TICKS
 
 RTTS = {(0, 1): 80.0, (0, 2): 96.0, (1, 2): 160.0}
 
+# one DC's replica in each design, as ``wire`` builds it
+DESIGNS = {
+    "client": lambda sim, net, store, dc, n_dcs, metrics, **periods: ClientMiddleware(
+        sim, net, store, dc, n_dcs, metrics, **periods
+    ),
+    "owner": lambda sim, net, store, dc, n_dcs, metrics, **periods: ServerCluster(
+        sim, net, store, dc, metrics, **periods
+    ),
+}
 
-def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None):
+
+def wire(n_dcs=3, threshold=1, initial=12, seed=0, state=None, design="client"):
     sim = Simulator()
     net = Network(sim, n_dcs, RTTS, intra_ms=0.2, jitter_frac=0.0,
                   rng=random.Random(seed))
     stores = [DCStore(dc, 0.5, 1.0, net.intra_delay) for dc in range(n_dcs)]
     metrics = Metrics("bcclt", n_dcs)
     mws = [
-        ClientMiddleware(sim, net, stores[dc], dc, n_dcs, metrics,
-                         sync_period_ms=50.0, rebalance_period_ms=10_000.0)
+        DESIGNS[design](sim, net, stores[dc], dc, n_dcs, metrics,
+                        sync_period_ms=50.0, rebalance_period_ms=10_000.0)
         for dc in range(n_dcs)
     ]
     for mw in mws:
@@ -228,20 +242,34 @@ def test_sync_loop_propagates_updates():
     assert run_op(sim, poll()) == 9
 
 
-def test_merged_in_state_is_not_rebroadcast():
-    sim, net, stores, metrics, mws = wire(initial=12)
-    run_op(sim, mws[0].update("k", "dec", 1))
+@pytest.mark.parametrize("design", list(DESIGNS))
+def test_merged_in_state_is_not_rebroadcast(design):
+    sim, net, stores, metrics, mws = wire(initial=12, design=design)
 
-    def settle():
-        yield 300.0  # several sync periods
-
-    run_op(sim, settle())
-    quiet = metrics.counts["sync_msgs"]
-
-    run_op(sim, settle())
-    # receivers fold the pushed state in without marking it dirty, so a
-    # quiescent system stops sending
-    assert metrics.counts["sync_msgs"] == quiet
+    # one decrement at DC 0, landed before the first sync tick
+    if design == "client":
+        sim.spawn(mws[0].update("k", "dec", 1))
+    else:
+        mws[0].client_request("k", "dec", 1, "global", Future(sim).resolve)
+    # sync messages sent in each sync period, each counted half a period
+    # after its tick, so a client's push that waits on its store read lands
+    # in its tick's period
+    sent, periods = [], 3 * FULL_RESYNC_TICKS
+    for tick in range(1, periods + 1):
+        before = metrics.counts["sync_msgs"]
+        sim.run(until=(tick + 0.5) * 50.0)
+        sent.append(metrics.counts["sync_msgs"] - before)
+    # DC 0 pushes its write to the 2 other DCs. A client folds the state in
+    # without marking it dirty; an owner writes it and pushes that write once
+    assert sum(sent[: FULL_RESYNC_TICKS - 1]) == {"client": 2, "owner": 6}[design]
+    # quiescent from then on: once every DC holds the same state, a merge
+    # changes nothing and marks nothing dirty, so the only messages are the
+    # full rounds, each DC pushing the key once to the 2 others
+    quiet = sent[FULL_RESYNC_TICKS - 1:]
+    full = [3 * 2 if tick % FULL_RESYNC_TICKS == 0 else 0
+            for tick in range(FULL_RESYNC_TICKS, periods + 1)]
+    assert quiet == full
+    assert [merged_at(store).value() for store in stores] == [11, 11, 11]
 
 
 def test_partition_times_out_then_fails():

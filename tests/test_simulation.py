@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bcounter.sim.config import (
     CounterSpec,
     CrashFault,
+    OpFlag,
     PartitionFault,
     SimConfig,
     Strategy,
@@ -197,6 +198,29 @@ def test_nobatch_with_a_slow_store_converges(seed):
     metrics, report = run(cfg)
     assert report.violations == 0
     assert report.converged is True
+    assert report.converged_values == report.observer_values
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 961])
+def test_a_client_merge_that_gives_up_is_delivered_again(seed):
+    # with retry_limit=2, a receiving DC's merge loses both its races for
+    # the key its own client keeps writing, and gives up; once writes stop,
+    # only the sender's full sync rounds deliver that state again
+    cfg = SimConfig(
+        strategy=Strategy.BCCLT,
+        clients_per_dc=1,
+        write_ms=30.0,
+        think_ms=5.0,
+        inc_fraction=0.0,
+        counters=[CounterSpec("k0", "upper", bound=5, initial=0)],
+        op_flag=OpFlag.LOCAL,
+        retry_limit=2,
+        duration_ms=3_000.0,
+        seed=seed,
+    )
+    metrics, report = run(cfg)
+    assert report.converged is True
+    assert report.convergence_sync_periods <= 5
     assert report.converged_values == report.observer_values
 
 
