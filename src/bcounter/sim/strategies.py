@@ -416,6 +416,7 @@ class ServerDriver(_BoundedDriver):
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         cluster = self.replicas[dc]
+        used_sync = False  # kept across retries, as ClientMiddleware.update keeps it
         for _ in range(self.cfg.retry_limit):
             reply = Future(self.sim)
             deadline = self.sim.now + self.cfg.owner_timeout_ms
@@ -428,11 +429,12 @@ class ServerDriver(_BoundedDriver):
             )
             resp = yield (reply, self.cfg.owner_timeout_ms)
             if resp is TIMEOUT:
-                return "retry", "timeout", False
+                return "retry", "timeout", used_sync
+            used_sync = used_sync or resp.used_sync
             if resp.status == "retry" and resp.reason == "conflict":
                 continue
-            return resp.status, resp.reason, resp.used_sync
-        return "failed", "retries", False
+            return resp.status, resp.reason, used_sync
+        return "failed", "retries", used_sync
 
     def _deliver(self, dc: int, fut: Future):
         def deliver(reply):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcounter.middleware_server import OwnerReply
 from bcounter.sim.config import (
     CounterSpec,
     CrashFault,
@@ -222,6 +223,34 @@ def test_a_client_merge_that_gives_up_is_delivered_again(seed):
     assert report.converged is True
     assert report.convergence_sync_periods <= 5
     assert report.converged_values == report.observer_values
+
+
+@pytest.mark.parametrize(
+    "last, expected",
+    [("ok", ("ok", "ok", True)), ("conflict", ("failed", "retries", True))],
+)
+def test_server_driver_keeps_used_sync_across_conflict_retries(last, expected):
+    # a stub cluster answers the first attempt retry/conflict after a
+    # synchronous acquisition, then ok, or conflict until the retries run out
+    run_ = Run(small(Strategy.BCSRV))
+    limit = run_.cfg.retry_limit
+    conflict = OwnerReply("retry", "conflict", True)
+    replies = [conflict] + ([OwnerReply("ok", "ok")] if last == "ok" else [conflict] * (limit - 1))
+
+    class StubCluster:
+        def client_request(self, key, kind, delta, flag, reply, deadline_ms):
+            reply(replies.pop(0))
+
+    run_.driver.replicas[0] = StubCluster()
+    results = []
+
+    def op():
+        results.append((yield from run_.driver.client_op(0, "c0", "k", "dec", 1, "global")))
+
+    run_.sim.spawn(op())
+    run_.sim.run()
+    assert results == [expected]
+    assert replies == []
 
 
 def test_multiple_counters_tracked_independently():
