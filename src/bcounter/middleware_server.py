@@ -8,11 +8,15 @@ within one DC the counter's updates are serialized without store conflicts.
 
 The owner keeps the counter cached: a durable base (the last state it wrote
 successfully, with its version token) plus a working copy holding operations
-accepted since. Operations apply to the working copy at arrival, where the
-rights check happens immediately; acknowledgements are deferred until a
-conditional write containing the operation lands durably. While one write is
-in flight, newly arriving operations keep folding into the working copy and
-ride the next write, so a busy owner writes batches, not single updates.
+accepted since. An operation is admitted at arrival against the rights this
+DC holds, as escrow admits it: the owner counts the rights its admitted ops
+created and consumed since it last built the working copy, and this DC's
+local rights with them, and it builds the copy only when something reads it
+(the writer's snapshot, a merge or transfer, the acquisition and rebalance
+views). Acknowledgements are deferred until a conditional write containing
+the operation lands durably. While one write is in flight, newly arriving
+operations keep counting and ride the next write, so a busy owner writes
+batches, not single updates.
 
 A conflicted write means another owner wrote first (an epoch race): the whole
 working copy is discarded since none of it is durable, every affected client
@@ -41,7 +45,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 
-from .crdt import BoundedCounter, NotEnoughRights
+from .crdt import INT64_MAX, INT64_MIN, BoundedCounter, NotEnoughRights, Overflow, Polarity
 from .sim.kernel import Process, Simulator
 from .sim.net import Network
 from .store import CONFLICT, DCStore
@@ -70,6 +74,11 @@ class OwnerReply:
     used_sync: bool = False
 
 
+# the replies an admitted op gets, shared: indexed by its used_sync flag
+_OK = (OwnerReply("ok", "ok"), OwnerReply("ok", "ok", True))
+_CONFLICT = (OwnerReply("retry", "conflict"), OwnerReply("retry", "conflict", True))
+
+
 @functools.lru_cache(maxsize=ROUTE_CACHE)
 def _route_hash(key: str, epoch: int) -> int:
     digest = hashlib.md5(f"{key}:{epoch}".encode()).digest()
@@ -91,10 +100,10 @@ class _OpItem:
         self.used_sync = False
 
     def on_ok(self, written: BoundedCounter) -> None:
-        self.reply(OwnerReply("ok", "ok", self.used_sync))
+        self.reply(_OK[self.used_sync])
 
     def on_conflict(self) -> None:
-        self.reply(OwnerReply("retry", "conflict", self.used_sync))
+        self.reply(_CONFLICT[self.used_sync])
 
 
 class _GrantWaiter:
@@ -123,6 +132,11 @@ class _Pipeline:
         "base_state",
         "base_version",
         "working",
+        "inc_creates",
+        "created",
+        "consumed",
+        "held",
+        "room",
         "batch",
         "arrivals",
         "writer_running",
@@ -135,7 +149,16 @@ class _Pipeline:
         self.state = _Pipeline.COLD
         self.base_state: BoundedCounter | None = None
         self.base_version: int | None = None
-        self.working: BoundedCounter | None = None
+        self.working: BoundedCounter | None = None  # the last one built
+        self.inc_creates = True  # whether an increment creates rights
+        # rights this DC's ops admitted since ``working`` was built created
+        # and consumed, this DC's local rights counting them, and how many
+        # more rights its ops may create plus consume before an entry or the
+        # value could leave int64
+        self.created = 0
+        self.consumed = 0
+        self.held = 0
+        self.room = 0
         self.batch: list = []  # admitted waiters not yet answered, oldest first
         self.arrivals: list = []  # work parked until the pipeline can admit it
         self.writer_running = False
@@ -211,7 +234,8 @@ class Node:
         rec = yield self.store.get(p.key)
         p.base_state = rec.siblings[0]
         p.base_version = rec.version
-        p.working = p.base_state
+        p.inc_creates = p.base_state.polarity is Polarity.LOWER
+        self._settle(p, p.base_state)
         p.state = _Pipeline.WARM
         self._drain_arrivals(p)
 
@@ -229,30 +253,84 @@ class Node:
         )
 
     def _admit_op(self, p: _Pipeline, item: _OpItem) -> None:
+        """Admit an op by counting it against ``held`` and ``room``. An op
+        that fails either check is applied to the built working copy instead,
+        so an op is refused, or raises ``Overflow``, exactly when its own
+        ``increment`` or ``decrement`` would."""
         if self._expired(item):
             return  # the client timed out; never apply such an op
-        try:
-            new_working = self._apply(p.working, item)
-        except NotEnoughRights:
-            self._rights_denied(p, item)
-            return
-        p.working = new_working
+        delta = item.delta
+        if (item.kind == "inc") is p.inc_creates:
+            counted = 0 < delta <= p.room
+            if counted:
+                p.created += delta
+                p.held += delta
+        else:
+            counted = 0 < delta <= p.held and delta <= p.room
+            if counted:
+                p.consumed += delta
+                p.held -= delta
+        if counted:
+            p.room -= delta
+        else:
+            try:
+                new_working = self._apply(self._working(p), item)
+            except NotEnoughRights:
+                self._rights_denied(p, item)
+                return
+            self._settle(p, new_working)
         p.batch.append(item)
         self._start_writer(p)
 
-    def _admit_merge(self, p: _Pipeline, incoming: BoundedCounter) -> None:
-        merged = p.working.merge(incoming)
-        if merged == p.working:
+    def _working(self, p: _Pipeline) -> BoundedCounter:
+        """The working copy with the counted ops in it, built when read: one
+        creating update, then one consuming update, each with the summed
+        delta. Entries are sums, so this is the counter one update per op
+        gives, and ``room`` keeps either update from overflowing."""
+        if p.created or p.consumed:
+            state, dc = p.working, self.dc
+            if p.created:
+                create = state.increment if p.inc_creates else state.decrement
+                state = create(dc, p.created)
+            if p.consumed:
+                consume = state.decrement if p.inc_creates else state.increment
+                state = consume(dc, p.consumed)
+            p.working = state
+            p.created = p.consumed = 0
+        return p.working
+
+    def _settle(self, p: _Pipeline, state: BoundedCounter) -> None:
+        """Make ``state`` the working copy, with no op counted against it."""
+        dc = self.dc
+        p.working = state
+        p.created = p.consumed = 0
+        p.held = state.local_rights(dc)
+        try:
+            value = state.value()
+        except Overflow:  # merges can sum past int64; then every op takes the exact path
+            p.room = 0
             return
-        p.working = merged
+        headroom = INT64_MAX - value if p.inc_creates else value - INT64_MIN
+        p.room = min(
+            headroom,
+            INT64_MAX - state.rights.get((dc, dc), 0),
+            INT64_MAX - state.used.get(dc, 0),
+        )
+
+    def _admit_merge(self, p: _Pipeline, incoming: BoundedCounter) -> None:
+        working = self._working(p)
+        merged = working.merge(incoming)
+        if merged == working:
+            return
+        self._settle(p, merged)
         self._start_writer(p)
 
     def _admit_transfer(self, p, req: TransferRequest, reply) -> None:
-        new_working, resp = handle_request(p.working, req)
+        new_working, resp = handle_request(self._working(p), req)
         if resp.status is not TransferStatus.GRANTED:
             self.cluster._respond(req, reply, resp)
             return
-        p.working = new_working
+        self._settle(p, new_working)
         if reply is not None:  # an async grant needs durability only
             p.batch.append(_GrantWaiter(self.cluster, req, reply, resp.granted))
         self._start_writer(p)
@@ -264,8 +342,8 @@ class Node:
 
     def _rights_denied(self, p: _Pipeline, item: _OpItem) -> None:
         if item.flag == "local" or item.retried:
-            deficit = item.delta - p.working.local_rights(self.dc)
-            hint = item.flag == "local" and rights_elsewhere(p.working, self.dc, deficit)
+            deficit = item.delta - p.held
+            hint = item.flag == "local" and rights_elsewhere(self._working(p), self.dc, deficit)
             item.reply(OwnerReply("retry" if hint else "failed", "rights", item.used_sync))
             return
         p.acquire_queue.append(item)
@@ -286,7 +364,7 @@ class Node:
         cache from the store."""
         while p.batch or p.working is not p.base_state:
             n = len(p.batch)
-            snapshot = p.working
+            snapshot = self._working(p)
             if any(type(w) is _OpItem for w in p.batch):
                 self.metrics.op_write()
             res = yield self.store.put_conditional(p.key, snapshot, p.base_version)
@@ -328,7 +406,7 @@ class Node:
         """Local rights once the ops and transfers parked in ``arrivals`` are
         admitted. An op re-admitted now is admitted after them, FIFO, so the
         rights they take are not there for it."""
-        view = p.working
+        view = self._working(p)
         for tag, payload in p.arrivals:
             if tag == "op":
                 try:
@@ -347,7 +425,7 @@ class Node:
             self._admit(p, "merge", resp.state)
             yield from ()
 
-        return (yield from self.cluster._acquire(p.key, lambda: p.working, deficit, merge))
+        return (yield from self.cluster._acquire(p.key, lambda: self._working(p), deficit, merge))
 
     # -- the sync and rebalance loops' hooks; none of them yields ---------------
 
@@ -360,7 +438,7 @@ class Node:
         """The working copy of ``key`` while the pipeline is warm."""
         yield from ()
         p = self.pipelines[key]
-        return p.working if p.state == _Pipeline.WARM else None
+        return self._working(p) if p.state == _Pipeline.WARM else None
 
 
 class ServerCluster(Replica):

@@ -53,6 +53,13 @@ class Network:
         self._lo = 1 - jitter_frac
         self._width = 1 + jitter_frac - self._lo
         self._random = self.rng.random
+        # each pair's one-way base delay, so ``send`` draws its hop with one
+        # lookup: the short hop within a DC, half the round trip across
+        self._base = {
+            (a, b): intra_ms if a == b else self.rtts[(a, b)] / 2
+            for a in range(n_dcs)
+            for b in range(n_dcs)
+        }
         self._group_of: dict[int, int] | None = None
         self.partition_epoch = 0
         self.sent = 0
@@ -60,8 +67,9 @@ class Network:
 
     # -- latency samples ----------------------------------------------------
 
-    # Both draw base * rng.uniform(1 - j, 1 + j), written out as the same
-    # float expression uniform evaluates, so the samples are bit-identical.
+    # These and ``send`` draw base * rng.uniform(1 - j, 1 + j), written out as
+    # the same float expression uniform evaluates, so the samples are
+    # bit-identical.
 
     def _jittered(self, base: float) -> float:
         if self.jitter_frac <= 0:
@@ -105,15 +113,19 @@ class Network:
     # -- messaging -----------------------------------------------------------
 
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
-        """Fire-and-forget delivery of a handler invocation at dst."""
+        """Fire-and-forget delivery of a handler invocation at dst. The hop
+        is the draw ``delay`` makes; reachability is checked, at sending and
+        at arrival, only while a partition is in force."""
         self.sent += 1
-        if not self.reachable(src, dst):
+        if self._group_of is not None and not self.reachable(src, dst):
             self.dropped += 1
             return
-        d = self.delay(src, dst)
+        d = self._base[(src, dst)]
+        if self.jitter_frac > 0:
+            d *= self._lo + self._width * self._random()
 
         def arrive():
-            if not self.reachable(src, dst):
+            if self._group_of is not None and not self.reachable(src, dst):
                 self.dropped += 1
                 return
             deliver()

@@ -1,14 +1,27 @@
 """Owner-node middleware: routing, write batching, failover, deadlines,
 and grant durability."""
 
+import copy
 import random
 
-from bcounter.crdt import BoundedCounter, Polarity
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bcounter.crdt import (
+    INT64_MAX,
+    INT64_MIN,
+    BoundedCounter,
+    NotEnoughRights,
+    Overflow,
+    Polarity,
+)
 from bcounter.middleware_server import ServerCluster, _route_hash
 from bcounter.sim.kernel import TIMEOUT, Future, Simulator
 from bcounter.sim.metrics import Metrics
 from bcounter.sim.net import Network
 from bcounter.store import CONFLICT, Consistency, DCStore
+from bcounter.transfer import TransferMode, handle_request, make_request
 
 RTTS = {(0, 1): 80.0}
 
@@ -388,3 +401,179 @@ def test_grant_whose_write_conflicts_is_denied_and_never_spent():
         assert state.rights.get((0, 1), 0) == 0
         assert state.used.get(1, 0) == 0
     assert stores[0].peek("k").siblings[0].local_rights(0) == 10
+
+
+# -- counted admission ---------------------------------------------------------
+
+
+def start_state(polarity, limit):
+    """DC 0's seeded state of a 3-DC counter, well inside int64 or near a limit."""
+    lower = polarity is Polarity.LOWER
+    if limit == "value":  # the value is 4 from the int64 limit that creating moves it to
+        bound, initial = (INT64_MAX - 24, INT64_MAX - 4) if lower else (INT64_MIN + 24, INT64_MIN + 4)
+        return BoundedCounter.new(polarity, bound, 3, 0, initial)
+    if limit == "entry":  # DC 0's creation entry is 3 from INT64_MAX
+        return BoundedCounter.new(polarity, 3 - INT64_MAX if lower else INT64_MAX - 3, 3, 0, 0)
+    if limit == "used":  # rights from DC 1 took the used entry to 4 from INT64_MAX
+        rights = {(0, 0): 10, (1, 1): INT64_MAX, (1, 0): INT64_MAX - 5}
+        return BoundedCounter(polarity, 0, 3, rights, {0: INT64_MAX - 4})
+    return BoundedCounter.new(polarity, 0 if lower else 3, 3, 0, 3 if lower else 0)
+
+
+def lone_owner(start):
+    """DC 0's one owner node, warm on ``start``, with no sync or rebalance loop."""
+    sim = Simulator()
+    net = Network(sim, 3, jitter_frac=0.0, rng=random.Random(1))
+    store = DCStore(0, 0.5, 2.0, net.intra_delay)
+    store.seed("k", start, Consistency.STRONG)
+    cluster = ServerCluster(sim, net, store, 0, Metrics("bcsrv", 3), n_nodes=1)
+    cluster.register("k", 5)
+    cluster.on_state("k", start)  # loads the key
+    sim.run(until=10.0)
+    node = cluster.nodes[0]
+    return sim, store, cluster, node, node.pipelines["k"]
+
+
+def update(state, dc, kind, delta):
+    return state.increment(dc, delta) if kind == "inc" else state.decrement(dc, delta)
+
+
+def creating_consuming(polarity):
+    """The op kinds that create and that consume rights."""
+    return ("inc", "dec") if polarity is Polarity.LOWER else ("dec", "inc")
+
+
+# a step: what happens, an op's kind or a remote DC's action (a "give" op is
+# a "dec"), a delta (a transfer asks for twice it), the remote DC, and the
+# mode of a transfer request; ops are drawn most often, to reach the limits
+STEP = st.tuples(
+    st.sampled_from(["op"] * 4 + ["remote"] * 2 + ["merge", "transfer", "write", "conflict"]),
+    st.sampled_from(["inc", "dec", "give"]),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.sampled_from(TransferMode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    polarity=st.sampled_from(Polarity),
+    limit=st.sampled_from(["plain", "value", "entry", "used"]),
+    steps=st.lists(STEP, max_size=40),
+)
+def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit, steps):
+    # the reference applies one increment/decrement per admitted op; after
+    # every step the owner's built working copy equals it, its held rights
+    # are the reference's, and each op is admitted, refused for rights or
+    # raises Overflow exactly as the reference update does
+    start = start_state(polarity, limit)
+    sim, store, cluster, node, p = lone_owner(start)
+    ref, others = start, {1: start, 2: start}
+    conflicts, rival = 0, False
+    for what, action, delta, j, mode in steps:
+        if what == "op":
+            op = "inc" if action == "inc" else "dec"
+            answers = []
+            try:
+                ref = update(ref, 0, op, delta)
+                outcome = "admitted"
+            except NotEnoughRights:
+                outcome = "refused"
+            except Overflow:
+                with pytest.raises(Overflow):
+                    cluster.client_request("k", op, delta, "local", answers.append)
+                outcome = "overflow"
+            if outcome == "overflow":
+                assert answers == []  # told nothing, least of all ok
+            else:
+                before = len(p.batch)
+                cluster.client_request("k", op, delta, "local", answers.append)
+                if outcome == "admitted":
+                    assert len(p.batch) == before + 1 and answers == []
+                else:
+                    assert len(p.batch) == before
+                    assert [a.reason for a in answers] == ["rights"]
+        elif what == "remote":  # another DC's own update, or a gift to DC 0
+            try:
+                if action == "give":
+                    others[j] = others[j].transfer(j, 0, delta)
+                else:
+                    others[j] = update(others[j], j, action, delta)
+            except (NotEnoughRights, Overflow):
+                pass
+        elif what == "merge":
+            cluster.on_state("k", others[j])
+            ref = ref.merge(others[j])
+            others[j] = others[j].merge(ref)
+        elif what == "transfer":
+            req = make_request(others[j], 0, j, 2 * delta, mode)
+            reply = (lambda resp: None) if mode is TransferMode.SYNC else None
+            cluster.on_transfer_request("k", req, reply)
+            ref = handle_request(ref, req)[0]
+        elif what == "write":
+            sim.run(until=sim.now + 50.0)
+            if store.conflicts > conflicts:  # the owner reloaded the store's state
+                conflicts, rival = store.conflicts, False
+                ref = store.peek("k").siblings[0]
+            elif not rival:
+                assert not p.batch
+                assert store.peek("k").siblings[0] == ref
+        else:  # a rival write lands at once; the owner's next write conflicts
+            rec = store.peek("k")
+            store._put_conditional("k", rec.siblings[0].merge(others[1]), rec.version)
+            rival = True
+        assert p.state == p.WARM
+        assert node._working(copy.copy(p)) == ref
+        assert p.held == ref.local_rights(0)
+
+
+@pytest.mark.parametrize("polarity", list(Polarity))
+def test_an_op_may_spend_rights_created_since_the_last_build(polarity):
+    # DC 0 holds 3 rights; an op creates 2 and the next spends all 5, so the
+    # build must create before it consumes
+    start = start_state(polarity, "plain")
+    sim, store, cluster, node, p = lone_owner(start)
+    creating, consuming = creating_consuming(polarity)
+    answers = []
+    cluster.client_request("k", creating, 2, "local", answers.append)
+    cluster.client_request("k", consuming, 5, "local", answers.append)
+    ref = update(update(start, 0, creating, 2), 0, consuming, 5)
+    sim.run(until=sim.now + 50.0)
+    assert [a.status for a in answers] == ["ok", "ok"]
+    assert store.peek("k").siblings[0] == ref
+
+
+@pytest.mark.parametrize("limit", ["value", "entry"])
+@pytest.mark.parametrize("polarity", list(Polarity))
+def test_an_op_out_of_int64_raises_overflow_before_any_ok(polarity, limit):
+    sim, store, cluster, node, p = lone_owner(start_state(polarity, limit))
+    creating, _ = creating_consuming(polarity)
+    answers = []
+    cluster.client_request("k", creating, 2, "local", answers.append)  # counted
+    with pytest.raises(Overflow):
+        for _ in range(5):
+            cluster.client_request("k", creating, 2, "local", answers.append)
+    assert answers == []
+
+
+@pytest.mark.parametrize("polarity", list(Polarity))
+def test_ops_after_a_merge_past_int64_take_the_exact_path(polarity):
+    # DCs 1 and 2 each create 3 rights 4 from the limit; merged, the value
+    # lies past int64, which merge does not check but a creating update does
+    start = start_state(polarity, "value")
+    sim, store, cluster, node, p = lone_owner(start)
+    creating, consuming = creating_consuming(polarity)
+    ref = start
+    for j in (1, 2):
+        other = update(start, j, creating, 3)
+        cluster.on_state("k", other)
+        ref = ref.merge(other)
+    answers = []
+    cluster.client_request("k", consuming, 1, "local", answers.append)
+    ref = update(ref, 0, consuming, 1)
+    with pytest.raises(Overflow):
+        update(ref, 0, creating, 1)
+    with pytest.raises(Overflow):
+        cluster.client_request("k", creating, 1, "local", answers.append)
+    assert node._working(p) == ref
+    assert len(p.batch) == 1 and answers == []

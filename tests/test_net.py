@@ -126,6 +126,59 @@ def test_jitter_draws_match_random_uniform(jitter):
         assert got == base * ref.uniform(1 - jitter, 1 + jitter)
 
 
+def hop_reference(jitter, seed):
+    """The hop ``delay`` draws for each (src, dst), from a twin of the rng."""
+    ref = random.Random(seed)
+    rtts = symmetric_rtts(DEFAULT_RTTS)
+
+    def hop(src, dst):
+        base = 1.0 if src == dst else rtts[(src, dst)] / 2
+        return base * ref.uniform(1 - jitter, 1 + jitter) if jitter > 0 else base
+
+    return hop
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_send_arrivals_match_random_uniform(jitter):
+    # each message sent through send arrives at its send time plus the hop
+    # delay would draw, bit for bit, within a DC and across DCs
+    sim, net = make_net(jitter=jitter, seed=11)
+    hop = hop_reference(jitter, 11)
+    pairs = [(0, 0), (0, 2), (2, 1), (1, 1), (1, 0)]
+    expected, arrived = {}, {}
+
+    def send(i):
+        src, dst = pairs[i % len(pairs)]
+        expected[i] = sim.now + hop(src, dst)
+        net.send(src, dst, lambda: arrived.__setitem__(i, sim.now))
+
+    for i in range(2_000):
+        sim.schedule(i * 0.37, lambda i=i: send(i))
+    sim.run()
+    assert arrived == expected
+    if not jitter:
+        assert net.rng.getstate() == random.Random(11).getstate()
+
+
+def test_same_side_traffic_arrives_on_time_while_partitioned():
+    # under a partition, messages within a group, sent before it formed or
+    # while it holds, arrive at their drawn times; the one across is dropped
+    sim, net = make_net(jitter=0.1, seed=5)
+    hop = hop_reference(0.1, 5)
+    arrived, expected = [], []
+    for src, dst in [(0, 1), (1, 1)]:
+        expected.append((dst, hop(src, dst)))
+        net.send(src, dst, lambda dst=dst: arrived.append((dst, sim.now)))
+    net.partition([{0, 1}, {2}])
+    for src, dst in [(1, 0), (0, 2), (0, 0)]:
+        if dst != 2:
+            expected.append((dst, hop(src, dst)))
+        net.send(src, dst, lambda dst=dst: arrived.append((dst, sim.now)))
+    sim.run()
+    assert sorted(arrived) == sorted(expected)
+    assert net.dropped == 1
+
+
 def test_zero_jitter_draws_nothing():
     _, net = make_net(jitter=0.0, seed=11)
     for _ in range(100):
