@@ -53,8 +53,8 @@ class Network:
         self._lo = 1 - jitter_frac
         self._width = 1 + jitter_frac - self._lo
         self._random = self.rng.random
-        # each pair's one-way base delay, so ``send`` draws its hop with one
-        # lookup: the short hop within a DC, half the round trip across
+        # each pair's one-way base delay: the short hop within a DC, half the
+        # round trip across
         self._base = {
             (a, b): intra_ms if a == b else self.rtts[(a, b)] / 2
             for a in range(n_dcs)
@@ -71,20 +71,15 @@ class Network:
     # the same float expression uniform evaluates, so the samples are
     # bit-identical.
 
-    def _jittered(self, base: float) -> float:
-        if self.jitter_frac <= 0:
-            return base
-        return base * (self._lo + self._width * self._random())
-
     def intra_delay(self) -> float:
         if self.jitter_frac <= 0:
             return self.intra_ms
         return self.intra_ms * (self._lo + self._width * self._random())
 
     def delay(self, src: int, dst: int) -> float:
-        if src == dst:
-            return self.intra_delay()
-        return self._jittered(self.rtts[(src, dst)] / 2)
+        if self.jitter_frac <= 0:
+            return self._base[(src, dst)]
+        return self._base[(src, dst)] * (self._lo + self._width * self._random())
 
     def rtt(self, src: int, dst: int) -> float:
         return 0.0 if src == dst else self.rtts[(src, dst)]
@@ -114,8 +109,8 @@ class Network:
 
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
         """Fire-and-forget delivery of a handler invocation at dst. The hop
-        is the draw ``delay`` makes; reachability is checked, at sending and
-        at arrival, only while a partition is in force."""
+        is ``delay(src, dst)``, drawn inline; reachability is checked, at
+        sending and at arrival, only while a partition is in force."""
         self.sent += 1
         if self._group_of is not None and not self.reachable(src, dst):
             self.dropped += 1
