@@ -53,13 +53,6 @@ class Network:
         self._lo = 1 - jitter_frac
         self._width = 1 + jitter_frac - self._lo
         self._random = self.rng.random
-        # each pair's one-way base delay: the short hop within a DC, half the
-        # round trip across
-        self._base = {
-            (a, b): intra_ms if a == b else self.rtts[(a, b)] / 2
-            for a in range(n_dcs)
-            for b in range(n_dcs)
-        }
         self._group_of: dict[int, int] | None = None
         self.partition_epoch = 0
         self.sent = 0
@@ -67,9 +60,13 @@ class Network:
 
     # -- latency samples ----------------------------------------------------
 
-    # These and ``send`` draw base * rng.uniform(1 - j, 1 + j), written out as
-    # the same float expression uniform evaluates, so the samples are
-    # bit-identical.
+    # Both draw base * rng.uniform(1 - j, 1 + j), written out as the same
+    # float expression uniform evaluates, so the samples are bit-identical.
+
+    def _jittered(self, base: float) -> float:
+        if self.jitter_frac <= 0:
+            return base
+        return base * (self._lo + self._width * self._random())
 
     def intra_delay(self) -> float:
         if self.jitter_frac <= 0:
@@ -77,9 +74,9 @@ class Network:
         return self.intra_ms * (self._lo + self._width * self._random())
 
     def delay(self, src: int, dst: int) -> float:
-        if self.jitter_frac <= 0:
-            return self._base[(src, dst)]
-        return self._base[(src, dst)] * (self._lo + self._width * self._random())
+        if src == dst:
+            return self.intra_delay()
+        return self._jittered(self.rtts[(src, dst)] / 2)
 
     def rtt(self, src: int, dst: int) -> float:
         return 0.0 if src == dst else self.rtts[(src, dst)]
@@ -108,19 +105,15 @@ class Network:
     # -- messaging -----------------------------------------------------------
 
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
-        """Fire-and-forget delivery of a handler invocation at dst. The hop
-        is ``delay(src, dst)``, drawn inline; reachability is checked, at
-        sending and at arrival, only while a partition is in force."""
+        """Fire-and-forget delivery of a handler invocation at dst."""
         self.sent += 1
-        if self._group_of is not None and not self.reachable(src, dst):
+        if not self.reachable(src, dst):
             self.dropped += 1
             return
-        d = self._base[(src, dst)]
-        if self.jitter_frac > 0:
-            d *= self._lo + self._width * self._random()
+        d = self.delay(src, dst)
 
         def arrive():
-            if self._group_of is not None and not self.reachable(src, dst):
+            if not self.reachable(src, dst):
                 self.dropped += 1
                 return
             deliver()
