@@ -157,7 +157,7 @@ class _Pipeline:
         # value could leave int64
         self.created = 0
         self.consumed = 0
-        self.held = 0
+        self.held: int | None = None  # None until an op needs it since a _settle
         self.room = 0
         self.batch: list = []  # admitted waiters not yet answered, oldest first
         self.arrivals: list = []  # work parked until the pipeline can admit it
@@ -259,6 +259,8 @@ class Node:
         ``increment`` or ``decrement`` would."""
         if self._expired(item):
             return  # the client timed out; never apply such an op
+        if p.held is None:
+            self._count(p)
         delta = item.delta
         if (item.kind == "inc") is p.inc_creates:
             counted = 0 < delta <= p.room
@@ -300,10 +302,16 @@ class Node:
         return p.working
 
     def _settle(self, p: _Pipeline, state: BoundedCounter) -> None:
-        """Make ``state`` the working copy, with no op counted against it."""
-        dc = self.dc
+        """Make ``state`` the working copy, with no op counted against it;
+        ``held`` and ``room`` are taken when the next op arrives."""
         p.working = state
         p.created = p.consumed = 0
+        p.held = None
+
+    def _count(self, p: _Pipeline) -> None:
+        """Take ``held`` and ``room`` from the working copy, which holds no
+        counted op."""
+        state, dc = p.working, self.dc
         p.held = state.local_rights(dc)
         try:
             value = state.value()
