@@ -118,10 +118,8 @@ class ExploreSpec:
         hi = max(self.bound, self.initial) + reach
         if lo < INT64_MIN or hi > INT64_MAX or hi - lo > INT64_MAX:
             raise ValueError("bound, initial and the updates must stay in 64-bit signed range")
-        if self.polarity is Polarity.LOWER and self.initial < self.bound:
-            raise ValueError(f"initial {self.initial} below lower bound {self.bound}")
-        if self.polarity is Polarity.UPPER and self.initial > self.bound:
-            raise ValueError(f"initial {self.initial} above upper bound {self.bound}")
+        if self.polarity.slack(self.initial, self.bound) < 0:
+            raise ValueError(f"initial {self.initial} past bound {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ _CODECS = {
     "int": (lambda v: type(v) is int, _same, _same),
     "int | None": (lambda v: v is None or type(v) is int, _same, _same),
     "bool": (lambda v: type(v) is bool, _same, _same),
-    "Polarity": (lambda v: v in ("lower", "upper"), Polarity, lambda p: p.value),
+    "Polarity": (lambda v: v in [p.value for p in Polarity], Polarity, lambda p: p.value),
     "tuple[int, ...]": (
         lambda v: type(v) is list and all(type(x) is int for x in v),
         tuple,
@@ -217,9 +215,7 @@ def world_hash(world: tuple[BoundedCounter, ...]) -> str:
 
 
 def _within_bound(state: BoundedCounter) -> bool:
-    if state.polarity is Polarity.LOWER:
-        return state.value() >= state.bound
-    return state.value() <= state.bound
+    return state.polarity.slack(state.value(), state.bound) >= 0
 
 
 def check_invariants(world: tuple[BoundedCounter, ...]) -> str | None:

@@ -1,10 +1,12 @@
 """Bounded counter CRDT: a replicated counter that never crosses a numeric bound.
 
-The slack between the counter's value and its bound is treated as a pool of
-rights, escrowed per replica. A replica may apply a bound-approaching update
-(decrement for a lower bound, increment for an upper bound) only against
-rights it currently holds, so the globally merged value can never cross the
-bound regardless of how replicas interleave or when they synchronize.
+The slack between the counter's value and its bound, ``Polarity.slack``, is
+treated as a pool of rights, escrowed per replica; it is the one bound rule,
+whose sign every check of a value against a bound tests. A replica may apply
+a bound-approaching update (decrement for a lower bound, increment for an
+upper bound) only against rights it currently holds, so the globally merged
+value can never cross the bound regardless of how replicas interleave or
+when they synchronize.
 
 State is a pair of grow-only structures over a fixed replica set of size n:
 
@@ -52,6 +54,10 @@ class Polarity(Enum):
 
     LOWER = "lower"  # value must stay >= bound
     UPPER = "upper"  # value must stay <= bound
+
+    def slack(self, value: int, bound: int) -> int:
+        """How far ``value`` lies inside ``bound``; negative once past it."""
+        return value - bound if self is Polarity.LOWER else bound - value
 
 
 class CounterError(Exception):
@@ -142,26 +148,19 @@ class BoundedCounter:
         if initial is None:
             initial = bound
         _fit64(initial, "initial value")
+        slack = polarity.slack(initial, bound)
+        if slack < 0:
+            raise InvalidBound(f"initial {initial} outside {polarity.value} bound {bound}")
         c = cls(polarity=polarity, bound=bound, n=n, rights={}, used={})
-        if polarity is Polarity.LOWER:
-            if initial < bound:
-                raise InvalidBound(f"initial {initial} below lower bound {bound}")
-            slack = initial - bound
-            return c.increment(creator, slack) if slack else c
-        if initial > bound:
-            raise InvalidBound(f"initial {initial} above upper bound {bound}")
-        slack = bound - initial
-        return c.decrement(creator, slack) if slack else c
+        return c._create(creator, slack) if slack else c
 
     # -- queries -----------------------------------------------------------
 
     def value(self) -> int:
-        """Counter value as seen from this state."""
-        created = sum(v for (i, j), v in self.rights.items() if i == j)
-        consumed = sum(self.used.values())
-        if self.polarity is Polarity.LOWER:
-            return _fit64(self.bound + created - consumed, "value")
-        return _fit64(self.bound - created + consumed, "value")
+        """Counter value as seen from this state; its slack is created less used rights."""
+        slack = sum(v for (i, j), v in self.rights.items() if i == j) - sum(self.used.values())
+        value = self.bound + slack if self.polarity is Polarity.LOWER else self.bound - slack
+        return _fit64(value, "value")
 
     def local_rights(self, i: int) -> int:
         """Rights replica i holds in this state.

@@ -15,6 +15,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable
 
+from ..crdt import BoundedCounter, CounterError, Polarity
 from .net import DEFAULT_RTTS, symmetric_rtts
 
 
@@ -157,12 +158,10 @@ class SimConfig:
             if c.key in seen:
                 raise ConfigInvalid(f"duplicate counter key {c.key!r}")
             seen.add(c.key)
-            if c.polarity not in ("lower", "upper"):
-                raise ConfigInvalid(f"counter {c.key!r}: bad polarity {c.polarity!r}")
-            if c.polarity == "lower" and c.initial < c.bound:
-                raise ConfigInvalid(f"counter {c.key!r}: initial below lower bound")
-            if c.polarity == "upper" and c.initial > c.bound:
-                raise ConfigInvalid(f"counter {c.key!r}: initial above upper bound")
+            try:  # every strategy is held to the counter the bounded ones seed
+                BoundedCounter.new(Polarity(c.polarity), c.bound, self.n_dcs, 0, c.initial)
+            except (ValueError, CounterError) as e:
+                raise ConfigInvalid(f"counter {c.key!r}: {e}") from None
         for p in self.partitions:
             for g in p.groups:
                 for dc in g:

@@ -75,7 +75,8 @@ class Run:
         cfg = self.cfg
         for spec in cfg.counters:
             self.driver.seed(spec)
-            self.metrics.observer_register(spec.key, spec.polarity, spec.bound, spec.initial)
+            polarity = self.driver.polarities[spec.key]
+            self.metrics.observer_register(spec.key, polarity, spec.bound, spec.initial)
         self.driver.start()
         for fault in cfg.partitions:
             self.sim.spawn(self._partition_fault(fault))

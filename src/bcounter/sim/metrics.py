@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from ..crdt import Polarity
+
 CSV_COLUMNS = [
     "time_s",
     "strategy",
@@ -159,26 +161,23 @@ class Report:
 class _Observer:
     """Omniscient per-counter value tracker fed by success events."""
 
-    __slots__ = ("polarity", "bound", "value")
+    __slots__ = ("polarity", "bound", "value", "inside")
 
-    def __init__(self, polarity: str, bound: int, initial: int):
+    def __init__(self, polarity: Polarity, bound: int, initial: int):
         self.polarity = polarity
         self.bound = bound
         self.value = initial
+        self.inside = polarity.slack(initial, bound)  # negative once past the bound
 
     def slack(self) -> int:
-        if self.polarity == "lower":
-            return max(0, self.value - self.bound)
-        return max(0, self.bound - self.value)
+        return max(0, self.inside)
 
     def apply(self, kind: str, delta: int) -> int:
         """Apply one success; returns newly violated units (0 when safe)."""
-        before = self.value
-        after = before + delta if kind == "inc" else before - delta
-        self.value = after
-        if self.polarity == "lower":
-            return max(0, self.bound - after) - max(0, self.bound - before)
-        return max(0, after - self.bound) - max(0, before - self.bound)
+        before = self.inside
+        self.value += delta if kind == "inc" else -delta
+        self.inside = self.polarity.slack(self.value, self.bound)
+        return min(0, before) - min(0, self.inside)
 
 
 class Metrics:
@@ -242,7 +241,7 @@ class Metrics:
 
     # -- global observer -------------------------------------------------------
 
-    def observer_register(self, key: str, polarity: str, bound: int, initial: int) -> None:
+    def observer_register(self, key: str, polarity: Polarity, bound: int, initial: int) -> None:
         self._observers[key] = _Observer(polarity, bound, initial)
 
     def observer_apply(self, key: str, kind: str, delta: int, t: float) -> None:

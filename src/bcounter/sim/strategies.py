@@ -36,10 +36,10 @@ from .kernel import TIMEOUT, Future, Simulator
 from .net import Network
 
 
-def _would_violate(spec: CounterSpec, value: int, kind: str, delta: int) -> bool:
-    if spec.polarity == "lower":
-        return kind == "dec" and value - delta < spec.bound
-    return kind == "inc" and value + delta > spec.bound
+def _would_violate(polarity: Polarity, bound: int, value: int, kind: str, delta: int) -> bool:
+    """Whether the op takes ``value`` past ``bound``, or further past it."""
+    after = polarity.slack(value + delta if kind == "inc" else value - delta, bound)
+    return after < 0 and after < polarity.slack(value, bound)
 
 
 def _threshold(cfg: SimConfig, spec: CounterSpec) -> int:
@@ -178,9 +178,11 @@ class Driver:
         self.stores = stores
         self.metrics = metrics
         self.specs: dict[str, CounterSpec] = {}
+        self.polarities: dict[str, Polarity] = {}
 
     def seed(self, spec: CounterSpec) -> None:
-        raise NotImplementedError
+        self.specs[spec.key] = spec
+        self.polarities[spec.key] = Polarity(spec.polarity)
 
     def start(self) -> None:
         pass
@@ -212,7 +214,7 @@ class WeakDriver(Driver):
         self._folds: dict[tuple[int, str], tuple[int, tuple[TallyCounter, ...], TallyCounter]] = {}
 
     def seed(self, spec: CounterSpec) -> None:
-        self.specs[spec.key] = spec
+        super().seed(spec)
         tally = TallyCounter(incs={"_init": spec.initial})
         for store in self.stores:
             store.seed(spec.key, tally, Consistency.WEAK)
@@ -274,8 +276,7 @@ class WeakDriver(Driver):
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
         tally, version = yield from self._read_merged(dc, key)
-        spec = self.specs[key]
-        if _would_violate(spec, tally.value(), kind, delta):
+        if _would_violate(self.polarities[key], self.specs[key].bound, tally.value(), kind, delta):
             return "failed", "bound", False
         new = tally.apply(actor, kind, delta, stamp=(dc, key, version))
         yield self.stores[dc].put(key, new, context=version)
@@ -308,7 +309,7 @@ class StrongDriver(Driver):
     HOME = 0
 
     def seed(self, spec: CounterSpec) -> None:
-        self.specs[spec.key] = spec
+        super().seed(spec)
         self.stores[self.HOME].seed(spec.key, spec.initial, Consistency.STRONG)
 
     def client_op(self, dc: int, actor: str, key: str, kind: str, delta: int, flag: str):
@@ -317,12 +318,12 @@ class StrongDriver(Driver):
         if dc != self.HOME:
             yield self.net.delay(dc, self.HOME)
         store = self.stores[self.HOME]
-        spec = self.specs[key]
+        polarity, bound = self.polarities[key], self.specs[key].bound
         result = "failed", "retries", False
         for _ in range(self.cfg.retry_limit):
             rec = yield store.get(key)
             value = rec.siblings[0]
-            if _would_violate(spec, value, kind, delta):
+            if _would_violate(polarity, bound, value, kind, delta):
                 result = "failed", "bound", False
                 break
             new_value = value + delta if kind == "inc" else value - delta
@@ -355,9 +356,9 @@ class _BoundedDriver(Driver):
         raise NotImplementedError
 
     def seed(self, spec: CounterSpec) -> None:
-        self.specs[spec.key] = spec
+        super().seed(spec)
         state = BoundedCounter.new(
-            Polarity(spec.polarity), spec.bound, self.cfg.n_dcs, 0, spec.initial
+            self.polarities[spec.key], spec.bound, self.cfg.n_dcs, 0, spec.initial
         )
         # the counter exists everywhere before clients start: create-once at
         # DC 0 plus one fully delivered synchronization round

@@ -255,6 +255,19 @@ def test_simulate_negative_time_exits_two_without_traceback(tmp_path, capsys, do
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("strategy", ["bcsrv", "weak"])
+@pytest.mark.parametrize("counter", [{"initial": 2**63}, {"bound": -(2**63) - 1}])
+def test_simulate_counter_outside_int64_exits_two(tmp_path, capsys, strategy, counter):
+    # every strategy is held to the 64-bit counter the bounded ones seed
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"strategy": strategy, "counters": [{"key": "c", **counter}]}))
+    assert main(["simulate", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: counter 'c': ") and "64-bit" in line
+
+
 def test_simulate_unknown_field_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"warp_speed": 9}))

@@ -38,6 +38,13 @@ def test_defaults_validate():
         dict(counters=[CounterSpec("a", polarity="sideways")]),
         dict(counters=[CounterSpec("a", bound=0, initial=-1)]),
         dict(counters=[CounterSpec("a", bound=5, initial=9, polarity="upper")]),
+        # every strategy is held to the 64-bit counter the bounded ones seed
+        dict(counters=[CounterSpec("a", bound=0, initial=2**63)]),
+        dict(counters=[CounterSpec("a", "upper", bound=2**63, initial=0)]),
+        dict(counters=[CounterSpec("a", bound=-(2**63) - 1, initial=0)]),
+        dict(counters=[CounterSpec("a", "upper", bound=0, initial=-(2**63) - 1)]),
+        # in range, but the slack, created as rights, is not
+        dict(counters=[CounterSpec("a", bound=-(2**63), initial=2**63 - 1)]),
         dict(retry_limit=0),
         dict(nodes_per_dc=0),
         dict(think_ms=0.0),

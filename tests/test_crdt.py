@@ -17,6 +17,9 @@ from bcounter import (
     Polarity,
     SelfTransfer,
 )
+from bcounter.checker import _within_bound
+from bcounter.sim.metrics import _Observer
+from bcounter.sim.strategies import _would_violate
 
 INT64_MAX = 2**63 - 1
 
@@ -428,3 +431,67 @@ def test_merge_never_lowers_local_rights_of_others(data):
         # my own estimate is conservative: the join can only reveal more
         # consumption by others, never take away what I already counted
         assert m.local_rights(i) <= max(a.local_rights(i), b.local_rights(i))
+
+
+# -- the one bound rule --------------------------------------------------------
+#
+# ``Polarity.slack`` decides the side of the bound for the model checker, the
+# weak and strong baselines' bound check and the simulator's observer; each
+# used to carry a formula of its own per polarity. Those formulas are the
+# oracle here, copied as they were.
+
+
+def old_within_bound(polarity, value, bound):
+    if polarity is Polarity.LOWER:
+        return value >= bound
+    return value <= bound
+
+
+def old_would_violate(polarity, bound, value, kind, delta):
+    if polarity is Polarity.LOWER:
+        return kind == "dec" and value - delta < bound
+    return kind == "inc" and value + delta > bound
+
+
+def old_observer_slack(polarity, bound, value):
+    if polarity is Polarity.LOWER:
+        return max(0, value - bound)
+    return max(0, bound - value)
+
+
+def old_observer_apply(polarity, bound, before, kind, delta):
+    after = before + delta if kind == "inc" else before - delta
+    if polarity is Polarity.LOWER:
+        return max(0, bound - after) - max(0, bound - before)
+    return max(0, after - bound) - max(0, before - bound)
+
+
+def counter_at(polarity, bound, value):
+    """A one-replica counter whose value is ``value``, past the bound or not."""
+    slack = polarity.slack(value, bound)
+    rights = {(0, 0): slack} if slack > 0 else {}
+    used = {0: -slack} if slack < 0 else {}
+    return BoundedCounter(polarity, bound, 1, rights, used)
+
+
+SMALL = st.integers(-30, 30)
+OPS = st.lists(st.tuples(st.sampled_from(["inc", "dec"]), st.integers(1, 3)), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polarity=st.sampled_from(Polarity), bound=SMALL, value=SMALL, ops=OPS)
+def test_every_bound_check_is_the_old_formula(polarity, bound, value, ops):
+    state = counter_at(polarity, bound, value)
+    assert state.value() == value
+    assert _within_bound(state) is old_within_bound(polarity, value, bound)
+    obs = _Observer(polarity, bound, value)
+    assert obs.slack() == old_observer_slack(polarity, bound, value)
+    for kind, delta in ops:
+        assert _would_violate(polarity, bound, obs.value, kind, delta) is old_would_violate(
+            polarity, bound, obs.value, kind, delta
+        )
+        expected = old_observer_apply(polarity, bound, obs.value, kind, delta)
+        assert obs.apply(kind, delta) == expected
+        assert obs.slack() == old_observer_slack(polarity, bound, obs.value)
+        state = counter_at(polarity, bound, obs.value)
+        assert _within_bound(state) is old_within_bound(polarity, obs.value, bound)

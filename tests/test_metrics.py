@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bcounter.crdt import Polarity
 from bcounter.sim.metrics import (
     COUNTERS,
     CSV_COLUMNS,
@@ -42,7 +43,7 @@ def test_percentile_nearest_rank():
 
 def test_observer_counts_violated_units_not_events():
     m = Metrics("weak", 1)
-    m.observer_register("k", "lower", 0, 2)
+    m.observer_register("k", Polarity.LOWER, 0, 2)
     m.observer_apply("k", "dec", 1, t=1.0)
     m.observer_apply("k", "dec", 1, t=2.0)
     assert m.counts["violations"] == 0
@@ -55,15 +56,15 @@ def test_observer_counts_violated_units_not_events():
 
 def test_observer_upper_bound_polarity():
     m = Metrics("weak", 1)
-    m.observer_register("k", "upper", 10, 9)
+    m.observer_register("k", Polarity.UPPER, 10, 9)
     m.observer_apply("k", "inc", 3, t=1.0)
     assert m.counts["violations"] == 2
 
 
 def test_depletion_requires_all_counters():
     m = Metrics("bcsrv", 1)
-    m.observer_register("a", "lower", 0, 1)
-    m.observer_register("b", "lower", 0, 1)
+    m.observer_register("a", Polarity.LOWER, 0, 1)
+    m.observer_register("b", Polarity.LOWER, 0, 1)
     m.observer_apply("a", "dec", 1, t=5.0)
     assert not m.depleted()
     m.observer_apply("b", "dec", 1, t=9.0)
@@ -130,7 +131,7 @@ def test_per_dc_latency_percentiles():
 def test_csv_layout_and_formatting():
     store = Store()
     m = Metrics("bcsrv", 1, [store])
-    m.observer_register("k", "lower", 0, 10)
+    m.observer_register("k", Polarity.LOWER, 0, 10)
     m.op_started(0, "dec", 100.0)
     m.op_finished(0, "dec", "ok", "ok", 100.0, 111.5)
     m.observer_apply("k", "dec", 1, 111.5)
@@ -177,7 +178,7 @@ def pinned_run():
     transfer request and response, a depletion time and a converged end."""
     stores = [Store(), Store()]
     m = Metrics("bcclt", 2, stores, warmup_ms=100.0)
-    m.observer_register("k", "lower", 0, 2)
+    m.observer_register("k", Polarity.LOWER, 0, 2)
     m.op_started(0, "dec", 50.0)
     m.op_write()
     m.op_finished(0, "dec", "ok", "ok", 50.0, 62.5)
