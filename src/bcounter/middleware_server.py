@@ -138,6 +138,7 @@ class _Pipeline:
         "held",
         "room",
         "batch",
+        "ops",
         "arrivals",
         "writer_running",
         "acquire_queue",
@@ -160,6 +161,7 @@ class _Pipeline:
         self.held: int | None = None  # None until an op needs it since a _settle
         self.room = 0
         self.batch: list = []  # admitted waiters not yet answered, oldest first
+        self.ops = 0  # the ops among them
         self.arrivals: list = []  # work parked until the pipeline can admit it
         self.writer_running = False
         self.acquire_queue: list[_OpItem] = []
@@ -216,7 +218,7 @@ class Node:
         if p.state != _Pipeline.WARM or (
             tag == "op"
             and not self.cluster.batching
-            and any(type(w) is _OpItem for w in p.batch)
+            and p.ops
         ):
             p.arrivals.append((tag, payload))
             if p.state == _Pipeline.COLD:
@@ -282,6 +284,7 @@ class Node:
                 return
             self._settle(p, new_working)
         p.batch.append(item)
+        p.ops += 1
         self._start_writer(p)
 
     def _working(self, p: _Pipeline) -> BoundedCounter:
@@ -371,14 +374,14 @@ class Node:
         the admission gate; a conflict answers every waiter and reloads the
         cache from the store."""
         while p.batch or p.working is not p.base_state:
-            n = len(p.batch)
+            n, ops = len(p.batch), p.ops
             snapshot = self._working(p)
-            if any(type(w) is _OpItem for w in p.batch):
+            if ops:
                 self.metrics.op_write()
             res = yield self.store.put_conditional(p.key, snapshot, p.base_version)
             if res is CONFLICT:
                 # nothing in the working copy is durable; drop all of it
-                waiters, p.batch = p.batch, []
+                waiters, p.batch, p.ops = p.batch, [], 0
                 for w in waiters:
                     w.on_conflict()
                 p.state = _Pipeline.LOADING
@@ -387,7 +390,7 @@ class Node:
             p.base_version = res
             p.base_state = snapshot
             self.dirty.add(p.key)
-            waiters, p.batch = p.batch[:n], p.batch[n:]
+            waiters, p.batch, p.ops = p.batch[:n], p.batch[n:], p.ops - ops
             for w in waiters:
                 w.on_ok(snapshot)
             self._drain_arrivals(p)

@@ -16,7 +16,7 @@ from bcounter.crdt import (
     Overflow,
     Polarity,
 )
-from bcounter.middleware_server import ServerCluster, _route_hash
+from bcounter.middleware_server import ServerCluster, _OpItem, _route_hash
 from bcounter.sim.kernel import TIMEOUT, Future, Simulator
 from bcounter.sim.metrics import Metrics
 from bcounter.sim.net import Network
@@ -420,13 +420,14 @@ def start_state(polarity, limit):
     return BoundedCounter.new(polarity, 0 if lower else 3, 3, 0, 3 if lower else 0)
 
 
-def lone_owner(start):
+def lone_owner(start, batching=True):
     """DC 0's one owner node, warm on ``start``, with no sync or rebalance loop."""
     sim = Simulator()
     net = Network(sim, 3, jitter_frac=0.0, rng=random.Random(1))
     store = DCStore(0, 0.5, 2.0, net.intra_delay)
     store.seed("k", start, Consistency.STRONG)
-    cluster = ServerCluster(sim, net, store, 0, Metrics("bcsrv", 3), n_nodes=1)
+    metrics = Metrics("bcsrv" if batching else "bcsrv-nobatch", 3)
+    cluster = ServerCluster(sim, net, store, 0, metrics, n_nodes=1, batching=batching)
     cluster.register("k", 5)
     cluster.on_state("k", start)  # loads the key
     sim.run(until=10.0)
@@ -444,10 +445,13 @@ def creating_consuming(polarity):
 
 
 # a step: what happens, an op's kind or a remote DC's action (a "give" op is
-# a "dec"), a delta (a transfer asks for twice it), the remote DC, and the
-# mode of a transfer request; ops are drawn most often, to reach the limits
+# a "dec"), a delta (a transfer asks for twice it, a tick runs that many ms),
+# the remote DC, and the mode of a transfer request; ops are drawn most
+# often, to reach the limits
 STEP = st.tuples(
-    st.sampled_from(["op"] * 4 + ["remote"] * 2 + ["merge", "transfer", "write", "conflict"]),
+    st.sampled_from(
+        ["op"] * 4 + ["remote"] * 2 + ["merge", "transfer", "write", "tick", "conflict"]
+    ),
     st.sampled_from(["inc", "dec", "give"]),
     st.integers(1, 3),
     st.integers(1, 2),
@@ -460,17 +464,33 @@ STEP = st.tuples(
     polarity=st.sampled_from(Polarity),
     limit=st.sampled_from(["plain", "value", "entry", "used"]),
     steps=st.lists(STEP, max_size=40),
+    batching=st.booleans(),
 )
-def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit, steps):
+def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit, steps, batching):
     # the reference applies one increment/decrement per admitted op; after
     # every step the owner's built working copy equals it, its held rights
-    # are the reference's, and each op is admitted, refused for rights or
-    # raises Overflow exactly as the reference update does
+    # are the reference's, each op is admitted, refused for rights or raises
+    # Overflow exactly as the reference update does, and ``ops`` counts the
+    # unanswered ops. Without batching an op would wait while another is
+    # unanswered, so the unanswered one's write lands first
     start = start_state(polarity, limit)
-    sim, store, cluster, node, p = lone_owner(start)
+    sim, store, cluster, node, p = lone_owner(start, batching)
     ref, others = start, {1: start, 2: start}
     conflicts, rival = 0, False
+
+    def land():
+        nonlocal ref, conflicts, rival
+        sim.run(until=sim.now + 50.0)
+        if store.conflicts > conflicts:  # the owner reloaded the store's state
+            conflicts, rival = store.conflicts, False
+            ref = store.peek("k").siblings[0]
+        elif not rival:
+            assert not p.batch
+            assert store.peek("k").siblings[0] == ref
+
     for what, action, delta, j, mode in steps:
+        if what == "op" and not batching and p.ops:
+            land()
         if what == "op":
             op = "inc" if action == "inc" else "dec"
             answers = []
@@ -511,18 +531,15 @@ def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit,
             cluster.on_transfer_request("k", req, reply)
             ref = handle_request(ref, req)[0]
         elif what == "write":
-            sim.run(until=sim.now + 50.0)
-            if store.conflicts > conflicts:  # the owner reloaded the store's state
-                conflicts, rival = store.conflicts, False
-                ref = store.peek("k").siblings[0]
-            elif not rival:
-                assert not p.batch
-                assert store.peek("k").siblings[0] == ref
+            land()
+        elif what == "tick":  # a write may land and the next one start; none conflicts
+            sim.run(until=sim.now + (0.0 if rival else delta))
         else:  # a rival write lands at once; the owner's next write conflicts
             rec = store.peek("k")
             store._put_conditional("k", rec.siblings[0].merge(others[1]), rec.version)
             rival = True
         assert p.state == p.WARM
+        assert p.ops == sum(type(w) is _OpItem for w in p.batch)
         q = copy.copy(p)
         assert node._working(q) == ref
         if q.held is None:  # not taken since the working copy was replaced
