@@ -63,14 +63,8 @@ class ClientMiddleware(Replica):
         self._steps: dict[str, tuple[int, dict]] = {}
         self.n_dcs = n_dcs
         self.retry_limit = retry_limit
-        self.keys = self.thresholds.keys
-        self.dirty: set[str] = set()  # keys written here since the last sync tick
 
-    # -- wiring, and the hooks of the sync and rebalance loops -----------------
-
-    def start(self) -> None:
-        self.sim.spawn(self._sync_loop(self))
-        self.sim.spawn(self._rebalance_loop(self))
+    # -- the hooks of the sync and rebalance loops -------------------------------
 
     def durable(self, key: str):
         """This DC's stored state of ``key``; it is also the rebalance view."""

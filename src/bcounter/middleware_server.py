@@ -23,7 +23,9 @@ working copy is discarded since none of it is durable, every affected client
 is told to retry, and the cache is refreshed from the store. A crashed owner
 loses its cache and any write not yet landed, as its processes never resume;
 the durable base in the store is what the next owner starts from, and
-unacknowledged clients time out.
+unacknowledged clients time out. The DC's one sync loop and one rebalance
+loop read each key from its current owner, so a crash stops neither, and a
+dead or former owner's copy never leaves the DC.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
 owner pulls rights with ``Replica._acquire``, the loop the client library
@@ -180,18 +182,12 @@ class Node:
         self.idx = idx
         self.dead = False
         self.pipelines: dict[str, _Pipeline] = {}
-        self.keys = self.pipelines.keys
-        self.dirty: set[str] = set()  # keys written since the last sync tick
         self._procs: list[Process] = []
 
     def spawn(self, gen) -> Process:
         p = self.sim.spawn(gen)
         self._procs.append(p)
         return p
-
-    def start(self) -> None:
-        self.spawn(self.cluster._sync_loop(self))
-        self.spawn(self.cluster._rebalance_loop(self))
 
     def crash(self) -> None:
         self.dead = True
@@ -389,7 +385,7 @@ class Node:
                 continue
             p.base_version = res
             p.base_state = snapshot
-            self.dirty.add(p.key)
+            self.cluster.dirty.add(p.key)
             waiters, p.batch, p.ops = p.batch[:n], p.batch[n:], p.ops - ops
             for w in waiters:
                 w.on_ok(snapshot)
@@ -438,22 +434,9 @@ class Node:
 
         return (yield from self.cluster._acquire(p.key, lambda: self._working(p), deficit, merge))
 
-    # -- the sync and rebalance loops' hooks; none of them yields ---------------
-
-    def durable(self, key: str):
-        """The last state written of ``key``; only durable state leaves."""
-        yield from ()
-        return self.pipelines[key].base_state
-
-    def view(self, key: str):
-        """The working copy of ``key`` while the pipeline is warm."""
-        yield from ()
-        p = self.pipelines[key]
-        return self._working(p) if p.state == _Pipeline.WARM else None
-
 
 class ServerCluster(Replica):
-    """One DC's owner nodes plus the routing table over them."""
+    """One DC's replica: its owner nodes plus the routing table over them."""
 
     def __init__(
         self,
@@ -472,12 +455,6 @@ class ServerCluster(Replica):
         self.epoch = 0
         self.nodes: list[Node] = [Node(self, i) for i in range(n_nodes)]
         self._alive: list[int] = list(range(n_nodes))
-
-    # -- wiring --------------------------------------------------------------
-
-    def start(self) -> None:
-        for node in self.nodes:
-            node.start()
 
     # -- routing ----------------------------------------------------------------
 
@@ -501,13 +478,11 @@ class ServerCluster(Replica):
             self.epoch += 1
 
     def recover_node(self, idx: int) -> None:
-        node = Node(self, idx)
-        self.nodes[idx] = node
+        self.nodes[idx] = Node(self, idx)
         if idx not in self._alive:
             self._alive.append(idx)
             self._alive.sort()
         self.epoch += 1
-        node.start()
 
     # -- message entry points -------------------------------------------------
 
@@ -521,3 +496,22 @@ class ServerCluster(Replica):
 
     def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
         self.route(key).handle(key, "transfer", (req, reply))
+
+    # -- the sync and rebalance loops' hooks; none of them yields ---------------
+
+    def _owner(self, key: str) -> tuple[Node, _Pipeline | None]:
+        """``key``'s owner and its pipeline, None while it is dead or has none."""
+        node = self.route(key)
+        return node, None if node.dead else node.pipelines.get(key)
+
+    def durable(self, key: str):
+        """The last state the owner of ``key`` wrote; only durable state leaves."""
+        yield from ()
+        p = self._owner(key)[1]
+        return None if p is None else p.base_state
+
+    def view(self, key: str):
+        """The owner's working copy of ``key`` while its pipeline is warm."""
+        yield from ()
+        node, p = self._owner(key)
+        return node._working(p) if p is not None and p.state == _Pipeline.WARM else None

@@ -19,8 +19,9 @@ the requester's side of on-demand acquisition: a generator that runs the
 request/grant loop, with sending, waiting and merging granted states back in
 left to its callbacks. :class:`Replica`, the base of both middlewares, is one
 DC's endpoint for these messages: it runs ``acquire``, sends requests and hops
-replies back to the requester. It also runs both designs' periodic jobs: the
-rebalance loop, and the sync loop that pushes durable states to the other DCs.
+replies back to the requester. It also runs both designs' periodic jobs, one
+loop of each per DC: the rebalance loop, and the sync loop that pushes durable
+states to the other DCs.
 """
 
 from __future__ import annotations
@@ -197,14 +198,16 @@ class Replica:
 
     It holds the run's kernel and network, this DC's store, the metrics, the
     sync and rebalance periods, ``peers`` (every DC's replica by dc id, set
-    by wiring) and each registered key's rebalance threshold. A subclass
-    serves ``on_transfer_request(key, req, reply)`` and ``on_state(key,
-    state)``, the receiving end of ``_push_state``.
+    by wiring), each registered key's rebalance threshold, and the ``dirty``
+    keys written here since the last sync tick. A subclass serves
+    ``on_transfer_request(key, req, reply)`` and ``on_state(key, state)``,
+    the receiving end of ``_push_state``.
 
-    Its sync and rebalance loops run over a home, the client middleware or
-    one owner node, which supplies ``keys()``, the ``dirty`` keys written
-    since the last sync tick, and generators of a key's ``durable`` state and
-    rebalance ``view``, each None while the home holds no state of the key.
+    ``start`` spawns the DC's one sync loop and one rebalance loop, in both
+    designs. They run over the registered ``keys()`` and read a key through
+    two generators a subclass supplies, ``durable(key)``, the state that may
+    leave this DC, and ``view(key)``, the state rebalancing asks from; each
+    returns None while the DC holds no state of the key that it may use.
     """
 
     def __init__(
@@ -226,6 +229,12 @@ class Replica:
         self.rebalance_period_ms = rebalance_period_ms
         self.peers: list[Replica] = []
         self.thresholds: dict[str, int] = {}
+        self.keys = self.thresholds.keys
+        self.dirty: set[str] = set()
+
+    def start(self) -> None:
+        self.sim.spawn(self._sync_loop())
+        self.sim.spawn(self._rebalance_loop())
 
     def register(self, key: str, threshold: int) -> None:
         self.thresholds[key] = threshold
@@ -254,9 +263,9 @@ class Replica:
         sent = self.net.broadcast(self.dc, lambda dst: peers[dst].on_state(key, state))
         self.metrics.sync_msg(sent)
 
-    def _sync_loop(self, home):
-        """Each tick, push ``home``'s durable state of its dirty keys; of every
-        key every ``FULL_RESYNC_TICKS`` ticks and after a partition change."""
+    def _sync_loop(self):
+        """Each tick, push the durable state of the dirty keys; of every key
+        every ``FULL_RESYNC_TICKS`` ticks and after a partition change."""
         last_epoch = self.net.partition_epoch
         ticks = 0
         while True:
@@ -265,18 +274,18 @@ class Replica:
             epoch = self.net.partition_epoch
             full = epoch != last_epoch or ticks % FULL_RESYNC_TICKS == 0
             last_epoch = epoch
-            keys = sorted(home.keys() if full else home.dirty)
-            home.dirty.clear()
+            keys = sorted(self.keys() if full else self.dirty)
+            self.dirty.clear()
             for key in keys:
-                state = yield from home.durable(key)
+                state = yield from self.durable(key)
                 if state is not None:
                     self._push_state(key, state)
 
-    def _rebalance_loop(self, home):
+    def _rebalance_loop(self):
         while True:
             yield self.rebalance_period_ms
-            for key in sorted(home.keys()):
-                view = yield from home.view(key)
+            for key in sorted(self.keys()):
+                view = yield from self.view(key)
                 if view is not None:
                     for req in rebalance_tick(view, self.dc, self.thresholds[key]):
                         self._send_request(key, req, view)

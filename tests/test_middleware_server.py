@@ -250,6 +250,53 @@ def test_reconfigure_race_applies_each_ok_exactly_once():
     assert durable_value(stores[0]) == 1000 - oks
 
 
+# -- the DC's sync and rebalance loops -----------------------------------------
+
+
+def test_an_idle_dcs_events_do_not_depend_on_its_node_count():
+    # a DC runs one sync loop and one rebalance loop however many owner
+    # nodes it has, and a crash or a recovery starts or stops neither: each
+    # of the two DCs dispatches its sync loop's start and 20 ticks and its
+    # rebalance loop's start
+    events = []
+    for n_nodes in (1, 3, 5):
+        sim, net, stores, metrics, clusters = wire(n_dcs=2, n_nodes=n_nodes)
+        sim.run(until=300.0)
+        clusters[0].crash_node(0)
+        clusters[0].mark_failed(0)
+        sim.run(until=600.0)
+        clusters[0].recover_node(0)
+        sim.run(until=1_000.0)
+        events.append(sim.events)
+    assert events == [44, 44, 44]
+
+
+def test_a_former_owner_pushes_nothing_after_reconfigure():
+    # only the state of ``k``'s current owner leaves DC 0: the new owner is
+    # cold until DC 1's full round reaches it at 540 ms, so DC 0's full round
+    # at 500 ms pushes nothing, and those at 1, 1.5 and 2 s push its copy once
+    sim, net, stores, metrics, clusters = wire(n_dcs=2)
+    c = clusters[0]
+    (r,) = drain(sim, [submit(sim, c)])
+    assert r.status == "ok"
+    sim.run(until=200.0)  # DC 1's push of the op has reached the owner
+    old = c.route("k")
+    while c.route("k") is old:
+        c.reconfigure()
+    assert "k" not in c.route("k").pipelines
+    pushed = []
+    push = c._push_state
+
+    def spy(key, state):
+        p = c.route(key).pipelines.get(key)
+        pushed.append((sim.now, p is not None and state is p.base_state))
+        push(key, state)
+
+    c._push_state = spy
+    sim.run(until=2_200.0)
+    assert pushed == [(1_000.0, True), (1_500.0, True), (2_000.0, True)]
+
+
 # -- cross-DC ------------------------------------------------------------------
 
 
