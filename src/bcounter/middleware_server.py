@@ -24,8 +24,8 @@ is told to retry, and the cache is refreshed from the store. A crashed owner
 loses its cache and any write not yet landed, as its processes never resume;
 the durable base in the store is what the next owner starts from, and
 unacknowledged clients time out. The DC's one sync loop and one rebalance
-loop read each key from its current owner, so a crash stops neither, and a
-dead or former owner's copy never leaves the DC.
+loop read each key from its current owner, so a crash stops neither; a
+former owner pushes only a write that lands after its key moved on.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
 owner pulls rights with ``Replica._acquire``, the loop the client library
@@ -385,7 +385,10 @@ class Node:
                 continue
             p.base_version = res
             p.base_state = snapshot
-            self.cluster.dirty.add(p.key)
+            if self.cluster.route(p.key) is self:
+                self.cluster.dirty.add(p.key)
+            else:  # moved while in flight: the new owner may never hold it
+                self.cluster._push_state(p.key, snapshot)
             waiters, p.batch, p.ops = p.batch[:n], p.batch[n:], p.ops - ops
             for w in waiters:
                 w.on_ok(snapshot)

@@ -204,7 +204,7 @@ class Replica:
     the receiving end of ``_push_state``.
 
     ``start`` spawns the DC's one sync loop and one rebalance loop, in both
-    designs. They run over the registered ``keys()`` and read a key through
+    designs. They run over the registered keys and read a key through
     two generators a subclass supplies, ``durable(key)``, the state that may
     leave this DC, and ``view(key)``, the state rebalancing asks from; each
     returns None while the DC holds no state of the key that it may use.
@@ -229,7 +229,6 @@ class Replica:
         self.rebalance_period_ms = rebalance_period_ms
         self.peers: list[Replica] = []
         self.thresholds: dict[str, int] = {}
-        self.keys = self.thresholds.keys
         self.dirty: set[str] = set()
 
     def start(self) -> None:
@@ -274,7 +273,7 @@ class Replica:
             epoch = self.net.partition_epoch
             full = epoch != last_epoch or ticks % FULL_RESYNC_TICKS == 0
             last_epoch = epoch
-            keys = sorted(self.keys() if full else self.dirty)
+            keys = sorted(self.thresholds if full else self.dirty)
             self.dirty.clear()
             for key in keys:
                 state = yield from self.durable(key)
@@ -284,7 +283,7 @@ class Replica:
     def _rebalance_loop(self):
         while True:
             yield self.rebalance_period_ms
-            for key in sorted(self.keys()):
+            for key in sorted(self.thresholds):
                 view = yield from self.view(key)
                 if view is not None:
                     for req in rebalance_tick(view, self.dc, self.thresholds[key]):

@@ -297,6 +297,27 @@ def test_a_former_owner_pushes_nothing_after_reconfigure():
     assert pushed == [(1_000.0, True), (1_500.0, True), (2_000.0, True)]
 
 
+def test_a_former_owners_write_landing_after_reconfigure_leaves_the_dc():
+    # the owner's write lands at 3.1 ms; the key moves at 1 ms, and a merge
+    # that adds nothing warms the new owner from the store at 1.7 ms, so the
+    # new owner never holds the op and never writes. The former owner pushes
+    # its landed write itself, and DC 1 gets the op with no further traffic
+    sim, net, stores, metrics, clusters = wire(n_dcs=2)
+    c = clusters[0]
+    fut = submit(sim, c)
+    old = c.route("k")
+    sim.run(until=1.0)
+    assert old.pipelines["k"].writer_running
+    while c.route("k") is old:
+        c.reconfigure()
+    c.on_state("k", stores[0].peek("k").siblings[0])
+    sim.run(until=2.0)
+    assert c.route("k").pipelines["k"].base_state.value() == 1000
+    sim.run(until=2_200.0)
+    assert fut.value.status == "ok"
+    assert durable_value(stores[0]) == durable_value(stores[1]) == 999
+
+
 # -- cross-DC ------------------------------------------------------------------
 
 
