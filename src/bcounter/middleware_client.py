@@ -20,11 +20,11 @@ synchronously pull rights before giving up. That pull is
 state the operation read plus the grants merged so far, and each grant is
 written to the local store before the next request.
 
-A synchronous request carries the requester's reply callback, which the
-grantor calls across the network. A grant is only ever answered after the
-grantor's own conditional write of the granted state succeeded, so every
-granted right is durable at the grantor before the requester can spend it. A
-reply that arrives after the requester stopped waiting is dropped.
+Each request arrives with ``Network.call``'s answer callback, which the
+grantor calls to answer a synchronous request. A grant is only ever answered
+after the grantor's own conditional write of the granted state succeeded, so
+every granted right is durable at the grantor before the requester can spend
+it. An answer that arrives after the requester stopped waiting is dropped.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ class ClientMiddleware(Replica):
 
         return (yield from self._acquire(key, lambda: state, deficit, merge))
 
-    def on_transfer_request(self, key: str, req: TransferRequest, reply):
-        self.sim.spawn(self._serve_transfer(key, req, reply))
+    def on_transfer_request(self, key: str, req: TransferRequest, answer):
+        self.sim.spawn(self._serve_transfer(key, req, answer))
 
-    def _serve_transfer(self, key: str, req: TransferRequest, reply):
+    def _serve_transfer(self, key: str, req: TransferRequest, answer):
         """Grantor side; a GRANTED reply is sent only once the grant is durable."""
         for _ in range(self.retry_limit):
             rec = yield self.store.get(key)
@@ -160,15 +160,15 @@ class ClientMiddleware(Replica):
                 return
             new_state, resp = handle_request(rec.siblings[0], req)
             if resp.status is not TransferStatus.GRANTED:
-                self._respond(req, reply, resp)
+                self._respond(req, answer, resp)
                 return
             res = yield self.store.put_conditional(key, new_state, rec.version)
             if res is CONFLICT:
                 continue
             self.dirty.add(key)
-            self._respond(req, reply, resp)
+            self._respond(req, answer, resp)
             return
-        self._respond(req, reply, TransferResponse(TransferStatus.DENIED))
+        self._respond(req, answer, TransferResponse(TransferStatus.DENIED))
 
     # -- cross-DC state synchronization --------------------------------------
 

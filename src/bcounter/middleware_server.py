@@ -29,10 +29,10 @@ former owner pushes only a write that lands after its key moved on.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
 owner pulls rights with ``Replica._acquire``, the loop the client library
-runs too: each request is built from the working copy as it is when sent,
-carries the owner's reply callback, and each grant is admitted like a
-propagated state. Rights this owner grants are answered only once the write
-carrying the grant is durable.
+runs too: each request is built from the working copy as it is when sent and
+goes out with ``Network.call``, as each client's op comes in, and each grant
+is admitted like a propagated state. A grantor answers a SYNC request only,
+and a grant only once the write carrying it is durable.
 
 Without batching the same writer serves as the baseline the batching design
 is measured against: an op is admitted only while no other op is unanswered,
@@ -53,6 +53,7 @@ from .sim.net import Network
 from .store import CONFLICT, DCStore
 from .transfer import (
     Replica,
+    TransferMode,
     TransferRequest,
     TransferResponse,
     TransferStatus,
@@ -111,18 +112,18 @@ class _OpItem:
 class _GrantWaiter:
     """A granted SYNC transfer awaiting durability before the reply may leave."""
 
-    def __init__(self, cluster: "ServerCluster", req: TransferRequest, reply, granted: int):
+    def __init__(self, cluster: "ServerCluster", req: TransferRequest, answer, granted: int):
         self.cluster = cluster
         self.req = req
-        self.reply = reply
+        self.answer = answer
         self.granted = granted
 
     def on_ok(self, written: BoundedCounter) -> None:
         resp = TransferResponse(TransferStatus.GRANTED, self.granted, written)
-        self.cluster._respond(self.req, self.reply, resp)
+        self.cluster._respond(self.req, self.answer, resp)
 
     def on_conflict(self) -> None:
-        self.cluster._respond(self.req, self.reply, TransferResponse(TransferStatus.DENIED))
+        self.cluster._respond(self.req, self.answer, TransferResponse(TransferStatus.DENIED))
 
 
 class _Pipeline:
@@ -332,14 +333,14 @@ class Node:
         self._settle(p, merged)
         self._start_writer(p)
 
-    def _admit_transfer(self, p, req: TransferRequest, reply) -> None:
+    def _admit_transfer(self, p, req: TransferRequest, answer) -> None:
         new_working, resp = handle_request(self._working(p), req)
         if resp.status is not TransferStatus.GRANTED:
-            self.cluster._respond(req, reply, resp)
+            self.cluster._respond(req, answer, resp)
             return
         self._settle(p, new_working)
-        if reply is not None:  # an async grant needs durability only
-            p.batch.append(_GrantWaiter(self.cluster, req, reply, resp.granted))
+        if req.mode is TransferMode.SYNC:  # an async grant needs durability only
+            p.batch.append(_GrantWaiter(self.cluster, req, answer, resp.granted))
         self._start_writer(p)
 
     def _apply(self, state: BoundedCounter, item: _OpItem) -> BoundedCounter:
@@ -497,8 +498,8 @@ class ServerCluster(Replica):
     def on_state(self, key: str, state: BoundedCounter) -> None:
         self.route(key).handle(key, "merge", state)
 
-    def on_transfer_request(self, key: str, req: TransferRequest, reply) -> None:
-        self.route(key).handle(key, "transfer", (req, reply))
+    def on_transfer_request(self, key: str, req: TransferRequest, answer) -> None:
+        self.route(key).handle(key, "transfer", (req, answer))
 
     # -- the sync and rebalance loops' hooks; none of them yields ---------------
 

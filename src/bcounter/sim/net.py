@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable
 
-from .kernel import Simulator
+from .kernel import Future, Simulator
 
 # round trips in ms between the three default sites: two US coasts and Europe.
 # measured tables are slightly asymmetric; defaults take the larger direction
@@ -119,6 +119,16 @@ class Network:
             deliver()
 
         self.sim.schedule(d, arrive)
+
+    def call(self, src: int, dst: int, handle: Callable[[Callable], None]) -> Future:
+        """Send ``handle(answer)`` to dst; ``answer(value)`` sends value back
+        to src, where it resolves the returned future. The caller waits on it
+        with a timeout: a lost or missing answer never resolves it."""
+        fut = Future(self.sim)
+        self.send(
+            src, dst, lambda: handle(lambda value: self.send(dst, src, lambda: fut.resolve(value)))
+        )
+        return fut
 
     def broadcast(self, src: int, deliver: Callable[[int], None]) -> int:
         """Send to every other DC in DC id order, running ``deliver(dst)`` at

@@ -24,7 +24,7 @@ Designs:
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 from ..crdt import BoundedCounter, Polarity
 from ..middleware_client import ClientMiddleware
@@ -32,7 +32,7 @@ from ..middleware_server import ServerCluster
 from ..store import CONFLICT, Consistency, DCStore, VersionedRecord
 from ..transfer import default_threshold
 from .config import CounterSpec, SimConfig, Strategy
-from .kernel import TIMEOUT, Future, Simulator
+from .kernel import TIMEOUT, Simulator
 from .net import Network
 
 
@@ -419,16 +419,9 @@ class ServerDriver(_BoundedDriver):
         cluster = self.replicas[dc]
         used_sync = False  # kept across retries, as ClientMiddleware.update keeps it
         for _ in range(self.cfg.retry_limit):
-            reply = Future(self.sim)
             deadline = self.sim.now + self.cfg.owner_timeout_ms
-            self.net.send(
-                dc,
-                dc,
-                lambda r=reply, d=deadline: cluster.client_request(
-                    key, kind, delta, flag, self._deliver(dc, r), d
-                ),
-            )
-            resp = yield (reply, self.cfg.owner_timeout_ms)
+            request = partial(cluster.client_request, key, kind, delta, flag, deadline_ms=deadline)
+            resp = yield (self.net.call(dc, dc, request), self.cfg.owner_timeout_ms)
             if resp is TIMEOUT:
                 return "retry", "timeout", used_sync
             used_sync = used_sync or resp.used_sync
@@ -436,12 +429,6 @@ class ServerDriver(_BoundedDriver):
                 continue
             return resp.status, resp.reason, used_sync
         return "failed", "retries", used_sync
-
-    def _deliver(self, dc: int, fut: Future):
-        def deliver(reply):
-            self.net.send(dc, dc, lambda: fut.resolve(reply))
-
-        return deliver
 
 
 def make_driver(

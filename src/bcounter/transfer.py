@@ -18,16 +18,17 @@ The policy functions are pure functions of a counter state. ``acquire`` is
 the requester's side of on-demand acquisition: a generator that runs the
 request/grant loop, with sending, waiting and merging granted states back in
 left to its callbacks. :class:`Replica`, the base of both middlewares, is one
-DC's endpoint for these messages: it runs ``acquire``, sends requests and hops
-replies back to the requester. It also runs both designs' periodic jobs, one
-loop of each per DC: the rebalance loop, and the sync loop that pushes durable
-states to the other DCs.
+DC's endpoint for these messages: it runs ``acquire`` and sends each request
+with ``Network.call``, whose answer a grantor gives a SYNC request only. It
+also runs both designs' periodic jobs, one loop of each per DC: the rebalance
+loop, and the sync loop that pushes durable states to the other DCs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Generator
 
 from .crdt import BoundedCounter
@@ -200,7 +201,7 @@ class Replica:
     sync and rebalance periods, ``peers`` (every DC's replica by dc id, set
     by wiring), each registered key's rebalance threshold, and the ``dirty``
     keys written here since the last sync tick. A subclass serves
-    ``on_transfer_request(key, req, reply)`` and ``on_state(key, state)``,
+    ``on_transfer_request(key, req, answer)`` and ``on_state(key, state)``,
     the receiving end of ``_push_state``.
 
     ``start`` spawns the DC's one sync loop and one rebalance loop, in both
@@ -238,21 +239,19 @@ class Replica:
     def register(self, key: str, threshold: int) -> None:
         self.thresholds[key] = threshold
 
-    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter, reply=None):
-        """Send a transfer request built from ``view``. A SYNC request carries
-        ``reply``, the requester's callback for the grantor's answer."""
+    def _send_request(self, key: str, req: TransferRequest, view: BoundedCounter) -> Future:
+        """Send a transfer request built from ``view``; the future resolves
+        with the grantor's answer, which only a SYNC request gets."""
         self.metrics.transfer_request(view.local_rights(req.grantor))
-        peer = self.peers[req.grantor]
-        self.net.send(self.dc, req.grantor, lambda: peer.on_transfer_request(key, req, reply))
+        handle = partial(self.peers[req.grantor].on_transfer_request, key, req)
+        return self.net.call(self.dc, req.grantor, handle)
 
     def _acquire(self, key: str, view: Callable[[], BoundedCounter], deficit: int, merge):
         """``acquire`` for ``key`` at this DC; returns (acquired, requested).
-        Each request carries a reply future, waited on for two grantor RTTs."""
+        Each answer is waited on for two grantor RTTs."""
 
         def ask(req: TransferRequest, state: BoundedCounter):
-            reply = Future(self.sim)
-            self._send_request(key, req, state, reply.resolve)
-            return reply, 2 * self.net.rtt(self.dc, req.grantor)
+            return self._send_request(key, req, state), 2 * self.net.rtt(self.dc, req.grantor)
 
         return (yield from acquire(view, self.dc, deficit, self.thresholds[key], ask, merge))
 
@@ -289,10 +288,9 @@ class Replica:
                     for req in rebalance_tick(view, self.dc, self.thresholds[key]):
                         self._send_request(key, req, view)
 
-    def _respond(self, req: TransferRequest, reply, resp: TransferResponse) -> None:
-        """Hop ``resp`` back to the requester; an ASYNC request has no reply,
-        and its grant travels with the next state push."""
-        if reply is None:
-            return
-        self.metrics.transfer_response()
-        self.net.send(self.dc, req.requester, lambda: reply(resp))
+    def _respond(self, req: TransferRequest, answer, resp: TransferResponse) -> None:
+        """Answer a SYNC request with ``resp``; an ASYNC request gets no
+        answer, and its grant travels with the next state push."""
+        if req.mode is TransferMode.SYNC:
+            self.metrics.transfer_response()
+            answer(resp)

@@ -158,7 +158,7 @@ def test_grant_is_durable_before_response_arrives():
     original = mws[0].on_transfer_request
 
     def spy_on_reply(key, req, reply):
-        # the reply callback runs at the requester when the response arrives
+        # the answer runs at the grantor as it answers, a hop before it arrives
         def spy(resp):
             rec = stores[0].peek("k")
             merged = None
@@ -167,7 +167,7 @@ def test_grant_is_durable_before_response_arrives():
             grantor_rights_at_reply.append(merged.local_rights(0))
             reply(resp)
 
-        original(key, req, spy if reply is not None else None)
+        original(key, req, spy)
 
     mws[0].on_transfer_request = spy_on_reply
     res = run_op(sim, mws[1].update("k", "dec", 1))
@@ -201,7 +201,7 @@ def test_late_grant_is_dropped_and_arrives_by_sync():
             replied[req.requester] = (sim.now, resp)
             reply(resp)
 
-        original(key, req, spy if reply is not None else None)
+        original(key, req, spy)
 
     mws[0].on_transfer_request = spy_on_reply
     res = run_op(sim, mws[1].update("k", "dec", 1))

@@ -327,12 +327,12 @@ def test_sync_transfer_grant_durable_before_reply():
     original = clusters[0].on_transfer_request
 
     def spy_on_reply(key, req, reply):
-        # the reply callback runs at the requester when the response arrives
+        # the answer runs at the grantor as it answers, a hop before it arrives
         def spy(resp):
             seen.append(durable_value(stores[0]))
             reply(resp)
 
-        original(key, req, spy if reply is not None else None)
+        original(key, req, spy)
 
     clusters[0].on_transfer_request = spy_on_reply
     (r,) = drain(sim, [submit(sim, clusters[1])])
@@ -361,7 +361,7 @@ def test_late_grant_is_dropped_and_arrives_by_sync():
             replied.append((sim.now, resp))
             reply(resp)
 
-        original(key, req, spy if reply is not None else None)
+        original(key, req, spy)
 
     clusters[0].on_transfer_request = spy_on_reply
     (r,) = drain(sim, [submit(sim, clusters[1])])
@@ -595,8 +595,7 @@ def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit,
             others[j] = others[j].merge(ref)
         elif what == "transfer":
             req = make_request(others[j], 0, j, 2 * delta, mode)
-            reply = (lambda resp: None) if mode is TransferMode.SYNC else None
-            cluster.on_transfer_request("k", req, reply)
+            cluster.on_transfer_request("k", req, lambda resp: None)
             ref = handle_request(ref, req)[0]
         elif what == "write":
             land()

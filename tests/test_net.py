@@ -1,10 +1,10 @@
-"""Network model: latency shaping, partitions, epoch bumps."""
+"""Network model: latency shaping, partitions, epoch bumps, request and answer."""
 
 import random
 
 import pytest
 
-from bcounter.sim.kernel import Simulator
+from bcounter.sim.kernel import TIMEOUT, Simulator
 from bcounter.sim.net import DEFAULT_RTTS, Network, symmetric_rtts
 
 
@@ -185,3 +185,63 @@ def test_zero_jitter_draws_nothing():
         assert net.intra_delay() == net.intra_ms
         assert net.delay(0, 2) == DEFAULT_RTTS[(0, 2)] / 2
     assert net.rng.getstate() == random.Random(11).getstate()
+
+
+# -- call: a request and its answer --------------------------------------------
+
+
+def waiter(sim, fut, timeout):
+    """Wait on ``fut`` for ``timeout`` ms; the list gets (time, value) once."""
+    got = []
+
+    def wait():
+        value = yield (fut, timeout)
+        got.append((sim.now, value))
+
+    sim.spawn(wait())
+    return got
+
+
+def test_call_answer_comes_back_one_hop_later():
+    sim, net = make_net(jitter=0.0)
+    handled = []
+
+    def handle(answer):
+        handled.append(sim.now)
+        sim.schedule(5.0, lambda: answer("done"))
+
+    got = waiter(sim, net.call(0, 2, handle), 1_000.0)
+    sim.run()
+    half = DEFAULT_RTTS[(0, 2)] / 2
+    assert handled == [half]
+    assert got == [(half + 5.0 + half, "done")]
+    assert net.sent == 2
+
+
+@pytest.mark.parametrize("cut_at", [10.0, 60.0], ids=["request", "answer"])
+def test_call_partition_drops_the_request_or_the_answer(cut_at):
+    # the request lands at 48 ms and is answered at once: a cut at 10 ms
+    # drops the request in flight, one at 60 ms drops the answer
+    sim, net = make_net(jitter=0.0)
+    handled = []
+
+    def handle(answer):
+        handled.append(sim.now)
+        answer("done")
+
+    got = waiter(sim, net.call(0, 2, handle), 200.0)
+    sim.schedule(cut_at, lambda: net.partition([{0, 1}, {2}]))
+    sim.run()
+    assert handled == ([] if cut_at < 48.0 else [48.0])
+    assert got == [(200.0, TIMEOUT)]
+    assert net.dropped == 1
+
+
+def test_unanswered_call_times_out():
+    sim, net = make_net(jitter=0.0)
+    handled = []
+    got = waiter(sim, net.call(1, 1, handled.append), 30.0)
+    sim.run()
+    assert len(handled) == 1  # the handler ran and kept its answer
+    assert got == [(30.0, TIMEOUT)]
+    assert net.sent == 1

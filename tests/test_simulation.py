@@ -24,7 +24,7 @@ from bcounter.sim.kernel import RoundTrip
 from bcounter.sim.metrics import csv_lines
 from bcounter.sim.strategies import TallyCounter, WeakDriver
 from bcounter.store import DCStore
-from bcounter.transfer import Replica
+from bcounter.transfer import Replica, TransferMode
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -165,16 +165,17 @@ def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch
     waits = []
 
     def timed(send):
-        def send_request(self, key, req, view, reply=None):
-            if reply is None:
-                return send(self, key, req, view)
-            sent_at, wait = self.sim.now, 2 * self.net.rtt(self.dc, req.grantor)
+        def send_request(self, key, req, view):
+            answered = send(self, key, req, view)
+            if req.mode is TransferMode.SYNC:
+                sent_at, wait = self.sim.now, 2 * self.net.rtt(self.dc, req.grantor)
 
-            def timed_reply(resp):
-                waits.append((self.sim.now - sent_at > wait, resp.status.value))
-                reply(resp)
+                def watch():  # resumed when the answer reaches the requester
+                    resp = yield answered
+                    waits.append((self.sim.now - sent_at > wait, resp.status.value))
 
-            return send(self, key, req, view, timed_reply)
+                self.sim.spawn(watch())
+            return answered
 
         return send_request
 

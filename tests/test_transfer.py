@@ -361,22 +361,33 @@ def grantor(design, state):
 def test_refused_sync_request_is_answered_once_without_a_write(design, state, req, status):
     sim, net, store, metrics, replica = grantor(design, state)
     answers = []
-    replica.on_transfer_request("k", req, answers.append)
+
+    def handle(answer):
+        def counted(resp):
+            answers.append(resp)
+            answer(resp)
+
+        replica.on_transfer_request("k", req, counted)
+
+    fut = net.call(1, 0, handle)
     sim.run()
     assert [resp.status for resp in answers] == [status]
+    assert fut.done and fut.value is answers[0]
     assert answers[0].granted == 0 and answers[0].state is None
     assert store.cond_writes == 0
     assert store.peek("k").siblings == (state,)
     assert metrics.counts["transfer_responses"] == 1
-    assert net.sent == 1  # the reply hop
+    assert net.sent == 2  # the request and the one reply hop
 
 
 @pytest.mark.parametrize("design", list(DESIGNS))
 def test_async_grant_sends_no_reply_but_becomes_durable(design):
     sim, net, store, metrics, replica = grantor(design, FULL)
     req = make_request(FULL, 0, 1, 4, TransferMode.ASYNC)
-    replica.on_transfer_request("k", req, None)
+    answers = []
+    replica.on_transfer_request("k", req, answers.append)
     sim.run()
+    assert answers == []
     assert metrics.counts["transfer_responses"] == 0
     assert net.sent == 0
     assert store.cond_writes == 1
