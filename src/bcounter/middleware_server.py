@@ -23,9 +23,10 @@ working copy is discarded since none of it is durable, every affected client
 is told to retry, and the cache is refreshed from the store. A crashed owner
 loses its cache and any write not yet landed, as its processes never resume;
 the durable base in the store is what the next owner starts from, and
-unacknowledged clients time out. The DC's one sync loop and one rebalance
-loop read each key from its current owner, so a crash stops neither; a
-former owner pushes only a write that lands after its key moved on.
+unacknowledged clients time out. The DC's one sync loop pushes the newest
+durable state any of its nodes read or wrote, so a dead, cold or former
+owner keeps none from leaving; its one rebalance loop reads each key's
+current owner. A crash stops neither.
 
 An op that lacks rights joins the pipeline's acquisition queue, and the
 owner pulls rights with ``Replica._acquire``, the loop the client library
@@ -233,6 +234,7 @@ class Node:
         rec = yield self.store.get(p.key)
         p.base_state = rec.siblings[0]
         p.base_version = rec.version
+        self.cluster._saw(p.key, rec.version, p.base_state)
         p.inc_creates = p.base_state.polarity is Polarity.LOWER
         self._settle(p, p.base_state)
         p.state = _Pipeline.WARM
@@ -386,10 +388,8 @@ class Node:
                 continue
             p.base_version = res
             p.base_state = snapshot
-            if self.cluster.route(p.key) is self:
-                self.cluster.dirty.add(p.key)
-            else:  # moved while in flight: the new owner may never hold it
-                self.cluster._push_state(p.key, snapshot)
+            self.cluster._saw(p.key, res, snapshot)
+            self.cluster.dirty.add(p.key)
             waiters, p.batch, p.ops = p.batch[:n], p.batch[n:], p.ops - ops
             for w in waiters:
                 w.on_ok(snapshot)
@@ -459,6 +459,9 @@ class ServerCluster(Replica):
         self.epoch = 0
         self.nodes: list[Node] = [Node(self, i) for i in range(n_nodes)]
         self._alive: list[int] = list(range(n_nodes))
+        # per key, the (version, state) of the newest store read or landed
+        # write of any node: a load can resume after a later write landed
+        self._newest: dict[str, tuple[int, BoundedCounter]] = {}
 
     # -- routing ----------------------------------------------------------------
 
@@ -501,21 +504,20 @@ class ServerCluster(Replica):
     def on_transfer_request(self, key: str, req: TransferRequest, answer) -> None:
         self.route(key).handle(key, "transfer", (req, answer))
 
+    def _saw(self, key: str, version: int, state: BoundedCounter) -> None:
+        if version > self._newest.get(key, (0, None))[0]:
+            self._newest[key] = (version, state)
+
     # -- the sync and rebalance loops' hooks; none of them yields ---------------
 
-    def _owner(self, key: str) -> tuple[Node, _Pipeline | None]:
-        """``key``'s owner and its pipeline, None while it is dead or has none."""
-        node = self.route(key)
-        return node, None if node.dead else node.pipelines.get(key)
-
     def durable(self, key: str):
-        """The last state the owner of ``key`` wrote; only durable state leaves."""
+        """The newest durable state of ``key`` that any node read or wrote."""
         yield from ()
-        p = self._owner(key)[1]
-        return None if p is None else p.base_state
+        return self._newest.get(key, (0, None))[1]
 
     def view(self, key: str):
-        """The owner's working copy of ``key`` while its pipeline is warm."""
+        """The owner's working copy of ``key`` while it is alive and warm."""
         yield from ()
-        node, p = self._owner(key)
+        node = self.route(key)
+        p = None if node.dead else node.pipelines.get(key)
         return node._working(p) if p is not None and p.state == _Pipeline.WARM else None

@@ -32,8 +32,9 @@ yields, as in ``rec = yield store.get(key)``: one hop out, the service time,
 the effect, one hop back. An op is counted when issued, a conflict when it
 lands. The kernel runs the effect only if the caller is still alive, so a
 caller killed before it (a crashed owner node) is never resumed and its op
-never lands. That keeps "acknowledged" and "durable" the same thing for
-crashed middleware nodes.
+never lands. A caller killed after the effect, in the hop back, is never
+resumed either, yet its write landed: that write is durable, but no one
+acknowledges it, and no one learns of it until a later read.
 
 A key's current record is built when a write lands; every read until the
 next write returns that same immutable record.

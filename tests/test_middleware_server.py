@@ -271,10 +271,11 @@ def test_an_idle_dcs_events_do_not_depend_on_its_node_count():
     assert events == [44, 44, 44]
 
 
-def test_a_former_owner_pushes_nothing_after_reconfigure():
-    # only the state of ``k``'s current owner leaves DC 0: the new owner is
-    # cold until DC 1's full round reaches it at 540 ms, so DC 0's full round
-    # at 500 ms pushes nothing, and those at 1, 1.5 and 2 s push its copy once
+def test_a_dc_pushes_the_stores_state_after_reconfigure():
+    # the newest durable state a node of DC 0 saw leaves it, whichever node
+    # owns ``k``: the new owner is cold until DC 1's full round reaches it at
+    # 540 ms, yet each of DC 0's full rounds at 0.5, 1, 1.5 and 2 s pushes
+    # exactly what DC 0's store holds
     sim, net, stores, metrics, clusters = wire(n_dcs=2)
     c = clusters[0]
     (r,) = drain(sim, [submit(sim, c)])
@@ -288,20 +289,20 @@ def test_a_former_owner_pushes_nothing_after_reconfigure():
     push = c._push_state
 
     def spy(key, state):
-        p = c.route(key).pipelines.get(key)
-        pushed.append((sim.now, p is not None and state is p.base_state))
+        pushed.append((sim.now, state is stores[0].peek(key).siblings[0]))
         push(key, state)
 
     c._push_state = spy
     sim.run(until=2_200.0)
-    assert pushed == [(1_000.0, True), (1_500.0, True), (2_000.0, True)]
+    assert pushed == [(500.0, True), (1_000.0, True), (1_500.0, True), (2_000.0, True)]
 
 
 def test_a_former_owners_write_landing_after_reconfigure_leaves_the_dc():
     # the owner's write lands at 3.1 ms; the key moves at 1 ms, and a merge
     # that adds nothing warms the new owner from the store at 1.7 ms, so the
-    # new owner never holds the op and never writes. The former owner pushes
-    # its landed write itself, and DC 1 gets the op with no further traffic
+    # new owner never holds the op and never writes. The former owner's
+    # landed write marks the key dirty, DC 0's next tick pushes it as the
+    # newest durable state, and DC 1 gets the op with no further traffic
     sim, net, stores, metrics, clusters = wire(n_dcs=2)
     c = clusters[0]
     fut = submit(sim, c)
@@ -315,6 +316,46 @@ def test_a_former_owners_write_landing_after_reconfigure_leaves_the_dc():
     assert c.route("k").pipelines["k"].base_state.value() == 1000
     sim.run(until=2_200.0)
     assert fut.value.status == "ok"
+    assert durable_value(stores[0]) == durable_value(stores[1]) == 999
+
+
+@pytest.mark.parametrize("mark_failed", [False, True], ids=["undetected", "marked-failed"])
+def test_a_write_landed_before_its_owner_crashed_leaves_the_dc(mark_failed):
+    # the op's write lands at 3.1 ms and its owner crashes at 10 ms, before
+    # DC 0's first tick: the dirty mark outlives the owner, and the tick
+    # pushes the newest state a node saw though the owner is dead or its
+    # successor cold. Before, DC 1 stayed at 1000 with no sync message sent
+    sim, net, stores, metrics, clusters = wire(n_dcs=2)
+    c = clusters[0]
+    fut = submit(sim, c)
+    owner = c.route("k")
+    sim.run(until=10.0)
+    assert fut.value.status == "ok"
+    c.crash_node(owner.idx)
+    if mark_failed:
+        sim.run(until=20.0)
+        c.mark_failed(owner.idx)
+    sim.run(until=20_000.0)
+    assert durable_value(stores[0]) == durable_value(stores[1]) == 999
+
+
+def test_a_write_landing_as_its_owner_crashes_leaves_the_dc_once_marked_failed():
+    # the op's write lands at 3.1 ms and its owner crashes at 3.2 ms, before
+    # it resumes, so no node saw the write and its client is never answered.
+    # Once the crash is detected, DC 0's full round at 500 ms warms DC 1,
+    # whose full round at 1 s makes DC 0's new owner load the write from the
+    # store; DC 0's round at 1.5 s pushes it. Before, DC 1 stayed at 1000
+    sim, net, stores, metrics, clusters = wire(n_dcs=2)
+    c = clusters[0]
+    fut = submit(sim, c)
+    owner = c.route("k")
+    sim.run(until=3.2)
+    assert stores[0].peek("k").siblings[0].value() == 999
+    c.crash_node(owner.idx)
+    sim.run(until=20.0)
+    c.mark_failed(owner.idx)
+    sim.run(until=20_000.0)
+    assert not fut.done
     assert durable_value(stores[0]) == durable_value(stores[1]) == 999
 
 

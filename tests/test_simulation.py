@@ -158,6 +158,54 @@ def test_a_dc_whose_owner_nodes_all_fail_runs_on(strategy, nodes):
     assert report.converged_values == report.observer_values
 
 
+OWNER_STRATEGIES = [Strategy.BCSRV, Strategy.BCSRV_NOBATCH]
+
+
+def assert_safe_and_converged(report, label) -> None:
+    """What every swept or fuzzed run must end with: no bound violation, and
+    every replica converged to the observer's values. ``label`` names the run."""
+    assert report.violations == 0, label
+    assert report.converged is True, (label, report.converged_values, report.observer_values)
+
+
+def one_crash_window(strategy, node, start_ms):
+    """Two DCs, one client at DC 0 and one key, with one 300 ms crash window
+    of ``node`` at DC 0 from ``start_ms``."""
+    return SimConfig(
+        strategy=strategy,
+        n_dcs=2,
+        rtts={(0, 1): 83.0},
+        clients_per_dc=[1, 0],
+        think_ms=400.0,
+        duration_ms=1_500.0,
+        counters=[CounterSpec("k", bound=0, initial=100)],
+        crashes=[CrashFault(0, node, start_ms, start_ms + 300.0)],
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize("strategy", OWNER_STRATEGIES, ids=lambda s: s.value)
+def test_a_returning_owner_pushes_no_stale_cache(strategy):
+    # node 2 owns the key until node 0's crash at 865 ms is detected at
+    # 1,065 ms; then node 1 loads it and writes the next op, and node 0's
+    # recovery at 1,165 ms routes the key back to node 2, whose warm cache
+    # still holds the state before that write. DC 0 must push the newest
+    # state its store holds, not that cache: before, DC 1 ended at 98
+    # against DC 0's 97
+    metrics, report = run(one_crash_window(strategy, 0, 865.0))
+    assert_safe_and_converged(report, (strategy.value, 0, 865.0))
+
+
+@pytest.mark.parametrize("strategy", OWNER_STRATEGIES, ids=lambda s: s.value)
+def test_every_crash_window_of_every_node_ends_converged(strategy):
+    # each node's 300 ms crash window, starting every 5 ms of the run: 900
+    # tiny runs, about a second in all
+    for node in range(3):
+        for start in range(0, 1_500, 5):
+            metrics, report = run(one_crash_window(strategy, node, float(start)))
+            assert_safe_and_converged(report, (strategy.value, node, start))
+
+
 @pytest.mark.parametrize("strategy", [Strategy.BCCLT, Strategy.BCSRV], ids=lambda s: s.value)
 def test_late_sync_grants_end_converged_without_violations(strategy, monkeypatch):
     # DC 0 starts with every right, and its writes outlast any requester's
