@@ -115,7 +115,7 @@ class Run:
         flag = "local" if cfg.op_flag is OpFlag.LOCAL else "global"
         yield rng.uniform(0, cfg.think_ms)  # stagger startup
         while not self.stopped:
-            key = self.keys[rng.randrange(len(self.keys))]
+            key = rng.choice(self.keys)
             kind = "inc" if rng.random() < cfg.inc_fraction else "dec"
             t0 = self.sim.now
             self.metrics.op_started(dc, kind, t0)

@@ -24,7 +24,12 @@ dropped: to wait for a process, wrap its generator in one that resolves a
 
 Each event is one queue entry and allocates no closure. An entry names its
 target: a :class:`Process` to resume with a value, a :class:`RoundTrip` whose
-effect is due, or a callable to call, so a process is resumed directly.
+effect is due, a :class:`Future` to resolve with the entry's value, or a
+callable to call, so a process is resumed directly. A future entry is what
+``schedule(delay, lambda: future.resolve(value))`` would queue, without the
+closure: it takes the same seq, counts as one event, and resolving a future
+that is already done does nothing. ``_post`` queues any target with a value;
+the network queues its hops within a DC that way.
 Entries due later than ``now`` sit on a heap of ``(time, seq, target,
 value)``. Entries due at ``now`` go to a FIFO of ``(target, value)``, which
 runs after the heap's entries at ``now`` and before time advances: every
@@ -154,14 +159,19 @@ class Simulator:
         self._seq = itertools.count(1).__next__
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
+        self._post(delay, fn, None)
+
+    def _post(self, delay: float, target: Any, value: Any) -> None:
+        """Queue one entry: ``target`` is a callable (``value`` None) or a
+        :class:`Future` to resolve with ``value``."""
         if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay!r}")
         now = self.now
         t = now + delay
         if t == now:
-            self._ready.append((fn, None))
+            self._ready.append((target, value))
         else:
-            heapq.heappush(self._heap, (t, self._seq(), fn, None))
+            heapq.heappush(self._heap, (t, self._seq(), target, value))
 
     def spawn(self, gen: Generator) -> Process:
         p = Process(gen)
@@ -240,7 +250,10 @@ class Simulator:
                                 stale -= self._drop_stale()
                     target = target.proc
                 elif kind is not process:
-                    target()
+                    if kind is future_type:
+                        target.resolve(value)
+                    else:
+                        target()
                     continue
                 if not target.alive:
                     continue

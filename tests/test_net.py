@@ -245,3 +245,50 @@ def test_unanswered_call_times_out():
     assert len(handled) == 1  # the handler ran and kept its answer
     assert got == [(30.0, TIMEOUT)]
     assert net.sent == 1
+
+
+def test_call_within_a_dc_draws_two_hops_request_first():
+    # the request's hop is drawn when call sends it, the answer's when the
+    # handler answers: two draws from the shared rng, in that order, each
+    # one kernel entry and one message in sent
+    sim, net = make_net(jitter=0.1, seed=3)
+    hop = hop_reference(0.1, 3)
+    out = hop(1, 1)
+    handled = []
+
+    def handle(answer):
+        handled.append(sim.now)
+        sim.schedule(5.0, lambda: answer("done"))
+
+    got = waiter(sim, net.call(1, 1, handle), 1_000.0)
+    events = sim.events
+    sim.run()
+    back = hop(1, 1)
+    assert handled == [out]
+    assert got == [(out + 5.0 + back, "done")]
+    assert net.sent == 2 and net.dropped == 0
+    # the waiter's spawn, the request, the scheduled answer, the answer's
+    # hop, the waiter's resume and its served deadline
+    assert sim.events - events == 6
+    twin = random.Random(3)
+    twin.random(), twin.random()
+    assert net.rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("cut_at", [0.5, 3.0], ids=["request", "answer"])
+def test_call_within_a_dc_crosses_a_partition_that_forms_in_flight(cut_at):
+    # DC 1 alone is cut off while the request (landing at 1 ms) or the answer
+    # (sent at 3 ms, landing at 4 ms) is in flight; neither is dropped
+    sim, net = make_net(jitter=0.0)
+    handled = []
+
+    def handle(answer):
+        handled.append(sim.now)
+        sim.schedule(2.0, lambda: answer("done"))
+
+    got = waiter(sim, net.call(1, 1, handle), 30.0)
+    sim.schedule(cut_at, lambda: net.partition([{0, 2}, {1}]))
+    sim.run()
+    assert handled == [1.0]
+    assert got == [(4.0, "done")]
+    assert net.sent == 2 and net.dropped == 0
