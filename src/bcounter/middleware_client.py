@@ -1,12 +1,12 @@
 """Client-library middleware for bounded counters.
 
 One instance serves one data center. Counters live in that DC's store as
-strong keys holding the immutable counter state, one sibling each; every
-update is a read, a CRDT update applied at this DC's replica id, and a
-conditional write, retried on conflict, each one store round trip, hops
-included. The conditional write already names the stored version it read, and
-at one DC a strong key's version names exactly one stored state, so updates
-are memoized by (key, version): clients that read the same version share one
+strong keys holding the immutable counter state; every update is a read, a
+CRDT update applied at this DC's replica id, and a conditional write,
+retried on conflict, each one store round trip, hops included. The
+conditional write already names the stored version it read, and at one DC a
+strong key's version names exactly one stored state, so updates are
+memoized by (key, version): clients that read the same version share one
 computed next state. Only the newest version stepped per key is kept.
 
 Cross-DC replication is a periodic push of locally modified counters to
@@ -29,7 +29,7 @@ it. An answer that arrives after the requester stopped waiting is dropped.
 
 from __future__ import annotations
 
-from .crdt import BoundedCounter, NotEnoughRights, Polarity
+from .crdt import BoundedCounter, NotEnoughRights, Overflow, Polarity
 from .sim.kernel import Simulator
 from .sim.net import Network
 from .store import ABSENT, CONFLICT, DCStore
@@ -69,7 +69,7 @@ class ClientMiddleware(Replica):
     def durable(self, key: str):
         """This DC's stored state of ``key``; it is also the rebalance view."""
         rec = yield self.store.get(key)
-        return None if rec is None else rec.siblings[0]
+        return None if rec is None else rec.value
 
     view = durable
 
@@ -88,7 +88,7 @@ class ClientMiddleware(Replica):
         rec = yield self.store.get(key)
         if rec is None:
             return None
-        return rec.siblings[0].value()
+        return rec.value.value()
 
     def update(self, key: str, kind: str, delta: int, flag: str = "global"):
         """inc/dec; returns (status, reason, used_sync)."""
@@ -97,8 +97,10 @@ class ClientMiddleware(Replica):
             rec = yield self.store.get(key)
             if rec is None:
                 return "failed", "notfound", used_sync
-            state, version = rec.siblings[0], rec.version
+            state, version = rec.value, rec.version
             new_state = self._step(key, state, version, kind, delta)
+            if new_state is None:  # the result would leave int64
+                return "failed", "overflow", used_sync
             if type(new_state) is int:  # not enough rights; these are held here
                 deficit = delta - new_state
                 if flag == "local":
@@ -119,10 +121,11 @@ class ClientMiddleware(Replica):
 
     def _step(self, key: str, state: BoundedCounter, version: int, kind: str, delta: int):
         """Apply ``kind`` ("inc" or "dec") by ``delta`` here to ``state``, the
-        stored ``version`` of ``key``: the next state, or the rights held here
-        if they are too few. Clients that read one version share one result,
-        which is safe only because counters are never mutated. A read older
-        than the newest version stepped is computed fresh and not kept."""
+        stored ``version`` of ``key``: the next state, the rights held here
+        if they are too few, or None if the result would leave int64. Clients
+        that read one version share one result, which is safe only because
+        counters are never mutated. A read older than the newest version
+        stepped is computed fresh and not kept."""
         newest = self._steps.get(key)
         if newest is None or newest[0] < version:
             newest = self._steps[key] = (version, {})
@@ -133,6 +136,8 @@ class ClientMiddleware(Replica):
                 out = (state.increment if kind == "inc" else state.decrement)(self.dc, delta)
             except NotEnoughRights as short:
                 out = short.available
+            except Overflow:
+                out = None
             steps[(kind, delta)] = out
         return out
 
@@ -158,7 +163,7 @@ class ClientMiddleware(Replica):
             rec = yield self.store.get(key)
             if rec is None:
                 return
-            new_state, resp = handle_request(rec.siblings[0], req)
+            new_state, resp = handle_request(rec.value, req)
             if resp.status is not TransferStatus.GRANTED:
                 self._respond(req, answer, resp)
                 return
@@ -183,7 +188,7 @@ class ClientMiddleware(Replica):
             if rec is None:
                 merged, version = incoming, ABSENT
             else:
-                state, version = rec.siblings[0], rec.version
+                state, version = rec.value, rec.version
                 merged = state.merge(incoming)
                 if merged == state:
                     return

@@ -232,7 +232,7 @@ class Node:
     def _load(self, p: _Pipeline):
         # owner nodes create no counter: a key they serve was seeded
         rec = yield self.store.get(p.key)
-        p.base_state = rec.siblings[0]
+        p.base_state = rec.value
         p.base_version = rec.version
         self.cluster._saw(p.key, rec.version, p.base_state)
         p.inc_creates = p.base_state.polarity is Polarity.LOWER
@@ -256,8 +256,8 @@ class Node:
     def _admit_op(self, p: _Pipeline, item: _OpItem) -> None:
         """Admit an op by counting it against ``held`` and ``room``. An op
         that fails either check is applied to the built working copy instead,
-        so an op is refused, or raises ``Overflow``, exactly when its own
-        ``increment`` or ``decrement`` would."""
+        so an op is refused for rights or fails for overflow exactly when its
+        own ``increment`` or ``decrement`` raises."""
         if self._expired(item):
             return  # the client timed out; never apply such an op
         if p.held is None:
@@ -280,6 +280,9 @@ class Node:
                 new_working = self._apply(self._working(p), item)
             except NotEnoughRights:
                 self._rights_denied(p, item)
+                return
+            except Overflow:
+                item.reply(OwnerReply("failed", "overflow", item.used_sync))
                 return
             self._settle(p, new_working)
         p.batch.append(item)
@@ -422,8 +425,8 @@ class Node:
             if tag == "op":
                 try:
                     view = self._apply(view, payload)
-                except NotEnoughRights:
-                    pass  # it goes to acquire rights of its own
+                except (NotEnoughRights, Overflow):
+                    pass  # it acquires rights of its own, or fails
             elif tag == "transfer":
                 view = handle_request(view, payload[0])[0]
         return view.local_rights(self.dc)

@@ -78,8 +78,7 @@ class Network:
         return self.intra_ms * (self._lo + self._width * self._random())
 
     def delay(self, src: int, dst: int) -> float:
-        if src == dst:
-            return self.intra_delay()
+        """One-way latency between two distinct DCs."""
         return self._jittered(self.rtts[(src, dst)] / 2)
 
     def rtt(self, src: int, dst: int) -> float:
@@ -88,7 +87,7 @@ class Network:
     # -- partitions -----------------------------------------------------------
 
     def reachable(self, src: int, dst: int) -> bool:
-        if self._group_of is None or src == dst:
+        if self._group_of is None:
             return True
         return self._group_of.get(src) == self._group_of.get(dst)
 

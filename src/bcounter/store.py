@@ -1,26 +1,18 @@
 """Per-data-center key-value store emulation.
 
-Models the storage substrate the middleware runs against: opaque immutable
-values, a configurable service latency per operation, and two consistency
-modes. Every strategy stores its value as it is: the bounded counters their
+Models the storage substrate the middleware runs against: immutable values,
+a configurable service latency per operation, and two consistency modes.
+Every strategy stores its value as it is: the bounded counters their
 immutable ``BoundedCounter``, the weak baseline its tallies and the strong
-one an int. The store compares values only for equality, and only on weak
-keys. A key's mode is fixed by its first write:
+one an int. A key's mode is fixed by its first write:
 
-* WEAK: puts always succeed. A put carries the version its writer read
-  (its causal context): it replaces every sibling that existed by then and
-  lands next to any sibling written concurrently. The store does not look
-  inside the data; it trusts the writer to have read and merged the siblings
-  it replaces. The weak driver's fold relies on this: a sibling that leaves
-  is below a sibling that stays, so a reader may join only the new siblings
-  into its last merge, and of a new sibling it put itself from an earlier
-  fold, only the entries that put raised. A put with no context dominates
-  nothing and simply joins the sibling set. Readers see all siblings and are
-  expected to merge them.
+* WEAK: puts always succeed. A weak value must be a join semilattice with
+  ``merge``, as a store's built-in counters are: a put joins its data into
+  the key's value as it lands, or installs it when the key is absent. So
+  concurrent puts are never lost, and a read returns their join.
 * STRONG: only conditional writes, which install iff the caller's expected
-  version is still current. Exactly one sibling at all times. Strong keys are
-  never replicated across DCs by the store; any cross-DC movement of their
-  content is the middleware's job.
+  version is still current. Strong keys are never replicated across DCs by
+  the store; any cross-DC movement of their content is the middleware's job.
 
 Behavior is linearizable per key within one DC: effects land atomically when
 the operation's service latency elapses, so of two in-flight conditional
@@ -65,7 +57,7 @@ class WrongMode(Exception):
 @dataclass(frozen=True)
 class VersionedRecord:
     key: str
-    siblings: tuple[object, ...]
+    value: object
     version: int
     consistency: Consistency
 
@@ -81,8 +73,6 @@ class DCStore:
         self.write_ms = write_ms
         self.hop = hop
         self._records: dict[str, VersionedRecord] = {}
-        # weak keys: the version at which each sibling landed
-        self._births: dict[str, tuple[int, ...]] = {}
         self.reads = 0
         self.weak_puts = 0
         self.cond_writes = 0
@@ -95,19 +85,14 @@ class DCStore:
         self.reads += 1
         return RoundTrip(self.hop() + self.read_ms, self._records.get, (key,), self.hop)
 
-    def put(self, key: str, data: object, context: int | None = None) -> RoundTrip:
-        """Weak put; round trip to the new version token.
-
-        ``context`` is the version the caller read before computing ``data``;
-        the put replaces every sibling that existed by that version and lands
-        next to any sibling written after it. No context means the writer saw
-        nothing, so nothing is replaced.
-        """
+    def put(self, key: str, data: object) -> RoundTrip:
+        """Weak put; round trip to the new version token. ``data`` is joined
+        into the key's value when the put lands."""
         rec = self._records.get(key)
         if rec is not None and rec.consistency is Consistency.STRONG:
             raise WrongMode(f"weak put on strong key {key!r}")
         self.weak_puts += 1
-        return RoundTrip(self.hop() + self.write_ms, self._put, (key, data, context), self.hop)
+        return RoundTrip(self.hop() + self.write_ms, self._put, (key, data), self.hop)
 
     def put_conditional(self, key, data, expected) -> RoundTrip:
         """Conditional write; round trip to the new version token, or CONFLICT.
@@ -126,25 +111,15 @@ class DCStore:
 
     # -- effects, run by the kernel as a write lands -----------------------------
 
-    def _put(self, key: str, data: object, context: int | None) -> int:
+    def _put(self, key: str, data: object) -> int:
         rec = self._records.get(key)
         if rec is None:
-            version, births, siblings = 0, (), ()
+            version, value = 1, data
         elif rec.consistency is not Consistency.WEAK:
             raise WrongMode(f"weak put on strong key {key!r}")
         else:
-            version, births, siblings = rec.version, self._births[key], rec.siblings
-        seen = version if context is None else min(context, version)
-        survivors = [
-            (b, s)
-            for b, s in zip(births, siblings)
-            if (context is None or b > seen) and s != data
-        ]
-        version += 1
-        survivors.append((version, data))
-        self._births[key] = tuple(b for b, _ in survivors)
-        siblings = tuple(s for _, s in survivors)
-        self._records[key] = VersionedRecord(key, siblings, version, Consistency.WEAK)
+            version, value = rec.version + 1, rec.value.merge(data)
+        self._records[key] = VersionedRecord(key, value, version, Consistency.WEAK)
         return version
 
     def _put_conditional(self, key: str, data: object, expected) -> object:
@@ -157,7 +132,7 @@ class DCStore:
         if rec is not None and rec.consistency is not Consistency.STRONG:
             raise WrongMode(f"conditional write on weak key {key!r}")
         current += 1
-        self._records[key] = VersionedRecord(key, (data,), current, Consistency.STRONG)
+        self._records[key] = VersionedRecord(key, data, current, Consistency.STRONG)
         return current
 
     # -- instrumentation (no latency, not part of the modeled API) -------------
@@ -169,6 +144,4 @@ class DCStore:
         """Install a key instantly at version 1, as experiment setup."""
         if key in self._records:
             raise ValueError(f"seed would clobber existing key {key!r}")
-        self._records[key] = VersionedRecord(key, (data,), 1, mode)
-        if mode is Consistency.WEAK:
-            self._births[key] = (1,)
+        self._records[key] = VersionedRecord(key, data, 1, mode)

@@ -9,12 +9,16 @@ is the byte gate, and it also covers the observer's values per key.
 To re-pin, print every config's current digest in ``GOLDEN`` order, each
 followed by the digest of its CSV without the bucket rows, which shows
 whether a move touched anything but bucket cells, and by its totals, then
-each ``EVENT_STREAM`` entry's current tuple:
+each ``EVENT_STREAM`` entry's current tuple, then the benchmark's output
+digests (``perfbench/workloads.py``): each simulation workload at seeds 0
+and 7, and the checker's verdict:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,14 @@ if __name__ == "__main__":
         print(f"    {totals(lines)}")
     for name, strategy in EVENT_STREAM:
         print(f"{name} {strategy.value} event stream {event_stream(CONFIGS[name](strategy))}")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for name, seeds in [
+        ("srv-abundant", (0, 7)),
+        ("clt-depletion", (0, 7)),
+        ("weak-depletion", (0, 7)),
+        ("check-n3", (0,)),  # the checker takes no seed
+    ]:
+        for seed in seeds:
+            print(f"perfbench {name} seed {seed} {workloads.prepare(name, seed)().digest}")

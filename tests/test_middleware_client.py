@@ -160,11 +160,7 @@ def test_grant_is_durable_before_response_arrives():
     def spy_on_reply(key, req, reply):
         # the answer runs at the grantor as it answers, a hop before it arrives
         def spy(resp):
-            rec = stores[0].peek("k")
-            merged = None
-            for st in rec.siblings:
-                merged = st if merged is None else merged.merge(st)
-            grantor_rights_at_reply.append(merged.local_rights(0))
+            grantor_rights_at_reply.append(stores[0].peek("k").value.local_rights(0))
             reply(resp)
 
         original(key, req, spy)
@@ -177,12 +173,7 @@ def test_grant_is_durable_before_response_arrives():
 
 
 def merged_at(store, key="k"):
-    rec = store.peek(key)
-    states = list(rec.siblings)
-    merged = states[0]
-    for st in states[1:]:
-        merged = merged.merge(st)
-    return merged
+    return store.peek(key).value
 
 
 def test_late_grant_is_dropped_and_arrives_by_sync():
@@ -325,7 +316,7 @@ def test_grant_whose_write_conflicts_out_is_denied_and_never_spent():
         rec = stores[0].peek(key)
 
         def outside():
-            yield stores[0].put_conditional(key, rec.siblings[0], rec.version)
+            yield stores[0].put_conditional(key, rec.value, rec.version)
 
         sim.spawn(outside())
 
@@ -345,7 +336,7 @@ def test_grant_whose_write_conflicts_out_is_denied_and_never_spent():
 
     run_op(sim, settle())
     for store in stores:
-        state = store.peek("k").siblings[0]
+        state = store.peek("k").value
         assert state.rights.get((0, 1), 0) == 0
         assert state.used.get(1, 0) == 0
-    assert stores[0].peek("k").siblings[0].local_rights(0) == 12
+    assert stores[0].peek("k").value.local_rights(0) == 12

@@ -64,11 +64,7 @@ def drain(sim, futures, horizon_ms=30_000.0):
 
 
 def durable_value(store, key="k"):
-    rec = store.peek(key)
-    merged = None
-    for st in rec.siblings:
-        merged = st if merged is None else merged.merge(st)
-    return merged.value()
+    return store.peek(key).value.value()
 
 
 # -- routing -----------------------------------------------------------------
@@ -289,7 +285,7 @@ def test_a_dc_pushes_the_stores_state_after_reconfigure():
     push = c._push_state
 
     def spy(key, state):
-        pushed.append((sim.now, state is stores[0].peek(key).siblings[0]))
+        pushed.append((sim.now, state is stores[0].peek(key).value))
         push(key, state)
 
     c._push_state = spy
@@ -311,7 +307,7 @@ def test_a_former_owners_write_landing_after_reconfigure_leaves_the_dc():
     assert old.pipelines["k"].writer_running
     while c.route("k") is old:
         c.reconfigure()
-    c.on_state("k", stores[0].peek("k").siblings[0])
+    c.on_state("k", stores[0].peek("k").value)
     sim.run(until=2.0)
     assert c.route("k").pipelines["k"].base_state.value() == 1000
     sim.run(until=2_200.0)
@@ -350,7 +346,7 @@ def test_a_write_landing_as_its_owner_crashes_leaves_the_dc_once_marked_failed()
     fut = submit(sim, c)
     owner = c.route("k")
     sim.run(until=3.2)
-    assert stores[0].peek("k").siblings[0].value() == 999
+    assert stores[0].peek("k").value.value() == 999
     c.crash_node(owner.idx)
     sim.run(until=20.0)
     c.mark_failed(owner.idx)
@@ -380,11 +376,7 @@ def test_sync_transfer_grant_durable_before_reply():
     assert r.status == "ok"
     assert r.used_sync
     assert seen and seen[0] == 100  # value unchanged; rights moved, not spent
-    rec = stores[0].peek("k")
-    merged = None
-    for st in rec.siblings:
-        merged = st if merged is None else merged.merge(st)
-    assert merged.local_rights(0) < 100  # the deduction was already durable
+    assert stores[0].peek("k").value.local_rights(0) < 100  # the deduction was already durable
 
 
 def test_late_grant_is_dropped_and_arrives_by_sync():
@@ -418,11 +410,7 @@ def test_late_grant_is_dropped_and_arrives_by_sync():
     sim.run(until=sim.now + 1_000.0)
     states = []
     for store in stores:
-        rec = store.peek("k")
-        merged = None
-        for st in rec.siblings:
-            merged = st if merged is None else merged.merge(st)
-        states.append(merged)
+        states.append(store.peek("k").value)
     assert states[0] == states[1]
     assert states[1].rights[(0, 1)] == late.granted == 5
     assert states[1].local_rights(1) == 4
@@ -457,7 +445,7 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
         outside = Future(sim)
 
         def write():
-            res = yield stores[1].put_conditional("k", rec.siblings[0], rec.version)
+            res = yield stores[1].put_conditional("k", rec.value, rec.version)
             outside.resolve(res)
 
         sim.spawn(write())
@@ -471,7 +459,7 @@ def test_grant_landing_during_conflict_reload_is_not_lost():
             for kind, f in futs.items()
             if f.done and f.value.status == "ok"
         )
-        state = stores[1].peek("k").siblings[0]
+        state = stores[1].peek("k").value
         durable = state.rights.get((1, 1), 0) - state.used.get(1, 0)
         assert durable == acked, (t, {kind: f.value for kind, f in futs.items()})
     assert reloads > 0
@@ -489,7 +477,7 @@ def test_grant_whose_write_conflicts_is_denied_and_never_spent():
         rec = stores[0].peek(key)
 
         def outside():
-            yield stores[0].put_conditional(key, rec.siblings[0], rec.version)
+            yield stores[0].put_conditional(key, rec.value, rec.version)
 
         sim.spawn(outside())
 
@@ -506,10 +494,10 @@ def test_grant_whose_write_conflicts_is_denied_and_never_spent():
     assert stores[0].conflicts == 1
     sim.run(until=sim.now + 1_000.0)
     for store in stores:
-        state = store.peek("k").siblings[0]
+        state = store.peek("k").value
         assert state.rights.get((0, 1), 0) == 0
         assert state.used.get(1, 0) == 0
-    assert stores[0].peek("k").siblings[0].local_rights(0) == 10
+    assert stores[0].peek("k").value.local_rights(0) == 10
 
 
 # -- counted admission ---------------------------------------------------------
@@ -578,8 +566,9 @@ STEP = st.tuples(
 def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit, steps, batching):
     # the reference applies one increment/decrement per admitted op; after
     # every step the owner's built working copy equals it, its held rights
-    # are the reference's, each op is admitted, refused for rights or raises
-    # Overflow exactly as the reference update does, and ``ops`` counts the
+    # are the reference's, each op is admitted, refused for rights or failed
+    # for overflow exactly as the reference update succeeds or raises
+    # NotEnoughRights or Overflow, and ``ops`` counts the
     # unanswered ops. Without batching an op would wait while another is
     # unanswered, so the unanswered one's write lands first
     start = start_state(polarity, limit)
@@ -592,10 +581,10 @@ def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit,
         sim.run(until=sim.now + 50.0)
         if store.conflicts > conflicts:  # the owner reloaded the store's state
             conflicts, rival = store.conflicts, False
-            ref = store.peek("k").siblings[0]
+            ref = store.peek("k").value
         elif not rival:
             assert not p.batch
-            assert store.peek("k").siblings[0] == ref
+            assert store.peek("k").value == ref
 
     for what, action, delta, j, mode in steps:
         if what == "op" and not batching and p.ops:
@@ -607,21 +596,16 @@ def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit,
                 ref = update(ref, 0, op, delta)
                 outcome = "admitted"
             except NotEnoughRights:
-                outcome = "refused"
+                outcome = "rights"
             except Overflow:
-                with pytest.raises(Overflow):
-                    cluster.client_request("k", op, delta, "local", answers.append)
                 outcome = "overflow"
-            if outcome == "overflow":
-                assert answers == []  # told nothing, least of all ok
+            before = len(p.batch)
+            cluster.client_request("k", op, delta, "local", answers.append)
+            if outcome == "admitted":
+                assert len(p.batch) == before + 1 and answers == []
             else:
-                before = len(p.batch)
-                cluster.client_request("k", op, delta, "local", answers.append)
-                if outcome == "admitted":
-                    assert len(p.batch) == before + 1 and answers == []
-                else:
-                    assert len(p.batch) == before
-                    assert [a.reason for a in answers] == ["rights"]
+                assert len(p.batch) == before
+                assert [a.reason for a in answers] == [outcome]
         elif what == "remote":  # another DC's own update, or a gift to DC 0
             try:
                 if action == "give":
@@ -644,7 +628,7 @@ def test_counted_admission_builds_what_one_update_per_op_builds(polarity, limit,
             sim.run(until=sim.now + (0.0 if rival else delta))
         else:  # a rival write lands at once; the owner's next write conflicts
             rec = store.peek("k")
-            store._put_conditional("k", rec.siblings[0].merge(others[1]), rec.version)
+            store._put_conditional("k", rec.value.merge(others[1]), rec.version)
             rival = True
         assert p.state == p.WARM
         assert p.ops == sum(type(w) is _OpItem for w in p.batch)
@@ -668,20 +652,22 @@ def test_an_op_may_spend_rights_created_since_the_last_build(polarity):
     ref = update(update(start, 0, creating, 2), 0, consuming, 5)
     sim.run(until=sim.now + 50.0)
     assert [a.status for a in answers] == ["ok", "ok"]
-    assert store.peek("k").siblings[0] == ref
+    assert store.peek("k").value == ref
 
 
 @pytest.mark.parametrize("limit", ["value", "entry"])
 @pytest.mark.parametrize("polarity", list(Polarity))
 def test_an_op_out_of_int64_raises_overflow_before_any_ok(polarity, limit):
+    # the op that would leave int64 fails with reason overflow at once, as
+    # does every later one; those counted before it wait for their write
     sim, store, cluster, node, p = lone_owner(start_state(polarity, limit))
     creating, _ = creating_consuming(polarity)
     answers = []
     cluster.client_request("k", creating, 2, "local", answers.append)  # counted
-    with pytest.raises(Overflow):
-        for _ in range(5):
-            cluster.client_request("k", creating, 2, "local", answers.append)
-    assert answers == []
+    for _ in range(5):
+        cluster.client_request("k", creating, 2, "local", answers.append)
+    assert answers and all((a.status, a.reason) == ("failed", "overflow") for a in answers)
+    assert len(p.batch) + len(answers) == 6
 
 
 @pytest.mark.parametrize("polarity", list(Polarity))
@@ -701,7 +687,7 @@ def test_ops_after_a_merge_past_int64_take_the_exact_path(polarity):
     ref = update(ref, 0, consuming, 1)
     with pytest.raises(Overflow):
         update(ref, 0, creating, 1)
-    with pytest.raises(Overflow):
-        cluster.client_request("k", creating, 1, "local", answers.append)
+    cluster.client_request("k", creating, 1, "local", answers.append)
     assert node._working(p) == ref
-    assert len(p.batch) == 1 and answers == []
+    assert len(p.batch) == 1
+    assert [(a.status, a.reason) for a in answers] == [("failed", "overflow")]

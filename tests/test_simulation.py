@@ -4,12 +4,12 @@ benchmark sweeps."""
 
 import dataclasses
 import random
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcounter.crdt import INT64_MAX, INT64_MIN
 from bcounter.middleware_server import OwnerReply
 from bcounter.sim.config import (
     CounterSpec,
@@ -22,11 +22,12 @@ from bcounter.sim.config import (
 from bcounter.sim.harness import Run, run
 from bcounter.sim.kernel import RoundTrip
 from bcounter.sim.metrics import csv_lines
-from bcounter.sim.strategies import TallyCounter, WeakDriver
+from bcounter.sim.strategies import TallyCounter
 from bcounter.store import DCStore
 from bcounter.transfer import Replica, TransferMode
 
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_store import join_into, sections
 
 BOUNDED = [Strategy.BCCLT, Strategy.BCSRV, Strategy.BCSRV_NOBATCH, Strategy.STRONG]
 
@@ -166,6 +167,28 @@ def assert_safe_and_converged(report, label) -> None:
     every replica converged to the observer's values. ``label`` names the run."""
     assert report.violations == 0, label
     assert report.converged is True, (label, report.converged_values, report.observer_values)
+
+
+@pytest.mark.parametrize("polarity", ["lower", "upper"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_an_op_that_would_leave_int64_fails_for_overflow(strategy, polarity):
+    # a counter at an int64 edge, every op pushing past it: every strategy
+    # fails every op with reason overflow and runs on to the end
+    if polarity == "lower":
+        spec, inc_fraction = CounterSpec("c", polarity, bound=0, initial=INT64_MAX), 1.0
+    else:
+        spec, inc_fraction = CounterSpec("c", polarity, INT64_MIN + 10, INT64_MIN), 0.0
+    cfg = SimConfig(
+        strategy=strategy,
+        inc_fraction=inc_fraction,
+        duration_ms=500.0,
+        counters=[spec],
+        record_ops=True,
+    )
+    metrics, report = run(cfg)
+    assert report.op_log and report.ok == 0
+    assert {(op.status, op.reason) for op in report.op_log} == {("failed", "overflow")}
+    assert_safe_and_converged(report, strategy)
 
 
 def one_crash_window(strategy, node, start_ms):
@@ -381,25 +404,6 @@ _updates = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    tally_counters,
-    tally_counters,
-    tally_counters,
-    _updates,
-    st.sampled_from("abcdef"),
-    st.sampled_from(["inc", "dec"]),
-    st.integers(0, 3),
-)
-def test_tally_join_raised_is_the_merge_over_a_dominated_parent(p, q, r, ups, actor, kind, delta):
-    """A tally that dominates the parent of an ``apply`` or ``merge`` joins
-    only its raised entries and gets the whole merge."""
-    m = apply_to(p.merge(r), ups)  # any m >= p
-    for child in (p.apply(actor, kind, delta), p.merge(q)):
-        if child is not p:
-            assert m.join_raised(child) == m.merge(child)
-
-
 def sums_hold(tally: TallyCounter) -> bool:
     return tally.sums == (sum(tally.incs.values()), sum(tally.decs.values()))
 
@@ -417,12 +421,8 @@ def test_tally_running_sums_follow_apply_and_merge(tally, steps):
 @given(tally_counters, tally_counters, _updates)
 def test_tally_equality_is_dict_equality(a, b, ups):
     for x, y in ((a, b), (a, apply_to(b, ups)), (a.merge(b), b.merge(a))):
-        assert (x == y) == (snapshot(x) == snapshot(y))
-        assert (x != y) == (snapshot(x) != snapshot(y))
-
-
-def snapshot(tally: TallyCounter):
-    return dict(tally.incs), dict(tally.decs)
+        assert (x == y) == (sections(x) == sections(y))
+        assert (x != y) == (sections(x) != sections(y))
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,14 +434,14 @@ def snapshot(tally: TallyCounter):
     st.integers(0, 3),
 )
 def test_tally_apply_and_merge_leave_their_operands_alone(a, b, actor, kind, delta):
-    """Stores and fold caches share tallies, so neither operation may write
-    into an operand's dicts."""
-    before = snapshot(a), snapshot(b)
+    """Stores share tallies, so neither operation may write into an
+    operand's dicts."""
+    before = sections(a), sections(b)
     a.apply(actor, kind, delta)
     b.apply(actor, kind, delta)
     a.merge(b)
     b.merge(a)
-    assert (snapshot(a), snapshot(b)) == before
+    assert (sections(a), sections(b)) == before
 
 
 def test_tally_shares_what_it_leaves():
@@ -471,103 +471,6 @@ def step_all(gens, rng):
             gens.remove(gen)
 
 
-def same(xs, ys) -> bool:
-    """The same objects, in order."""
-    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
-
-
-def test_weak_fold_cache_matches_a_fresh_fold(monkeypatch):
-    keys = ("a", "b")
-    driver = Run(small(Strategy.WEAK)).driver
-    for key in keys:
-        driver.seed(CounterSpec(key, bound=0, initial=10_000))
-    stores = driver.stores
-    rng = random.Random(7)
-    merge = TallyCounter.merge
-
-    outside = []  # the tallies outside_put wrote
-
-    def fresh(siblings):
-        return reduce(merge, siblings)
-
-    def outside_put(dc, key):
-        # a writer other than the driver: reads, merges, bumps and puts with
-        # its read as context, as every weak writer does
-        rec = yield stores[dc].get(key)
-        tally = fresh(rec.siblings).apply(f"x{dc}", rng.choice(["inc", "dec"]), 1)
-        outside.append(tally)
-        yield stores[dc].put(key, tally, context=rec.version)
-
-    def merge_in(dc, key):
-        other = rng.choice([d for d in range(len(stores)) if d != dc])
-        yield from driver._merge_in(dc, key, fresh(stores[other].peek(key).siblings))
-
-    def client_op(dc, key):
-        kind = rng.choice(["inc", "dec"])
-        yield from driver.client_op(dc, f"c{rng.randrange(6)}", key, kind, 1, "global")
-
-    # the test's own model of the fold contract, per (dc, key): the version
-    # and tuple last folded; joined collects the tallies a fold merges in,
-    # whole or by their raised entries
-    last, joined = {}, []
-    fold = driver._fold
-    stats = {"widest": 0, "cached": 0, "joined": 0, "overtaken": 0, "raised": 0, "outside": 0}
-
-    def checked_fold(dc, rec):
-        joined.clear()
-        got = fold(dc, rec)
-        seen = list(joined)
-        assert got == fresh(rec.siblings)
-        version, before = last.get((dc, rec.key), (0, ()))
-        if rec.version == version:
-            assert seen == []
-            return got
-        if rec.version < version:
-            # an overtaken read of an earlier version is folded whole
-            assert same(seen, rec.siblings[1:])
-            stats["overtaken"] += 1
-            return got
-        if len(rec.siblings) == 1:
-            before = ()  # a lone sibling is its own merge
-        new = [s for s in rec.siblings if s not in before]
-        # with no merge cached, the first new sibling starts it
-        assert same(seen, new if before else new[1:])
-        last[(dc, rec.key)] = rec.version, rec.siblings
-        stats["widest"] = max(stats["widest"], len(rec.siblings))
-        stats["cached"] += len(rec.siblings) - len(new)
-        stats["joined"] += len(seen)
-        stats["outside"] += sum(any(s is t for t in outside) for s in seen)
-        return got
-
-    def recorded_merge(self, other, stamp=None):
-        joined.append(other)
-        return merge(self, other, stamp)
-
-    join_raised = TallyCounter.join_raised
-
-    def recorded_join_raised(self, other):
-        # only the driver's own puts are joined by their raised entries
-        assert other.stamp is not None and not any(other is t for t in outside)
-        joined.append(other)
-        stats["raised"] += 1
-        return join_raised(self, other)
-
-    monkeypatch.setattr(driver, "_fold", checked_fold)
-    monkeypatch.setattr(TallyCounter, "merge", recorded_merge)
-    monkeypatch.setattr(TallyCounter, "join_raised", recorded_join_raised)
-    ops = [client_op] * 6 + [outside_put, merge_in]
-    for _ in range(60):
-        gens = [rng.choice(ops)(rng.randrange(len(stores)), rng.choice(keys))
-                for _ in range(rng.randint(1, 16))]
-        step_all(gens, rng)
-    # the interleavings built wide sibling sets and overtaken reads, and the
-    # folds both joined new siblings and skipped ones already in the cache
-    assert stats["widest"] >= 4 and stats["overtaken"] > 0
-    assert stats["cached"] > 0 and stats["joined"] > 0
-    # outside puts were merged whole, and driver puts joined by raised entries
-    assert stats["outside"] > 0 and stats["raised"] > 0
-
-
 def weak_golden(name, seed=None):
     cfg = GOLDEN_CONFIGS[name](Strategy.WEAK)
     return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
@@ -576,45 +479,56 @@ def weak_golden(name, seed=None):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name", ["single-counter", "violation-count", "faults"])
 def test_weak_fold_equals_a_fresh_fold_over_whole_runs(name, seed, monkeypatch):
-    """Under a real run's interleavings, every fold equals a fresh merge of
-    the siblings read."""
-    fold = WeakDriver._fold
-    widest = 0
+    """Under a real run's interleavings, the value each weak put leaves in
+    its store is a fresh fold of the seed and every put landed there so far.
+    Some puts land beside a concurrent one, so the value is more than the
+    put."""
+    joined = {}  # (dc, key) -> the join of every tally the store took
+    concurrent = 0
+    seed_, put = DCStore.seed, DCStore._put
 
-    def checked(self, dc, rec):
-        nonlocal widest
-        got = fold(self, dc, rec)
-        assert got == reduce(TallyCounter.merge, rec.siblings)
-        widest = max(widest, len(rec.siblings))
-        return got
+    def recorded_seed(self, key, data, mode):
+        joined[(self.dc, key)] = join_into(({}, {}), data)
+        seed_(self, key, data, mode)
 
-    monkeypatch.setattr(WeakDriver, "_fold", checked)
+    def checked_put(self, key, data):
+        nonlocal concurrent
+        version = put(self, key, data)
+        value = self.peek(key).value
+        assert sections(value) == join_into(joined[(self.dc, key)], data)
+        concurrent += value != data
+        return version
+
+    monkeypatch.setattr(DCStore, "seed", recorded_seed)
+    monkeypatch.setattr(DCStore, "_put", checked_put)
     run(weak_golden(name, seed))
-    assert widest > 1
+    assert concurrent > 0
 
 
 def test_weak_run_never_changes_a_stored_tally(monkeypatch):
     """Every tally a store receives keeps its entries to the end of the run,
-    as the stores of every DC and the fold caches share them."""
+    as the stores of every DC share them."""
     put, seed = DCStore.put, DCStore.seed
     stored = []
 
-    def snapped_put(self, key, data, context=None):
-        stored.append((data, snapshot(data)))
-        return put(self, key, data, context)
+    def snapped_put(self, key, data):
+        stored.append((data, sections(data)))
+        return put(self, key, data)
 
     def snapped_seed(self, key, data, mode):
-        stored.append((data, snapshot(data)))
+        stored.append((data, sections(data)))
         seed(self, key, data, mode)
 
     monkeypatch.setattr(DCStore, "put", snapped_put)
     monkeypatch.setattr(DCStore, "seed", snapped_seed)
     run(weak_golden("single-counter"))
     assert len(stored) > 100
-    assert all(snapshot(tally) == snap for tally, snap in stored)
+    assert all(sections(tally) == snap for tally, snap in stored)
 
 
 def test_weak_sync_sends_the_lone_sibling_itself(monkeypatch):
+    """Each sync sends the stored value itself, and a merge in puts only
+    when it raises an entry."""
     driver = Run(small(Strategy.WEAK)).driver
     driver.seed(CounterSpec("x", bound=0, initial=100))
     store, sent, puts, rng = driver.stores[0], [], [], random.Random(0)
@@ -629,24 +543,24 @@ def test_weak_sync_sends_the_lone_sibling_itself(monkeypatch):
         while len(sent) == n:
             waited = sync.send(result)
             result = waited.effect(*waited.args) if isinstance(waited, RoundTrip) else None
-        assert sent[-1] is store.peek("x").siblings[0]
+        assert sent[-1] is store.peek("x").value
 
     sync_once()  # the seed
     for actor in ("0:0", "0:1", "0:0"):
         step_all([driver.client_op(0, actor, "x", "dec", 1, "global")], rng)
-        assert len(store.peek("x").siblings) == 1
         sync_once()  # the driver's own put
     put = DCStore.put
 
-    def recorded_put(self, key, data, context=None):
+    def recorded_put(self, key, data):
         puts.append(data)
-        return put(self, key, data, context)
+        return put(self, key, data)
 
     monkeypatch.setattr(DCStore, "put", recorded_put)
     # a merge that raises nothing writes nothing; one that raises an entry does
     for incoming in (TallyCounter({"_init": 100}, {"0:0": 1}), TallyCounter({}, {"1:0": 1})):
         step_all([driver._merge_in(0, "x", incoming)], rng)
     assert [t.decs for t in puts] == [{"0:0": 2, "0:1": 1, "1:0": 1}]
+    assert sections(store.peek("x").value) == ({"_init": 100}, {"0:0": 2, "0:1": 1, "1:0": 1})
 
 
 def test_store_counters_reported():

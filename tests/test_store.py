@@ -1,7 +1,5 @@
-"""Store semantics: siblings, conditional writes, races, the round trip
+"""Store semantics: weak joins, conditional writes, races, the round trip
 and the kill rule."""
-
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -47,15 +45,16 @@ def run_ops(sim, script):
 def test_put_get_round_trip():
     sim = Simulator()
     store = new_store()
+    tally = TallyCounter({"a": 1})
 
     def script():
-        v = yield store.put("k", b"hello")
+        v = yield store.put("k", tally)
         rec = yield store.get("k")
         return v, rec
 
     v, rec = run_ops(sim, script())
     assert v == 1
-    assert rec.siblings == (b"hello",)
+    assert rec.value is tally  # a put on an absent key installs its data
     assert rec.version == 1
     assert rec.consistency is Consistency.WEAK
 
@@ -88,84 +87,70 @@ def test_latencies_model_service_time():
     assert stamps["read"] == stamps["write"] + 1 + 2.0 + 1
 
 
-class TestWeakSiblings:
-    def test_current_context_replaces(self):
+def join_into(joined: tuple[dict, dict], tally: TallyCounter) -> tuple[dict, dict]:
+    """Join ``tally`` into ``joined``, an (incs, decs) pair of dicts, apart
+    from ``TallyCounter.merge``."""
+    for section, entries in zip(joined, (tally.incs, tally.decs)):
+        for actor, n in entries.items():
+            section[actor] = max(section.get(actor, 0), n)
+    return joined
+
+
+def sections(tally: TallyCounter) -> tuple[dict[str, int], dict[str, int]]:
+    return dict(tally.incs), dict(tally.decs)
+
+
+BASE = TallyCounter({"_init": 9})
+
+
+class TestWeakJoin:
+    def test_a_put_from_the_current_value_replaces_it(self):
         sim = Simulator()
         store = new_store()
+        store.seed("k", BASE, Consistency.WEAK)
+        bumped = BASE.apply("a", "inc", 1)
+        v = run_ops(sim, store.put("k", bumped))
+        assert (v, store.peek("k").value) == (2, bumped)
+
+    def test_a_put_from_a_stale_read_keeps_the_later_put(self):
+        sim = Simulator()
+        store = new_store()
+        store.seed("k", BASE, Consistency.WEAK)
 
         def script():
-            yield store.put("k", b"a")
             rec = yield store.get("k")
-            yield store.put("k", b"b", context=rec.version)
+            yield store.put("k", rec.value.apply("b", "dec", 1))
+            yield store.put("k", rec.value.apply("c", "dec", 2))  # now stale
             return (yield store.get("k"))
 
         rec = run_ops(sim, script())
-        assert rec.siblings == (b"b",)
-
-    def test_stale_context_adds_sibling(self):
-        sim = Simulator()
-        store = new_store()
-
-        def script():
-            yield store.put("k", b"a")
-            rec = yield store.get("k")
-            yield store.put("k", b"b", context=rec.version)
-            yield store.put("k", b"c", context=rec.version)  # now stale
-            return (yield store.get("k"))
-
-        rec = run_ops(sim, script())
-        assert set(rec.siblings) == {b"b", b"c"}
+        assert sections(rec.value) == ({"_init": 9}, {"b": 1, "c": 2})
+        assert rec.value.value() == 6
 
     def test_concurrent_puts_accumulate(self):
         sim = Simulator()
         store = new_store()
+        store.seed("k", BASE, Consistency.WEAK)
 
-        def writer(data, ctx):
-            yield store.put("k", data, context=ctx)
-
-        def script():
-            yield store.put("k", b"base")
+        def writer(actor):
             rec = yield store.get("k")
-            p1 = joined(sim, writer(b"one", rec.version))
-            p2 = joined(sim, writer(b"two", rec.version))
-            yield p1
-            yield p2
-            return (yield store.get("k"))
+            yield store.put("k", rec.value.apply(actor, "inc", 1))
 
-        rec = run_ops(sim, script())
-        assert set(rec.siblings) == {b"one", b"two"}
+        for actor in ("one", "two"):
+            sim.spawn(writer(actor))
+        sim.run()
+        assert sections(store.peek("k").value) == ({"_init": 9, "one": 1, "two": 1}, {})
 
-    def test_no_context_adds_sibling(self):
+    def test_an_equal_put_leaves_the_value_as_it_is(self):
         sim = Simulator()
         store = new_store()
-
-        def script():
-            yield store.put("k", b"a")
-            yield store.put("k", b"b")
-            return (yield store.get("k"))
-
-        rec = run_ops(sim, script())
-        assert set(rec.siblings) == {b"a", b"b"}
-
-    def test_duplicate_bytes_not_duplicated(self):
-        sim = Simulator()
-        store = new_store()
-
-        def script():
-            yield store.put("k", b"a")
-            yield store.put("k", b"a")
-            return (yield store.get("k"))
-
-        rec = run_ops(sim, script())
-        assert rec.siblings == (b"a",)
-
-
-def tally_fold(siblings):
-    return reduce(TallyCounter.merge, siblings)
+        store.seed("k", BASE, Consistency.WEAK)
+        assert run_ops(sim, store.put("k", TallyCounter({"_init": 9}))) == 2
+        assert store.peek("k").value is BASE  # merge returns it when nothing rises
 
 
 # (writer, actor, kind): a writer without a read in hand reads; one with a
-# read puts the merge of it plus the actor's bump, with the read as context
+# read puts it plus the actor's bump
 weak_steps = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from("abc"), st.sampled_from(["inc", "dec"])),
     max_size=40,
@@ -174,26 +159,23 @@ weak_steps = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(weak_steps)
-def test_a_context_put_drops_only_siblings_below_those_that_stay(steps):
-    """What the weak driver's delta fold relies on: when every writer puts
-    at least the merge of what it read, each sibling a put replaces is below
-    the merge of the siblings left."""
+def test_the_weak_value_is_the_join_of_the_seed_and_every_landed_put(steps):
+    """Writers read and put, interleaved, so many put from stale reads: the
+    value is always the join of the seed and every put landed so far, and
+    no join writes into a tally it was given."""
     sim = Simulator()
     store = new_store()
-    store.seed("k", TallyCounter({"_init": 9}), Consistency.WEAK)
-    reads = {}
+    store.seed("k", BASE, Consistency.WEAK)
+    joined, landed, reads = join_into(({}, {}), BASE), [BASE], {}
     for writer, actor, kind in steps:
         if writer not in reads:
-            rec = run_ops(sim, store.get("k"))
-            reads[writer] = tally_fold(rec.siblings), rec.version
+            reads[writer] = run_ops(sim, store.get("k")).value
             continue
-        tally, version = reads.pop(writer)
-        before = store.peek("k").siblings
-        run_ops(sim, store.put("k", tally.apply(actor, kind, 1), context=version))
-        after = store.peek("k").siblings
-        merged = tally_fold(after)
-        for dropped in [t for t in before if t not in after]:
-            assert merged.merge(dropped) == merged
+        landed.append(reads.pop(writer).apply(actor, kind, 1))
+        snaps = [sections(t) for t in landed]
+        run_ops(sim, store.put("k", landed[-1]))
+        assert sections(store.peek("k").value) == join_into(joined, landed[-1])
+        assert [sections(t) for t in landed] == snaps
 
 
 class TestConditionalWrites:
@@ -209,7 +191,7 @@ class TestConditionalWrites:
         v, rec = run_ops(sim, script())
         assert v == 1
         assert rec.consistency is Consistency.STRONG
-        assert rec.siblings == (b"x",)
+        assert rec.value == b"x"
 
     def test_create_race_has_one_winner(self):
         sim = Simulator()
@@ -250,7 +232,7 @@ class TestConditionalWrites:
 
         r, rec = run_ops(sim, script())
         assert r is CONFLICT
-        assert rec.siblings == (b"b",)  # loser installed nothing
+        assert rec.value == b"b"  # loser installed nothing
 
     def test_same_version_racers_one_wins(self):
         sim = Simulator()
@@ -282,7 +264,7 @@ class TestConditionalWrites:
             return (yield store.get("k"))
 
         rec = run_ops(sim, script())
-        assert len(rec.siblings) == 1
+        assert rec.value == b"b" and rec.version == 2
 
     def test_retry_loop_succeeds_after_conflict(self):
         sim = Simulator()
@@ -341,7 +323,7 @@ def run_killed_writers(kill_at_ms):
         sim.schedule(kill_at_ms, p.kill)
     sim.run()
     assert store.peek("new") is None
-    assert store.peek("old").siblings == (b"v1",)
+    assert store.peek("old").value == b"v1"
     assert store.conflicts == 0
     assert resumed == []
     assert store.cond_writes == 2  # counted when issued, before the kill
@@ -363,7 +345,7 @@ def test_surviving_writer_installs():
         return (yield store.put_conditional("k", b"v", ABSENT))
 
     assert run_ops(sim, writer()) == 1
-    assert store.peek("k").siblings == (b"v",)
+    assert store.peek("k").value == b"v"
 
 
 def test_ops_counted_at_call_time():

@@ -36,8 +36,8 @@ def undriven_store_calls(source: str) -> list[tuple[int, str]]:
 def test_scan_flags_a_bare_store_call():
     source = (
         "def f(sim, stores, rec):\n"
-        "    stores[1].put_conditional('k', rec.siblings[0], rec.version)\n"
-        "    sim.spawn(stores[1].put_conditional('k', rec.siblings[0], rec.version))\n"
+        "    stores[1].put_conditional('k', rec.value, rec.version)\n"
+        "    sim.spawn(stores[1].put_conditional('k', rec.value, rec.version))\n"
         "    rec = yield from stores[0].get('k')\n"
         "    rec = yield stores[0].get('k')\n"
         "    return {}.get('k')\n"

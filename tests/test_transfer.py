@@ -375,7 +375,7 @@ def test_refused_sync_request_is_answered_once_without_a_write(design, state, re
     assert fut.done and fut.value is answers[0]
     assert answers[0].granted == 0 and answers[0].state is None
     assert store.cond_writes == 0
-    assert store.peek("k").siblings == (state,)
+    assert store.peek("k").value == state
     assert metrics.counts["transfer_responses"] == 1
     assert net.sent == 2  # the request and the one reply hop
 
@@ -391,5 +391,5 @@ def test_async_grant_sends_no_reply_but_becomes_durable(design):
     assert metrics.counts["transfer_responses"] == 0
     assert net.sent == 0
     assert store.cond_writes == 1
-    durable = store.peek("k").siblings[0]
+    durable = store.peek("k").value
     assert durable == FULL.transfer(0, 1, 4)
